@@ -15,6 +15,7 @@ independent of batch order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,31 +127,68 @@ class AugmentationPipeline:
                 )
 
 
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=256)
+def _resize_axis(in_size, out_size):
+    """Bilinear resize along one axis: the lower then the upper source
+    index of every output position, and their weights 1 - t then t."""
+    pos = np.clip((np.arange(out_size) + 0.5) * in_size / out_size - 0.5, 0.0, in_size - 1.0)
+    lower = np.floor(pos).astype(int)
+    upper = np.minimum(lower + 1, in_size - 1)
+    t = pos - lower
+    return _frozen(np.concatenate([lower, upper])), _frozen(np.concatenate([1 - t, t]))
+
+
 def _bilinear_resize(img, out_h, out_w):
+    """Two gathers, rows then columns, each followed by its weight, leave
+    the four corner terms as quadrants; they are summed in the order
+    g00 * (1 - wy) * (1 - wx) + g10 * wy * (1 - wx) + g01 * (1 - wy) * wx
+    + g11 * wy * wx."""
     in_h, in_w = img.shape
     if (in_h, in_w) == (out_h, out_w):
         return img.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0.0, in_h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0.0, in_w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    return (
-        img[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
-        + img[np.ix_(y1, x0)] * wy * (1 - wx)
-        + img[np.ix_(y0, x1)] * (1 - wy) * wx
-        + img[np.ix_(y1, x1)] * wy * wx
-    )
+    rows, wy = _resize_axis(in_h, out_h)
+    cols, wx = _resize_axis(in_w, out_w)
+    g = img[rows]
+    g *= wy[:, None]
+    g = g[:, cols]
+    g *= wx
+    top, bottom = g[:out_h], g[out_h:]
+    out = top[:, :out_w] + bottom[:, :out_w]
+    out += top[:, out_w:]
+    out += bottom[:, out_w:]
+    return out
 
 
-def _blur_kernel(sigma):
+@functools.lru_cache(maxsize=16)
+def _blur_plan(height, width, sigma):
+    """Kernel and flat gather maps of a separable blur with symmetric edges.
+
+    Each pass is one np.convolve ("valid") over padded lines laid end to
+    end. An output inside a line is the same dot over the same 2r+1 values
+    that a separate per-line call takes, so the result is bit-exact with
+    line-by-line convolution; the outputs that straddle two lines are
+    never gathered. ``row_pad`` lays out the rows of the image with
+    padded columns, ``col_pad`` the columns of the first pass's output
+    with padded rows, and ``unpad`` reads the second pass back in row
+    order. Symmetric index maps also cover a radius larger than a side.
+    """
     radius = max(1, int(np.ceil(3.0 * sigma)))
     t = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
-    return kernel / kernel.sum(), radius
+    kernel = kernel / kernel.sum()
+    padded_w = width + 2 * radius
+    padded_h = height + 2 * radius
+    cols = np.pad(np.arange(width), radius, mode="symmetric")
+    rows = np.pad(np.arange(height), radius, mode="symmetric")
+    row_pad = np.arange(height)[:, None] * width + cols
+    col_pad = rows * padded_w + np.arange(width)[:, None]
+    unpad = np.arange(width) * padded_h + np.arange(height)[:, None]
+    return tuple(_frozen(a) for a in (kernel, row_pad, col_pad, unpad))
 
 
 def _apply(spec: TransformSpec, x, geometry, rng):
@@ -162,11 +200,12 @@ def _apply(spec: TransformSpec, x, geometry, rng):
         return x * (rng.random(x.shape) >= spec.fraction)
     if spec.kind == "scale_jitter":
         return x * rng.uniform(spec.low, spec.high)
+    if spec.kind == "brightness_jitter":
+        out = x * rng.uniform(spec.low, spec.high)
+        return np.clip(out, 0.0, 1.0, out=out)
     img = x.reshape(geometry.height, geometry.width)
     if spec.kind == "horizontal_flip":
         return img[:, ::-1].ravel()
-    if spec.kind == "brightness_jitter":
-        return np.clip(img * rng.uniform(spec.low, spec.high), 0.0, 1.0).ravel()
     if spec.kind == "resized_crop":
         area = rng.uniform(spec.min_area_fraction, 1.0)
         side = np.sqrt(area)
@@ -177,13 +216,10 @@ def _apply(spec: TransformSpec, x, geometry, rng):
         crop = img[top : top + crop_h, left : left + crop_w]
         return _bilinear_resize(crop, geometry.height, geometry.width).ravel()
     if spec.kind == "gaussian_blur":
-        kernel, radius = _blur_kernel(spec.sigma)
-        padded = np.pad(img, ((0, 0), (radius, radius)), mode="symmetric")
-        horizontal = np.array([np.convolve(row, kernel, mode="valid") for row in padded])
-        padded = np.pad(horizontal, ((radius, radius), (0, 0)), mode="symmetric")
-        return np.array(
-            [np.convolve(col, kernel, mode="valid") for col in padded.T]
-        ).T.ravel()
+        kernel, row_pad, col_pad, unpad = _blur_plan(geometry.height, geometry.width, spec.sigma)
+        horizontal = np.convolve(x[row_pad].ravel(), kernel, mode="valid")
+        vertical = np.convolve(horizontal[col_pad].ravel(), kernel, mode="valid")
+        return vertical[unpad].ravel()
     raise ConfigError(f"unknown transform kind {spec.kind!r}")
 
 

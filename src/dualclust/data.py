@@ -207,10 +207,21 @@ def load_idx(images_path, labels_path=None) -> Dataset:
 
 def save_idx(images_path, dataset: Dataset, labels_path=None) -> None:
     """Write a dataset with image geometry back to IDX; values in [0, 1]
-    are quantized to bytes, so byte-valued data round-trips exactly."""
+    are quantized to bytes, so byte-valued data round-trips exactly.
+    Labels must fit in a byte (0..255)."""
     geometry = dataset.geometry
     if not isinstance(geometry, ImageGeometry):
         raise ContractError("save_idx: dataset does not declare image geometry")
+    if labels_path is not None:
+        if dataset.labels is None:
+            raise ContractError("save_idx: labels_path given but dataset has no labels")
+        outside = np.flatnonzero((dataset.labels < 0) | (dataset.labels > 255))
+        if outside.size:
+            i = outside[0]
+            raise ContractError(
+                f"save_idx: sample {i} has label {dataset.labels[i]}, "
+                f"outside the IDX byte range 0..255"
+            )
     pixels = np.clip(np.round(dataset.samples * 255.0), 0, 255).astype(np.uint8)
     n = dataset.n
     with open(images_path, "wb") as fh:
@@ -218,22 +229,58 @@ def save_idx(images_path, dataset: Dataset, labels_path=None) -> None:
         fh.write(struct.pack(">3I", n, geometry.height, geometry.width))
         fh.write(pixels.tobytes())
     if labels_path is not None:
-        if dataset.labels is None:
-            raise ContractError("save_idx: labels_path given but dataset has no labels")
         with open(labels_path, "wb") as fh:
             fh.write(IDX_LABELS_MAGIC)
             fh.write(struct.pack(">I", n))
             fh.write(dataset.labels.astype(np.uint8).tobytes())
 
 
-def _parse_cell(text, path, line_no, col_no):
+# Integers beyond 2**53 are not all representable in float64, so a cell
+# that large cannot be known to hold the integer that was written.
+MAX_EXACT_INTEGER = 2.0**53
+
+
+def _read_rows(path):
+    """All CSV records, blank ones included so that record i is file line
+    i + 1, and the non-empty ones."""
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))
+    return records, [row for row in records if row]
+
+
+def _line_of(records, row):
+    """File line of a non-empty record; only error paths look it up."""
+    return next(line for line, record in enumerate(records, start=1) if record is row)
+
+
+def _parse_table(records, rows, path):
+    """Parse equal-width rows into a float matrix. Every cell goes through
+    float() and finiteness is checked in one vectorised pass; only a
+    failure looks up the offending cell's line."""
     try:
-        return float(text)
+        matrix = np.array([[float(cell) for cell in row] for row in rows])
     except ValueError:
+        bad = np.array([[not _is_number(cell) for cell in row] for row in rows])
+        _reject_cells(bad, records, rows, path, "could not parse {!r} as a number")
+        raise
+    _reject_cells(~np.isfinite(matrix), records, rows, path, "non-finite value {!r}")
+    return matrix
+
+
+def _reject_cells(bad, records, rows, path, problem):
+    """Raise a FormatError at the first flagged cell of the boolean matrix
+    ``bad``, in row-major order; ``problem`` is formatted with the cell."""
+    if bad.any():
+        index, col = np.argwhere(bad)[0]
+        row = rows[index]
         raise FormatError(
-            f"{path}: line {line_no}, column {col_no}: "
-            f"could not parse {text!r} as a number"
-        ) from None
+            f"{path}: line {_line_of(records, row)}, column {col + 1}: "
+            + problem.format(row[col])
+        )
+
+
+def _not_integer(values):
+    return (values != np.round(values)) | (np.abs(values) >= MAX_EXACT_INTEGER)
 
 
 def load_csv(path, label_column=None) -> Dataset:
@@ -243,31 +290,22 @@ def load_csv(path, label_column=None) -> Dataset:
     skipped. ``label_column`` selects a column (by index, or by name
     when a header is present) to extract as integer labels.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
+    records, rows = _read_rows(path)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     header = None
-    start = 0
-    first = rows[0]
-    if any(not _is_number(cell) for cell in first):
-        header = [cell.strip() for cell in first]
-        start = 1
-        if len(rows) == 1:
+    if any(not _is_number(cell) for cell in rows[0]):
+        header = [cell.strip() for cell in rows[0]]
+        rows = rows[1:]
+        if not rows:
             raise FormatError(f"{path}: header but no data rows")
-    width = len(rows[start])
-    parsed = []
-    for offset, row in enumerate(rows[start:]):
-        line_no = start + offset + 1
+    width = len(rows[0])
+    for row in rows:
         if len(row) != width:
             raise FormatError(
-                f"{path}: line {line_no}: expected {width} columns, got {len(row)}"
+                f"{path}: line {_line_of(records, row)}: expected {width} columns, got {len(row)}"
             )
-        parsed.append(
-            [_parse_cell(cell, path, line_no, col + 1) for col, cell in enumerate(row)]
-        )
-    matrix = np.array(parsed)
+    matrix = _parse_table(records, rows, path)
     labels = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -283,8 +321,9 @@ def load_csv(path, label_column=None) -> Dataset:
                     f"{path}: label column {index} out of range for width {width}"
                 )
         raw = matrix[:, index]
-        if np.any(raw != np.round(raw)):
-            raise FormatError(f"{path}: label column {label_column!r} is not integral")
+        bad = np.zeros(matrix.shape, dtype=bool)
+        bad[:, index] = _not_integer(raw)
+        _reject_cells(bad, records, rows, path, "non-integral label {!r}")
         labels = raw.astype(np.int64)
         matrix = np.delete(matrix, index, axis=1)
     return Dataset(matrix, VectorGeometry(matrix.shape[1]), labels, name="csv")
@@ -314,29 +353,26 @@ def read_label_csv(path) -> np.ndarray:
     Accepts an optional header. Sample ids must be the integers
     0..n-1 in any order, each exactly once.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    records, rows = _read_rows(path)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     if any(not _is_number(cell) for cell in rows[0]):
         rows = rows[1:]
         if not rows:
             raise FormatError(f"{path}: header but no data rows")
-    ids = []
-    labels = []
-    for offset, row in enumerate(rows):
+    for row in rows:
         if len(row) != 2:
             raise FormatError(
-                f"{path}: line {offset + 1}: expected 2 columns (sample_id, label), "
-                f"got {len(row)}"
+                f"{path}: line {_line_of(records, row)}: expected 2 columns "
+                f"(sample_id, label), got {len(row)}"
             )
-        ids.append(int(_parse_cell(row[0], path, offset + 1, 1)))
-        labels.append(int(_parse_cell(row[1], path, offset + 1, 2)))
+    table = _parse_table(records, rows, path)
+    _reject_cells(_not_integer(table), records, rows, path, "non-integral value {!r}")
+    ids, labels = table.astype(np.int64).T
     order = np.argsort(ids)
-    ids_arr = np.array(ids)[order]
-    if not np.array_equal(ids_arr, np.arange(len(ids))):
+    if not np.array_equal(ids[order], np.arange(len(ids))):
         raise FormatError(f"{path}: sample ids must cover 0..{len(ids) - 1} exactly once")
-    return np.array(labels, dtype=np.int64)[order]
+    return labels[order]
 
 
 def write_label_csv(path, labels) -> None:

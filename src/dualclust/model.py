@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -251,13 +251,22 @@ def save_checkpoint(path, params: ModelParams) -> None:
         fh.write(bytes(payload))
 
 
-def _rebuild_layers(names, flat, prefix):
-    layers = []
-    i = 0
-    while f"{prefix}.{i}.weight" in names:
-        layers.append((flat[f"{prefix}.{i}.weight"], flat[f"{prefix}.{i}.bias"]))
-        i += 1
-    return layers
+PARAM_GROUPS = ("encoder", "instance_head", "cluster_head")
+
+
+def _array_shapes(config: ModelConfig):
+    """(name, shape) of every parameter array the config implies, in
+    ``ModelParams.items`` order."""
+    for group, shapes in zip(PARAM_GROUPS, _layer_shapes(config)):
+        for i, (fan_in, fan_out) in enumerate(shapes):
+            yield f"{group}.{i}.weight", (fan_in, fan_out)
+            yield f"{group}.{i}.bias", (1, fan_out)
+
+
+def _header_key(mapping, key, where):
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise FormatError(f"checkpoint: {where} has no {key!r} key")
+    return mapping[key]
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -279,30 +288,31 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"checkpoint: header is not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise FormatError(
             f"checkpoint: unsupported format_version {header.get('format_version')!r}"
         )
-    raw = header["config"]
-    config = ModelConfig(
-        input_dim=raw["input_dim"],
-        encoder_widths=tuple(raw["encoder_widths"]),
-        cluster_count=raw["cluster_count"],
-        instance_dim=raw["instance_dim"],
-        head_hidden_dim=raw["head_hidden_dim"],
-        init_seed=raw["init_seed"],
-    )
+    raw = _header_key(header, "config", "header")
+    values = {f.name: _header_key(raw, f.name, "header config") for f in fields(ModelConfig)}
+    try:
+        config = ModelConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint: header config is invalid ({exc})") from exc
     flat = {}
     offset = header_end
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for entry in _header_key(header, "arrays", "header"):
+        name = _header_key(entry, "name", "array entry")
+        shape = _header_key(entry, "shape", f"array entry {name!r}")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise FormatError(f"checkpoint: array {name!r} has invalid shape {shape!r}")
+        shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if len(blob) < offset + nbytes:
-            raise FormatError(
-                f"checkpoint: truncated payload for {entry['name']} at offset {offset}"
-            )
-        flat[entry["name"]] = (
+            raise FormatError(f"checkpoint: truncated payload for {name} at offset {offset}")
+        flat[name] = (
             np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             .reshape(shape)
             .astype(np.float64)
@@ -310,10 +320,25 @@ def load_checkpoint(path) -> ModelParams:
         offset += nbytes
     if offset != len(blob):
         raise FormatError(f"checkpoint: {len(blob) - offset} trailing bytes after payload")
-    names = set(flat)
+    expected = dict(_array_shapes(config))
+    for name, shape in expected.items():
+        if name not in flat:
+            raise FormatError(f"checkpoint: config implies array {name!r} {shape}, header lists none")
+        if flat[name].shape != shape:
+            raise FormatError(
+                f"checkpoint: array {name!r} has shape {flat[name].shape}, "
+                f"config implies {shape}"
+            )
+    unexpected = sorted(set(flat) - set(expected))
+    if unexpected:
+        raise FormatError(f"checkpoint: array {unexpected[0]!r} is not part of the config's model")
+    encoder, instance_head, cluster_head = (
+        [(flat[f"{group}.{i}.weight"], flat[f"{group}.{i}.bias"]) for i in range(len(shapes))]
+        for group, shapes in zip(PARAM_GROUPS, _layer_shapes(config))
+    )
     return ModelParams(
         config=config,
-        encoder=_rebuild_layers(names, flat, "encoder"),
-        instance_head=_rebuild_layers(names, flat, "instance_head"),
-        cluster_head=_rebuild_layers(names, flat, "cluster_head"),
+        encoder=encoder,
+        instance_head=instance_head,
+        cluster_head=cluster_head,
     )

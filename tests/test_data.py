@@ -186,6 +186,12 @@ class TestIdx:
         np.testing.assert_array_equal(loaded.samples, original.samples)
         np.testing.assert_array_equal(loaded.labels, original.labels)
 
+    def test_label_outside_byte_range_rejected(self, tmp_path):
+        dataset = Dataset(np.zeros((3, 4)), ImageGeometry(2, 2), labels=[0, 256, 1])
+        with pytest.raises(ContractError, match=r"sample 1 has label 256"):
+            save_idx(tmp_path / "images.idx", dataset, tmp_path / "labels.idx")
+        assert not (tmp_path / "images.idx").exists()
+
 
 class TestCsv:
     def test_plain_numeric_fixture(self, tmp_path):
@@ -232,6 +238,25 @@ class TestCsv:
         with pytest.raises(FormatError, match="integral"):
             load_csv(path, label_column=1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_reports_position(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x,y\n1,2\n3,{cell}\n")
+        with pytest.raises(FormatError, match=rf"data.csv: line 3, column 2: non-finite value '{cell}'"):
+            load_csv(path)
+
+    def test_reported_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n\n3,4\n5,nan\n")
+        with pytest.raises(FormatError, match="line 4, column 2"):
+            load_csv(path)
+
+    def test_non_integral_label_reports_position(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,0\n2,1\n3,1.7\n")
+        with pytest.raises(FormatError, match=r"line 3, column 2: non-integral label '1.7'"):
+            load_csv(path, label_column=1)
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(6, 4)) * np.logspace(-3, 3, 4)
@@ -250,6 +275,22 @@ class TestLabelCsv:
         path = tmp_path / "labels.csv"
         path.write_text("sample_id,cluster\n2,5\n0,3\n1,4\n")
         np.testing.assert_array_equal(read_label_csv(path), [3, 4, 5])
+
+    @pytest.mark.parametrize(
+        "cell, problem",
+        [("nan", "non-finite"), ("inf", "non-finite"), ("1.7", "non-integral"), ("1e300", "non-integral")],
+    )
+    def test_bad_label_reports_position(self, tmp_path, cell, problem):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"sample_id,cluster\n0,1\n1,{cell}\n")
+        with pytest.raises(FormatError, match=rf"labels.csv: line 3, column 2: {problem} value '{cell}'"):
+            read_label_csv(path)
+
+    def test_non_integral_sample_id_reports_position(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0,1\n1.5,0\n")
+        with pytest.raises(FormatError, match=r"line 2, column 1: non-integral value '1.5'"):
+            read_label_csv(path)
 
     def test_incomplete_ids_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"

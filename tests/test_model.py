@@ -1,5 +1,8 @@
 """Encoder/head forward passes, initialization, and checkpoint round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -228,4 +231,68 @@ class TestCheckpoint:
         broken = tmp_path / "vers.ckpt"
         broken.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="format_version"):
+            load_checkpoint(broken)
+
+
+def rewrite_header(src, dst, edit, extra_payload=b""):
+    """Copy a checkpoint, passing its JSON header through ``edit``."""
+    blob = src.read_bytes() + extra_payload
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<Q", len(encoded)) + encoded + blob[16 + length :])
+
+
+class TestCheckpointHeader:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(small_config()))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, missing",
+        [
+            (lambda h: h.pop("config"), "header has no 'config' key"),
+            (lambda h: h.pop("arrays"), "header has no 'arrays' key"),
+            (lambda h: h["config"].pop("cluster_count"), "header config has no 'cluster_count' key"),
+            (lambda h: h["arrays"][0].pop("shape"), "has no 'shape' key"),
+        ],
+        ids=["config", "arrays", "config_key", "array_shape"],
+    )
+    def test_missing_key_named(self, saved, tmp_path, edit, missing):
+        broken = tmp_path / "broken.ckpt"
+        rewrite_header(saved, broken, edit)
+        with pytest.raises(FormatError, match=missing):
+            load_checkpoint(broken)
+
+    @pytest.mark.parametrize(
+        "key, value, array, actual, implied",
+        [
+            ("input_dim", 7, "encoder.0.weight", (6, 10), (7, 10)),
+            ("cluster_count", 4, "cluster_head.1.weight", (8, 3), (8, 4)),
+        ],
+    )
+    def test_config_disagreeing_with_shapes_rejected(
+        self, saved, tmp_path, key, value, array, actual, implied
+    ):
+        broken = tmp_path / "broken.ckpt"
+        rewrite_header(saved, broken, lambda h: h["config"].update({key: value}))
+        message = f"array '{array}' has shape {actual}, config implies {implied}"
+        with pytest.raises(FormatError, match=message.replace("(", r"\(").replace(")", r"\)")):
+            load_checkpoint(broken)
+
+    @pytest.mark.parametrize("shape", [[-1, 10], [6.0, 10], "6x10"])
+    def test_invalid_array_shape_rejected(self, saved, tmp_path, shape):
+        broken = tmp_path / "broken.ckpt"
+        rewrite_header(saved, broken, lambda h: h["arrays"][0].update(shape=shape))
+        with pytest.raises(FormatError, match="'encoder.0.weight' has invalid shape"):
+            load_checkpoint(broken)
+
+    def test_array_the_config_does_not_imply_rejected(self, saved, tmp_path):
+        broken = tmp_path / "broken.ckpt"
+        extra = {"name": "encoder.2.weight", "shape": [1]}
+        rewrite_header(saved, broken, lambda h: h["arrays"].append(extra), bytes(8))
+        with pytest.raises(FormatError, match="'encoder.2.weight' is not part of"):
             load_checkpoint(broken)
