@@ -47,6 +47,9 @@ AUGMENT_STREAM_TAG = 0x41475631
 
 @dataclass(frozen=True)
 class TransformSpec:
+    """One transform. Build it through the factory named after its kind:
+    the factory's annotated parameters are the kind's config schema."""
+
     kind: str
     sigma: float | None = None
     fraction: float | None = None
@@ -59,25 +62,25 @@ class TransformSpec:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
 
     @classmethod
-    def gaussian_jitter(cls, sigma):
+    def gaussian_jitter(cls, sigma: float):
         if not sigma > 0:
             raise ConfigError(f"gaussian_jitter: sigma must be positive, got {sigma}")
         return cls("gaussian_jitter", sigma=float(sigma))
 
     @classmethod
-    def coordinate_mask(cls, fraction):
+    def coordinate_mask(cls, fraction: float):
         if not 0 <= fraction < 1:
             raise ConfigError(f"coordinate_mask: fraction must be in [0, 1), got {fraction}")
         return cls("coordinate_mask", fraction=float(fraction))
 
     @classmethod
-    def scale_jitter(cls, low, high):
+    def scale_jitter(cls, low: float, high: float):
         if not 0 < low <= high:
             raise ConfigError(f"scale_jitter: need 0 < low <= high, got ({low}, {high})")
         return cls("scale_jitter", low=float(low), high=float(high))
 
     @classmethod
-    def resized_crop(cls, min_area_fraction):
+    def resized_crop(cls, min_area_fraction: float):
         if not 0 < min_area_fraction <= 1:
             raise ConfigError(
                 f"resized_crop: min_area_fraction must be in (0, 1], got {min_area_fraction}"
@@ -89,7 +92,7 @@ class TransformSpec:
         return cls("horizontal_flip")
 
     @classmethod
-    def brightness_jitter(cls, low, high):
+    def brightness_jitter(cls, low: float, high: float):
         if not 0 <= low <= high:
             raise ConfigError(
                 f"brightness_jitter: need 0 <= low <= high, got ({low}, {high})"
@@ -97,7 +100,7 @@ class TransformSpec:
         return cls("brightness_jitter", low=float(low), high=float(high))
 
     @classmethod
-    def gaussian_blur(cls, sigma):
+    def gaussian_blur(cls, sigma: float):
         if not sigma > 0:
             raise ConfigError(f"gaussian_blur: sigma must be positive, got {sigma}")
         return cls("gaussian_blur", sigma=float(sigma))

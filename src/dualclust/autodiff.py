@@ -38,7 +38,6 @@ __all__ = [
     "exp",
     "clip_min",
     "scale",
-    "add_scalar",
     "transpose",
     "concat_rows",
     "sum_all",
@@ -263,12 +262,6 @@ def scale(m, c: float) -> Node:
     m = lift(m)
     c = float(c)
     return Node(m.value * c, "scale", (m,), lambda g: (g * c,))
-
-
-def add_scalar(m, c: float) -> Node:
-    """Add the constant ``c`` to every entry."""
-    m = lift(m)
-    return Node(m.value + float(c), "add_scalar", (m,), lambda g: (g,))
 
 
 def transpose(m) -> Node:

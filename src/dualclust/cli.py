@@ -29,24 +29,19 @@ from .data import (
     write_label_csv,
 )
 from .errors import ConfigError, ContractError, DualclustError
-from .metrics import ari, clustering_accuracy, nmi
 from .model import load_checkpoint, predict_assignments, save_checkpoint
-from .trainer import evaluate, instance_space_assignments, train
+from .trainer import instance_space_assignments, metric_bundle, train
 
 LOCK_NAME = ".lock"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_file(path: Path, writer) -> None:
-    """Run ``writer(tmp_path)`` then rename the result into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+def _atomic_write(writer, *paths: Path) -> None:
+    """Run ``writer`` on a temporary sibling of each path, then rename
+    each result into place, in order."""
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    writer(*tmps)
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)
 
 
 class _OutputLock:
@@ -97,16 +92,6 @@ def _final_assignments(config: ExperimentConfig, params, dataset: Dataset):
     return predict_assignments(params, dataset.samples)
 
 
-def _metric_bundle(dataset: Dataset, assignments) -> dict:
-    if dataset.labels is None:
-        return {"nmi": None, "acc": None, "ari": None}
-    return {
-        "nmi": float(nmi(dataset.labels, assignments)),
-        "acc": float(clustering_accuracy(dataset.labels, assignments)),
-        "ari": float(ari(dataset.labels, assignments)),
-    }
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -120,16 +105,16 @@ def cmd_run(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _OutputLock(out):
-        _atomic_write_text(out / "config.resolved.json", _json_text(config.to_dict()))
+        echo = _json_text(config.to_dict())
+        _atomic_write(lambda p: p.write_text(echo), out / "config.resolved.json")
         params, report = train(config, dataset)
         assignments = _final_assignments(config, params, dataset)
-        _atomic_write_text(out / "report.csv", report.csv_text())
-        _atomic_file(out / "assignments.csv", lambda p: write_label_csv(p, assignments))
-        _atomic_file(out / "checkpoint.bin", lambda p: save_checkpoint(p, params))
+        _atomic_write(lambda p: p.write_text(report.csv_text()), out / "report.csv")
+        _atomic_write(lambda p: write_label_csv(p, assignments), out / "assignments.csv")
+        _atomic_write(lambda p: save_checkpoint(p, params), out / "checkpoint.bin")
         # Metrics last: an aborted run leaves no metrics file at all.
-        _atomic_write_text(
-            out / "metrics.json", _json_text(_metric_bundle(dataset, assignments))
-        )
+        bundle = _json_text(metric_bundle(dataset.labels, assignments))
+        _atomic_write(lambda p: p.write_text(bundle), out / "metrics.json")
     print(f"run complete: artifacts in {out}")
     return 0
 
@@ -137,14 +122,15 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     dataset = build_dataset(config.dataset)
+    if dataset.labels is None:
+        raise ContractError(
+            f"eval: the {config.dataset.kind} dataset of {args.config} has no "
+            "ground-truth labels to score against"
+        )
     config = config.resolve(dataset)
     params = load_checkpoint(args.checkpoint)
-    if config.ablation == "ich_only":
-        assignments = _final_assignments(config, params, dataset)
-        bundle = _metric_bundle(dataset, assignments)
-    else:
-        bundle = evaluate(params, dataset)
-    print(_json_text(bundle), end="")
+    assignments = _final_assignments(config, params, dataset)
+    print(_json_text(metric_bundle(dataset.labels, assignments)), end="")
     return 0
 
 
@@ -155,12 +141,7 @@ def cmd_metrics(args) -> int:
         raise ContractError(
             f"metrics: label files disagree on length, {len(predicted)} vs {len(truth)}"
         )
-    bundle = {
-        "nmi": float(nmi(truth, predicted)),
-        "acc": float(clustering_accuracy(truth, predicted)),
-        "ari": float(ari(truth, predicted)),
-    }
-    print(_json_text(bundle), end="")
+    print(_json_text(metric_bundle(truth, predicted)), end="")
     return 0
 
 
@@ -172,20 +153,14 @@ def cmd_generate(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if isinstance(dataset.geometry, ImageGeometry):
-        images = out / "images.idx"
-        labels = out / "labels.idx" if dataset.labels is not None else None
-        tmp_images = images.with_name(images.name + ".tmp")
-        tmp_labels = labels.with_name(labels.name + ".tmp") if labels else None
-        save_idx(tmp_images, dataset, labels_path=tmp_labels)
-        os.replace(tmp_images, images)
-        if labels:
-            os.replace(tmp_labels, labels)
+        paths = [out / "images.idx"] + ([out / "labels.idx"] if dataset.labels is not None else [])
+        _atomic_write(lambda images, labels=None: save_idx(images, dataset, labels), *paths)
         print(f"generated {dataset.n} images in {out}")
     else:
         matrix = dataset.samples
         if dataset.labels is not None:
             matrix = np.column_stack([dataset.samples, dataset.labels.astype(np.float64)])
-        _atomic_file(out / "data.csv", lambda p: save_csv(p, matrix))
+        _atomic_write(lambda p: save_csv(p, matrix), out / "data.csv")
         print(f"generated {dataset.n} samples in {out / 'data.csv'}")
         if dataset.labels is not None:
             print(f"labels are column {dataset.dim} (last)")

@@ -1,7 +1,9 @@
 """Experiment configuration: strict parsing, defaults, and resolution.
 
 Configs are JSON. Parsing is strict: unknown keys fail with their full
-dotted path, so a typo can never silently fall back to a default. Every
+dotted path, so a typo can never silently fall back to a default, and a
+value of the wrong type fails with its path too. One parser reads every
+section off its dataclass fields and their annotations. Every
 optional field has a documented default, and ``resolve`` pins all of
 them (including ones that depend on the dataset, like the cluster count
 inferred from labels) so the echoed config re-runs identically.
@@ -10,11 +12,16 @@ inferred from labels) so the echoed config re-runs identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from .augment import (
+    IMAGE_KINDS,
+    VECTOR_KINDS,
     AugmentationPipeline,
     TransformSpec,
     default_image_pipeline,
@@ -48,42 +55,93 @@ __all__ = [
 
 ABLATION_MODES = ("full", "ich_only", "cch_only", "raw_second_view", "raw_both_views")
 
-# Transform parameter keys accepted per kind, beyond "kind"/"probability".
-TRANSFORM_PARAM_KEYS = {
-    "gaussian_jitter": {"sigma"},
-    "coordinate_mask": {"fraction"},
-    "scale_jitter": {"low", "high"},
-    "resized_crop": {"min_area_fraction"},
-    "horizontal_flip": set(),
-    "brightness_jitter": {"low", "high"},
-    "gaussian_blur": {"sigma"},
-    "identity": set(),
+# Parameters of each dataset kind and their types. One whose type admits
+# None may be left out.
+DATASET_PARAMS = {
+    "gaussian_blobs": {
+        "k": int, "n_per": int, "dim": int, "separation": float, "sigma": float, "seed": int
+    },
+    "two_moons": {"n": int, "noise": float, "seed": int},
+    "csv": {"path": str, "label_column": int | str | None},
+    "idx": {"images_path": str, "labels_path": str | None},
 }
 
-DATASET_KIND_KEYS = {
-    "gaussian_blobs": {"k", "n_per", "dim", "separation", "sigma", "seed"},
-    "two_moons": {"n", "noise", "seed"},
-    "csv": {"path", "label_column"},
-    "idx": {"images_path", "labels_path"},
+# Parameters of each transform kind and their types, read off its
+# TransformSpec factory.
+_TRANSFORM_PARAMS = {
+    kind: typing.get_type_hints(getattr(TransformSpec, kind))
+    for kind in sorted(VECTOR_KINDS | IMAGE_KINDS)
+}
+
+# The JSON values each annotated type takes. Python counts a bool as an
+# int, but true is never a count or a number here; a number must be finite.
+_ACCEPTS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    type(None): ("null", lambda v: v is None),
 }
 
 
-def _check_keys(section: dict, allowed, required, path: str):
+def _check_keys(section: dict, allowed, required, path: str, note: str = ""):
     if not isinstance(section, dict):
         raise ConfigError(f"config: {path or 'top level'} must be an object")
     for key in section:
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"config: unknown key {where!r}")
+            raise ConfigError(f"config: unknown key {_join(path, key)!r}{note}")
     for key in required:
         if key not in section:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"config: missing required key {where!r}")
+            raise ConfigError(f"config: missing required key {_join(path, key)!r}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
 def _require(condition: bool, path: str, message: str):
     if not condition:
         raise ConfigError(f"config: {path}: {message}")
+
+
+def _typed(annotation, value, path: str):
+    """``value`` checked against a field annotation: a config section is
+    parsed by its ``from_dict``, ``tuple[X, ...]`` takes a list of X and
+    returns a tuple, and anything else takes what ``_ACCEPTS`` lists for
+    the type or for one member of the union."""
+    if is_dataclass(annotation):
+        return annotation.from_dict(value, path)
+    if typing.get_origin(annotation) is tuple:
+        _require(isinstance(value, (list, tuple)), path, f"must be a list, got {value!r}")
+        item = typing.get_args(annotation)[0]
+        return tuple(_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    union = isinstance(annotation, types.UnionType)
+    options = typing.get_args(annotation) if union else (annotation,)
+    expected = " or ".join(_ACCEPTS[option][0] for option in options)
+    accepted = any(_ACCEPTS[option][1](value) for option in options)
+    _require(accepted, path, f"must be {expected}, got {value!r}")
+    return value
+
+
+def _parse(cls, raw, path: str):
+    """An instance of the dataclass ``cls`` from a JSON object: each key
+    must name a field, a field without a default is required, and each
+    value must have its field's annotated type."""
+    annotations = typing.get_type_hints(cls)
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    _check_keys(raw, annotations, required, path)
+    values = {key: _typed(annotations[key], value, _join(path, key)) for key, value in raw.items()}
+    return cls(**values)
+
+
+def _kind(raw, table: dict, path: str, what: str) -> str:
+    """The ``kind`` of a JSON object; it must name an entry of ``table``."""
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ConfigError(f"config: {path}: needs a 'kind'")
+    kind = _typed(str, raw["kind"], f"{path}.kind")
+    expected = f"expected one of {sorted(table)}"
+    _require(kind in table, f"{path}.kind", f"unknown {what} {kind!r}, {expected}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -94,31 +152,18 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "dataset") -> "DatasetConfig":
-        _check_keys(raw, {"kind", "standardize", *sum(map(list, DATASET_KIND_KEYS.values()), [])}, {"kind"}, path)
-        kind = raw["kind"]
-        if kind not in DATASET_KIND_KEYS:
-            raise ConfigError(
-                f"config: {path}.kind: unknown dataset kind {kind!r}, "
-                f"expected one of {sorted(DATASET_KIND_KEYS)}"
-            )
-        params = {}
-        for key, value in raw.items():
-            if key in ("kind", "standardize"):
-                continue
-            if key not in DATASET_KIND_KEYS[kind]:
-                raise ConfigError(f"config: {path}.{key}: not a parameter of {kind!r}")
-            params[key] = value
-        return cls(kind=kind, params=params, standardize=raw.get("standardize"))
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, **self.params}
-        out["standardize"] = self.standardize
-        return out
+        kind = _kind(raw, DATASET_PARAMS, path, "dataset kind")
+        schema = {"standardize": bool | None, **DATASET_PARAMS[kind]}
+        required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
+        _check_keys(raw, {"kind", *schema}, required, path, f": not a parameter of {kind!r}")
+        params = {k: _typed(schema[k], raw[k], f"{path}.{k}") for k in raw if k != "kind"}
+        standardize = params.pop("standardize", None)
+        return cls(kind=kind, params=params, standardize=standardize)
 
 
 @dataclass(frozen=True)
 class ModelSection:
-    encoder_widths: tuple = (64, 64)
+    encoder_widths: tuple[int, ...] = (64, 64)
     instance_dim: int = 128
     head_hidden_dim: int | None = None
     cluster_count: int | None = None  # None: inferred from dataset labels
@@ -126,44 +171,14 @@ class ModelSection:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "model") -> "ModelSection":
-        allowed = {
-            "encoder_widths",
-            "instance_dim",
-            "head_hidden_dim",
-            "cluster_count",
-            "init_seed",
-        }
-        _check_keys(raw, allowed, set(), path)
-        out = cls(
-            encoder_widths=tuple(raw.get("encoder_widths", cls.encoder_widths)),
-            instance_dim=raw.get("instance_dim", cls.instance_dim),
-            head_hidden_dim=raw.get("head_hidden_dim"),
-            cluster_count=raw.get("cluster_count"),
-            init_seed=raw.get("init_seed"),
-        )
+        out = _parse(cls, raw, path)
         _require(len(out.encoder_widths) >= 1, f"{path}.encoder_widths", "needs one width")
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "encoder_widths": list(self.encoder_widths),
-            "instance_dim": self.instance_dim,
-            "head_hidden_dim": self.head_hidden_dim,
-            "cluster_count": self.cluster_count,
-            "init_seed": self.init_seed,
-        }
 
     def model_config(self, input_dim: int) -> ModelConfig:
         if self.cluster_count is None or self.init_seed is None:
             raise ConfigError("model section must be resolved before building the model")
-        return ModelConfig(
-            input_dim=input_dim,
-            encoder_widths=self.encoder_widths,
-            cluster_count=self.cluster_count,
-            instance_dim=self.instance_dim,
-            head_hidden_dim=self.head_hidden_dim,
-            init_seed=self.init_seed,
-        )
+        return ModelConfig(input_dim=input_dim, **asdict(self))
 
 
 @dataclass(frozen=True)
@@ -176,27 +191,10 @@ class LossSection:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "losses") -> "LossSection":
-        allowed = {
-            "instance_temperature",
-            "cluster_temperature",
-            "entropy_weight",
-            "exclude_self_similarity",
-            "literal_entropy_sign",
-        }
-        _check_keys(raw, allowed, set(), path)
-        out = cls(**{k: raw.get(k, getattr(cls, k)) for k in allowed})
+        out = _parse(cls, raw, path)
         _require(out.instance_temperature > 0, f"{path}.instance_temperature", "must be positive")
         _require(out.cluster_temperature > 0, f"{path}.cluster_temperature", "must be positive")
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "instance_temperature": self.instance_temperature,
-            "cluster_temperature": self.cluster_temperature,
-            "entropy_weight": self.entropy_weight,
-            "exclude_self_similarity": self.exclude_self_similarity,
-            "literal_entropy_sign": self.literal_entropy_sign,
-        }
 
 
 @dataclass(frozen=True)
@@ -210,9 +208,7 @@ class TrainingSection:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "training") -> "TrainingSection":
-        allowed = {"batch_size", "epochs", "learning_rate", "beta1", "beta2", "epsilon"}
-        _check_keys(raw, allowed, set(), path)
-        out = cls(**{k: raw.get(k, getattr(cls, k)) for k in allowed})
+        out = _parse(cls, raw, path)
         _require(out.batch_size >= 2, f"{path}.batch_size", "must be at least 2")
         _require(out.epochs >= 0, f"{path}.epochs", "must be nonnegative")
         _require(out.learning_rate > 0, f"{path}.learning_rate", "must be positive")
@@ -220,16 +216,6 @@ class TrainingSection:
         _require(0 <= out.beta2 < 1, f"{path}.beta2", "must be in [0, 1)")
         _require(out.epsilon > 0, f"{path}.epsilon", "must be positive")
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
 
 
 @dataclass(frozen=True)
@@ -239,38 +225,34 @@ class AugmentationSection:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
-        _check_keys(raw, {"preset", "transforms"}, set(), path)
-        preset = raw.get("preset")
+        _check_keys(raw, {"preset", "transforms"}, (), path)
+        preset = _typed(str | None, raw.get("preset"), f"{path}.preset")
         transforms = raw.get("transforms")
-        if preset is not None and transforms is not None:
-            raise ConfigError(
-                f"config: {path}: give either 'preset' or 'transforms', not both"
-            )
         if transforms is None:
-            if preset is not None and preset != "default":
-                raise ConfigError(f"config: {path}.preset: unknown preset {preset!r}")
+            _require(preset in (None, "default"), f"{path}.preset", f"unknown preset {preset!r}")
             return cls(preset="default", transforms=None)
-        checked = []
-        for i, entry in enumerate(transforms):
-            entry_path = f"{path}.transforms[{i}]"
-            if not isinstance(entry, dict) or "kind" not in entry:
-                raise ConfigError(f"config: {entry_path}: needs a 'kind'")
-            kind = entry["kind"]
-            if kind not in TRANSFORM_PARAM_KEYS:
-                raise ConfigError(
-                    f"config: {entry_path}.kind: unknown transform {kind!r}"
-                )
-            # Explicit transform lists pin every parameter: no per-kind
-            # defaults, so the resolved echo round-trips exactly.
-            allowed = {"kind", "probability", *TRANSFORM_PARAM_KEYS[kind]}
-            _check_keys(entry, allowed, allowed, entry_path)
-            checked.append(dict(entry))
+        _require(preset is None, path, "give either 'preset' or 'transforms', not both")
+        at = f"{path}.transforms"
+        _require(isinstance(transforms, (list, tuple)), at, f"must be a list, got {transforms!r}")
+        checked = (_transform(t, f"{at}[{i}]") for i, t in enumerate(transforms))
         return cls(preset=None, transforms=tuple(checked))
 
-    def to_dict(self) -> dict:
-        if self.transforms is not None:
-            return {"transforms": [dict(t) for t in self.transforms]}
-        return {"preset": self.preset}
+
+def _transform(entry, path: str) -> dict:
+    """One explicit transform, checked by calling its factory. Every
+    parameter must be given, with no per-kind defaults, so the resolved
+    echo round-trips exactly."""
+    kind = _kind(entry, _TRANSFORM_PARAMS, path, "transform")
+    schema = {"probability": float, **_TRANSFORM_PARAMS[kind]}
+    _check_keys(entry, {"kind", *schema}, schema, path)
+    for key, annotation in schema.items():
+        _typed(annotation, entry[key], f"{path}.{key}")
+    _require(0 <= entry["probability"] <= 1, f"{path}.probability", "must be in [0, 1]")
+    try:
+        _transform_from_dict(entry)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {path}: {exc}") from None
+    return dict(entry)
 
 
 @dataclass(frozen=True)
@@ -293,27 +275,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        allowed = {
-            "dataset",
-            "model",
-            "losses",
-            "training",
-            "augmentation",
-            "seed",
-            "ablation",
-            "out_dir",
-        }
-        _check_keys(raw, allowed, {"dataset"}, "")
-        return cls(
-            dataset=DatasetConfig.from_dict(raw["dataset"]),
-            model=ModelSection.from_dict(raw.get("model", {})),
-            losses=LossSection.from_dict(raw.get("losses", {})),
-            training=TrainingSection.from_dict(raw.get("training", {})),
-            augmentation=AugmentationSection.from_dict(raw.get("augmentation", {})),
-            seed=int(raw.get("seed", 0)),
-            ablation=raw.get("ablation", "full"),
-            out_dir=raw.get("out_dir"),
-        )
+        return _parse(cls, raw, "")
 
     def resolve(self, dataset: Dataset) -> "ExperimentConfig":
         """Pin every dataset-dependent or deferred default so the echoed
@@ -351,16 +313,15 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "losses": self.losses.to_dict(),
-            "training": self.training.to_dict(),
-            "augmentation": self.augmentation.to_dict(),
-            "seed": self.seed,
-            "ablation": self.ablation,
-            "out_dir": self.out_dir,
-        }
+        """The JSON form that ``from_dict`` reads back: dataset parameters
+        sit beside ``kind``, and augmentation names only the one of
+        ``preset`` and ``transforms`` that is set."""
+        out = asdict(self)
+        dataset = out["dataset"]
+        out["dataset"] = {"kind": dataset["kind"], **dataset["params"]}
+        out["dataset"]["standardize"] = dataset["standardize"]
+        out["augmentation"] = {k: v for k, v in out["augmentation"].items() if v is not None}
+        return out
 
 
 def load_config(path) -> ExperimentConfig:
@@ -379,18 +340,14 @@ def load_config(path) -> ExperimentConfig:
 def build_dataset(config: DatasetConfig) -> Dataset:
     """Generate or load the dataset, applying standardization per the
     (possibly still-default) flag."""
-    kind = config.kind
-    params = dict(config.params)
-    if kind == "gaussian_blobs":
-        dataset = gaussian_blobs(**params)
-    elif kind == "two_moons":
-        dataset = two_moons(**params)
-    elif kind == "csv":
-        dataset = load_csv(params["path"], label_column=params.get("label_column"))
-    elif kind == "idx":
-        dataset = load_idx(params["images_path"], params.get("labels_path"))
-    else:
-        raise ConfigError(f"config: dataset.kind: unknown dataset kind {kind!r}")
+    # Built per call, so that a wrapper installed on one of these module
+    # names (the benchmark's tracer does this) takes effect.
+    loaders = {
+        "gaussian_blobs": gaussian_blobs, "two_moons": two_moons, "csv": load_csv, "idx": load_idx
+    }
+    if config.kind not in loaders:
+        raise ConfigError(f"config: dataset.kind: unknown dataset kind {config.kind!r}")
+    dataset = loaders[config.kind](**config.params)
     flag = config.standardize
     if flag is None:
         flag = isinstance(dataset.geometry, VectorGeometry)
@@ -407,17 +364,13 @@ def _default_pipeline_for(geometry) -> AugmentationPipeline:
 
 
 def _transform_to_dict(spec: TransformSpec, probability: float) -> dict:
-    out = {"kind": spec.kind, "probability": probability}
-    for key in TRANSFORM_PARAM_KEYS[spec.kind]:
-        out[key] = getattr(spec, key)
-    return out
+    params = {key: getattr(spec, key) for key in _TRANSFORM_PARAMS[spec.kind]}
+    return {"kind": spec.kind, "probability": probability, **params}
 
 
 def _transform_from_dict(entry: dict) -> tuple:
-    kind = entry["kind"]
-    params = {k: v for k, v in entry.items() if k not in ("kind", "probability")}
-    factory = getattr(TransformSpec, kind)
-    return factory(**params), float(entry["probability"])
+    params = {key: entry[key] for key in _TRANSFORM_PARAMS[entry["kind"]]}
+    return getattr(TransformSpec, entry["kind"])(**params), float(entry["probability"])
 
 
 def build_pipeline(section: AugmentationSection, geometry) -> AugmentationPipeline:

@@ -38,7 +38,6 @@ __all__ = [
     "ClusterLossConfig",
     "cosine_similarity_matrix",
     "instance_loss",
-    "cluster_columns",
     "assignment_entropy",
     "cluster_loss",
     "pair_similarity_stats",
@@ -146,13 +145,6 @@ def instance_loss(z_a, z_b, config: InstanceLossConfig = InstanceLossConfig()) -
     first, second = _canonical_view_order(z_a, z_b)
     stacked = ad.concat_rows(first, second)
     return _ntxent_mean(stacked, config.temperature, config.exclude_self_similarity)
-
-
-def cluster_columns(y) -> np.ndarray:
-    """The M cluster representations of a soft-label matrix: row i of the
-    result is column i of ``y``, the per-sample membership mass of
-    cluster i."""
-    return ad.as_matrix(y).T.copy()
 
 
 def _check_row_stochastic(name: str, y: ad.Node) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -219,17 +219,6 @@ def predict_assignments(params: ModelParams, x) -> np.ndarray:
     return np.argmax(y, axis=1)
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "encoder_widths": list(config.encoder_widths),
-        "cluster_count": config.cluster_count,
-        "instance_dim": config.instance_dim,
-        "head_hidden_dim": config.head_hidden_dim,
-        "init_seed": config.init_seed,
-    }
-
-
 def save_checkpoint(path, params: ModelParams) -> None:
     """Serialize config and parameters; same inputs give identical bytes."""
     entries = []
@@ -240,7 +229,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
         payload += arr.astype("<f8", copy=False).tobytes()
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(params.config),
+        "config": asdict(params.config),
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -264,7 +253,9 @@ def _array_shapes(config: ModelConfig):
 
 
 def _header_key(mapping, key, where):
-    if not isinstance(mapping, dict) or key not in mapping:
+    if not isinstance(mapping, dict):
+        raise FormatError(f"checkpoint: {where} is not an object")
+    if key not in mapping:
         raise FormatError(f"checkpoint: {where} has no {key!r} key")
     return mapping[key]
 
@@ -302,8 +293,13 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(f"checkpoint: header config is invalid ({exc})") from exc
     flat = {}
     offset = header_end
-    for entry in _header_key(header, "arrays", "header"):
-        name = _header_key(entry, "name", "array entry")
+    entries = _header_key(header, "arrays", "header")
+    if not isinstance(entries, list):
+        raise FormatError(f"checkpoint: header 'arrays' is not a list: {entries!r}")
+    for i, entry in enumerate(entries):
+        name = _header_key(entry, "name", f"array entry {i}")
+        if not isinstance(name, str):
+            raise FormatError(f"checkpoint: array entry {i} has a non-string name {name!r}")
         shape = _header_key(entry, "shape", f"array entry {name!r}")
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise FormatError(f"checkpoint: array {name!r} has invalid shape {shape!r}")

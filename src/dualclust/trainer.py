@@ -45,6 +45,7 @@ __all__ = [
     "total_loss",
     "train",
     "evaluate",
+    "metric_bundle",
     "instance_space_assignments",
 ]
 
@@ -65,6 +66,8 @@ REPORT_COLUMNS = (
     "pos_sim_clu",
     "neg_sim_clu",
 )
+# The columns that average a value over the epoch's steps.
+STEP_COLUMNS = REPORT_COLUMNS[1:4] + REPORT_COLUMNS[7:]
 
 
 @dataclass
@@ -136,12 +139,16 @@ def adam_step(params: ModelParams, gradients: list, state: OptimizerState) -> No
         )
 
 
-def _combine(terms: list) -> ad.Node:
-    if not terms:
-        return ad.lift(np.zeros((1, 1)))
-    if len(terms) == 1:
-        return terms[0]
-    return ad.add(terms[0], terms[1])
+def _loss_terms(
+    z_a, z_b, y_a, y_b, instance_config, cluster_config, include_instance, include_cluster
+):
+    """(instance term, cluster term, joint objective); a switched-off
+    term is None."""
+    term_ins = instance_loss(z_a, z_b, instance_config) if include_instance else None
+    term_clu = cluster_loss(y_a, y_b, cluster_config) if include_cluster else None
+    if term_ins is not None and term_clu is not None:
+        return term_ins, term_clu, ad.add(term_ins, term_clu)
+    return term_ins, term_clu, term_ins or term_clu or ad.lift(np.zeros((1, 1)))
 
 
 def total_loss(
@@ -159,12 +166,9 @@ def total_loss(
     With one term switched off the result is the other term's node
     itself; with both off it is the constant 0.
     """
-    terms = []
-    if include_instance:
-        terms.append(instance_loss(z_a, z_b, instance_config))
-    if include_cluster:
-        terms.append(cluster_loss(y_a, y_b, cluster_config))
-    return _combine(terms)
+    return _loss_terms(
+        z_a, z_b, y_a, y_b, instance_config, cluster_config, include_instance, include_cluster
+    )[2]
 
 
 def _term_switches(ablation: str) -> tuple[bool, bool]:
@@ -208,10 +212,6 @@ class TrainReport:
             lines.append(",".join(_format_cell(cell) for cell in record.cells()))
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -220,6 +220,17 @@ def _format_cell(value) -> str:
         return str(int(value))
     # repr of a Python float is shortest-round-trip and deterministic.
     return repr(float(value))
+
+
+def _require_finite(terms, gradients) -> None:
+    """Stop a step whose loss or gradients are not finite before Adam
+    writes them into the parameters."""
+    for name, node in terms:
+        if node is not None and not np.isfinite(node.value).all():
+            raise DegenerateInputError(f"loss term {name} is not finite")
+    for name, grad in gradients:
+        if not np.isfinite(grad).all():
+            raise DegenerateInputError(f"gradient of {name} is not finite")
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -273,11 +284,12 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     # Parameter nodes share storage with the arrays Adam updates in
     # place, so the graph leaves stay valid across steps.
     param_nodes = ParamNodes.from_params(params)
+    param_names = [name for name, _ in params.items()]
     report = TrainReport()
     batch = settings.batch_size
     for epoch in range(settings.epochs):
         order = _epoch_order(config.seed, epoch, dataset.n)
-        sums = {key: 0.0 for key in ("ins", "clu", "total", "pi", "ni", "pc", "nc")}
+        sums = dict.fromkeys(STEP_COLUMNS, 0.0)
         batch_count = 0
         for start in range(0, dataset.n - batch + 1, batch):
             indices = order[start : start + batch]
@@ -290,56 +302,40 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
             try:
                 _, z_a, y_a = forward_graph(param_nodes, ad.lift(np.stack(views_a)))
                 _, z_b, y_b = forward_graph(param_nodes, ad.lift(np.stack(views_b)))
-                terms = []
-                term_ins = term_clu = None
-                if include_instance:
-                    term_ins = instance_loss(z_a, z_b, instance_config)
-                    terms.append(term_ins)
-                if include_cluster:
-                    term_clu = cluster_loss(y_a, y_b, cluster_config)
-                    terms.append(term_clu)
-                total = _combine(terms)
+                term_ins, term_clu, total = _loss_terms(
+                    z_a, z_b, y_a, y_b, instance_config, cluster_config,
+                    include_instance, include_cluster,
+                )
                 # Pre-zero every parameter gradient: a head outside the
                 # active objective is unreachable from the root and
                 # would otherwise keep a stale gradient.
                 for node in param_nodes.nodes():
                     node.grad = np.zeros_like(node.value)
                 ad.backward(total)
+                gradients = [node.grad for node in param_nodes.nodes()]
+                _require_finite(
+                    (("l_ins", term_ins), ("l_clu", term_clu), ("l_total", total)),
+                    zip(param_names, gradients),
+                )
                 pos_i, neg_i = pair_similarity_stats(z_a.value, z_b.value)
                 pos_c, neg_c = pair_similarity_stats(y_a.value.T, y_b.value.T)
             except DegenerateInputError as exc:
                 raise DegenerateInputError(
                     f"epoch {epoch}, batch {batch_count}: {exc}"
                 ) from exc
-            gradients = [node.grad for node in param_nodes.nodes()]
             adam_step(params, gradients, state)
-            if term_ins is not None:
-                sums["ins"] += float(term_ins.value[0, 0])
-            if term_clu is not None:
-                sums["clu"] += float(term_clu.value[0, 0])
-            sums["total"] += float(total.value[0, 0])
-            sums["pi"] += pos_i
-            sums["ni"] += neg_i
-            sums["pc"] += pos_c
-            sums["nc"] += neg_c
+            # A loss node keeps its step's whole tape alive: hold it only in
+            # names that the next step rebinds before its backward pass.
+            losses = [float(t.value[0, 0]) if t else 0.0 for t in (term_ins, term_clu, total)]
+            for key, value in zip(STEP_COLUMNS, (*losses, pos_i, neg_i, pos_c, neg_c)):
+                sums[key] += value
             batch_count += 1
 
-        metrics = evaluate(params, dataset) if dataset.labels is not None else None
-        report.records.append(
-            EpochRecord(
-                epoch=epoch,
-                l_ins=sums["ins"] / batch_count if include_instance else None,
-                l_clu=sums["clu"] / batch_count if include_cluster else None,
-                l_total=sums["total"] / batch_count,
-                nmi=metrics["nmi"] if metrics else None,
-                acc=metrics["acc"] if metrics else None,
-                ari=metrics["ari"] if metrics else None,
-                pos_sim_inst=sums["pi"] / batch_count,
-                neg_sim_inst=sums["ni"] / batch_count,
-                pos_sim_clu=sums["pc"] / batch_count,
-                neg_sim_clu=sums["nc"] / batch_count,
-            )
-        )
+        means = {key: value / batch_count for key, value in sums.items()}
+        means["l_ins"] = means["l_ins"] if include_instance else None
+        means["l_clu"] = means["l_clu"] if include_cluster else None
+        metrics = metric_bundle(None, None) if dataset.labels is None else evaluate(params, dataset)
+        report.records.append(EpochRecord(epoch=epoch, **means, **metrics))
     return params, report
 
 
@@ -350,11 +346,18 @@ def evaluate(params: ModelParams, dataset: Dataset) -> dict:
     """
     if dataset.labels is None:
         raise ContractError("evaluate: dataset has no ground-truth labels")
-    assignments = predict_assignments(params, dataset.samples)
+    return metric_bundle(dataset.labels, predict_assignments(params, dataset.samples))
+
+
+def metric_bundle(labels, assignments) -> dict:
+    """NMI, ACC and ARI of ``assignments`` against ground-truth
+    ``labels``; all None when there are no labels."""
+    if labels is None:
+        return {"nmi": None, "acc": None, "ari": None}
     return {
-        "nmi": float(nmi(dataset.labels, assignments)),
-        "acc": float(clustering_accuracy(dataset.labels, assignments)),
-        "ari": float(ari(dataset.labels, assignments)),
+        "nmi": float(nmi(labels, assignments)),
+        "acc": float(clustering_accuracy(labels, assignments)),
+        "ari": float(ari(labels, assignments)),
     }
 
 

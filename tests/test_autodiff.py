@@ -219,7 +219,6 @@ class TestPrimitiveGradients:
         m = rng.normal(size=(3, 4))
         w = rng.normal(size=(3, 4))
         check_gradients(lambda x: weighted_sum(ad.scale(x, -1.7), w), [m])
-        check_gradients(lambda x: weighted_sum(ad.add_scalar(x, 0.3), w), [m])
 
     def test_transpose_concat_sum(self, seed):
         rng = np.random.default_rng(seed)

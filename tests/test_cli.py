@@ -174,6 +174,26 @@ class TestEval:
         stored = json.loads((out / "metrics.json").read_text())
         assert printed == stored
 
+    @pytest.mark.parametrize("ablation", ["full", "ich_only", "cch_only"])
+    def test_unlabeled_dataset_fails_in_every_mode(self, tmp_path, capsys, ablation):
+        data = tmp_path / "unlabeled.csv"
+        data.write_text("".join(f"{i % 3 * 9.0},{i % 2},{i % 5}\n" for i in range(48)))
+        out = tmp_path / "run"
+        raw = {**BASE_CONFIG, "dataset": {"kind": "csv", "path": str(data)}, "out_dir": str(out)}
+        raw["model"] = {**raw["model"], "cluster_count": 3}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config)]) == 0
+        bundle = json.loads((out / "metrics.json").read_text())
+        assert bundle == {"nmi": None, "acc": None, "ari": None}
+        capsys.readouterr()
+        config.write_text(json.dumps({**raw, "ablation": ablation}))
+        checkpoint = str(out / "checkpoint.bin")
+        assert main(["eval", "--config", str(config), "--checkpoint", checkpoint]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [ContractError]: eval: the csv dataset of {config} ")
+        assert "has no ground-truth labels" in err
+
     def test_corrupt_checkpoint_fails(self, tmp_path, config_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a checkpoint")

@@ -1,15 +1,22 @@
 """Strict config parsing, defaults, and resolution tests."""
 
+import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualclust.augment import AugmentationPipeline
 from dualclust.config import (
     AugmentationSection,
     DatasetConfig,
     ExperimentConfig,
+    LossSection,
+    ModelSection,
+    TrainingSection,
     build_dataset,
     build_pipeline,
     load_config,
@@ -89,6 +96,103 @@ class TestValidation:
     def test_empty_encoder_widths_rejected(self):
         with pytest.raises(ConfigError, match="encoder_widths"):
             ExperimentConfig.from_dict(minimal(model={"encoder_widths": []}))
+
+
+JITTER = {"kind": "gaussian_jitter", "probability": 1.0, "sigma": 0.1}
+TRANSFORM0 = "augmentation.transforms[0]"
+
+
+class TestTypes:
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            ({"training": {"batch_size": "8"}}, "training.batch_size"),
+            ({"training": {"epochs": True}}, "training.epochs"),
+            ({"training": {"learning_rate": "0.1"}}, "training.learning_rate"),
+            ({"losses": {"entropy_weight": float("nan")}}, "losses.entropy_weight"),
+            ({"training": {"epochs": 2.7}}, "training.epochs"),
+            ({"seed": 3.7}, "seed"),
+            ({"model": {"encoder_widths": "64"}}, "model.encoder_widths"),
+            ({"model": {"encoder_widths": [64, 6.5]}}, "model.encoder_widths[1]"),
+            ({"dataset": {**BLOBS, "standardize": "no"}}, "dataset.standardize"),
+            ({"dataset": {"kind": "csv", "path": 5}}, "dataset.path"),
+            ({"augmentation": {"transforms": [{**JITTER, "sigma": "x"}]}}, TRANSFORM0 + ".sigma"),
+            ({"augmentation": {"transforms": [{**JITTER, "probability": 1.5}]}}, TRANSFORM0 + ".probability"),
+            ({"augmentation": {"transforms": 5}}, "augmentation.transforms"),
+            ({"losses": {"exclude_self_similarity": 1}}, "losses.exclude_self_similarity"),
+        ],
+        ids=[
+            "batch_size_string",
+            "epochs_bool",
+            "learning_rate_string",
+            "entropy_weight_nan",
+            "epochs_fraction",
+            "seed_fraction",
+            "encoder_widths_string",
+            "encoder_width_fraction",
+            "standardize_string",
+            "csv_path_number",
+            "transform_sigma_string",
+            "transform_probability_range",
+            "transforms_number",
+            "exclude_self_similarity_number",
+        ],
+    )
+    def test_ill_typed_value_rejected_with_path(self, edit, path):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(minimal(**edit))
+        assert f"config: {path}:" in str(info.value)
+
+    def test_bad_transform_parameter_fails_at_parse_time(self):
+        raw = minimal(augmentation={"transforms": [JITTER, {**JITTER, "sigma": -1.0}]})
+        with pytest.raises(ConfigError, match=r"augmentation\.transforms\[1\]: gaussian_jitter: sigma"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_missing_dataset_parameter_named(self):
+        with pytest.raises(ConfigError, match=r"missing required key 'dataset\.path'"):
+            ExperimentConfig.from_dict(minimal(dataset={"kind": "csv"}))
+
+    def test_optional_fields_take_null(self):
+        raw = minimal(
+            dataset={"kind": "csv", "path": "data.csv", "label_column": None},
+            model={"cluster_count": None},
+            out_dir=None,
+        )
+        config = ExperimentConfig.from_dict(raw)
+        assert config.model.cluster_count is None and config.out_dir is None
+
+
+# Every field of every section, every blob parameter, and every key of an
+# explicit transform.
+SECTIONS = {"model": ModelSection, "losses": LossSection, "training": TrainingSection}
+FIELD_PATHS = (
+    [(f.name,) for f in fields(ExperimentConfig)]
+    + [(name, f.name) for name, cls in SECTIONS.items() for f in fields(cls)]
+    + [("dataset", key) for key in (*BLOBS, "standardize")]
+    + [("augmentation", "preset")]
+    + [("augmentation", "transforms", 0, key) for key in ("kind", "probability", "low", "high")]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_any_json_value_parses_or_raises_config_error(path, value):
+    scale = {"kind": "scale_jitter", "probability": 0.5, "low": 0.9, "high": 1.1}
+    raw = minimal(augmentation={"transforms": [scale]}, out_dir="runs/x")
+    node = raw
+    for key in path[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[path[-1]] = copy.deepcopy(value)
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 class TestDefaults:

@@ -10,7 +10,6 @@ from dualclust.errors import ConfigError, ContractError, DegenerateInputError
 from dualclust.losses import (
     ClusterLossConfig,
     assignment_entropy,
-    cluster_columns,
     cluster_loss,
 )
 
@@ -37,25 +36,6 @@ def naive_cluster_loss(y_a, y_b, tau, weight, exclude_self=True, literal_sign=Fa
                 entropy -= p * math.log(p)
     sign = 1.0 if literal_sign else -1.0
     return contrastive + sign * weight * entropy
-
-
-class TestClusterColumns:
-    def test_one_hot_rows_give_indicator_columns(self):
-        y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        cols = cluster_columns(y)
-        np.testing.assert_array_equal(cols[0], [1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(cols[1], [0.0, 1.0, 0.0])
-
-    def test_uniform_rows_give_constant_columns(self):
-        y = np.full((5, 4), 0.25)
-        cols = cluster_columns(y)
-        assert cols.shape == (4, 5)
-        np.testing.assert_array_equal(cols, np.full((4, 5), 0.25))
-
-    def test_equals_transpose(self):
-        rng = np.random.default_rng(2)
-        y = random_row_stochastic(rng, 6, 3)
-        np.testing.assert_array_equal(cluster_columns(y), y.T)
 
 
 class TestAssignmentEntropy:
@@ -136,7 +116,7 @@ class TestClusterLossValues:
         from dualclust.losses import cosine_similarity_matrix
 
         y = np.eye(3)
-        sim = cosine_similarity_matrix(cluster_columns(y), cluster_columns(y))
+        sim = cosine_similarity_matrix(y.T, y.T)
         np.testing.assert_allclose(np.diag(sim), np.ones(3), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exclude_self", [True, False])

@@ -290,6 +290,24 @@ class TestCheckpointHeader:
         with pytest.raises(FormatError, match="'encoder.0.weight' has invalid shape"):
             load_checkpoint(broken)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.update(arrays=5), "header 'arrays' is not a list"),
+            (lambda h: h["arrays"].__setitem__(0, 5), "array entry 0 is not an object"),
+            (
+                lambda h: h["arrays"][1].update(name=["encoder.0.bias"]),
+                "array entry 1 has a non-string name",
+            ),
+        ],
+        ids=["arrays_not_list", "entry_not_object", "name_not_string"],
+    )
+    def test_ill_typed_array_list_named(self, saved, tmp_path, edit, message):
+        broken = tmp_path / "broken.ckpt"
+        rewrite_header(saved, broken, edit)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(broken)
+
     def test_array_the_config_does_not_imply_rejected(self, saved, tmp_path):
         broken = tmp_path / "broken.ckpt"
         extra = {"name": "encoder.2.weight", "shape": [1]}

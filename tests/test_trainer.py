@@ -256,6 +256,30 @@ class TestTrain:
         with pytest.raises(DegenerateInputError, match=r"epoch 0, batch 0"):
             train(config, dataset)
 
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            (
+                {"ablation": "ich_only", "training": {"learning_rate": 1e300}},
+                "epoch 0, batch 1: loss term l_ins",
+            ),
+            ({"losses": {"entropy_weight": 1e308}}, "epoch 0, batch 0: loss term l_clu"),
+        ],
+        ids=["extreme_learning_rate", "extreme_entropy_weight"],
+    )
+    def test_non_finite_step_stopped_before_adam(self, overrides, where):
+        config = small_config(**overrides)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DegenerateInputError, match=where + " is not finite"):
+                train(config, build_dataset(config.dataset))
+
+    def test_non_finite_gradient_named(self):
+        from dualclust.trainer import _require_finite
+
+        gradients = [("encoder.0.weight", np.zeros((2, 2))), ("encoder.0.bias", np.full((1, 2), np.nan))]
+        with pytest.raises(DegenerateInputError, match="gradient of encoder.0.bias is not finite"):
+            _require_finite([("l_total", ad.lift(np.zeros((1, 1))))], gradients)
+
     def test_blobs_reach_high_accuracy(self):
         # Well-separated blobs should be solved on most seeds.
         config = small_config(training={"epochs": 30})
