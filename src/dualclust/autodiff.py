@@ -35,7 +35,6 @@ __all__ = [
     "row_l2_normalize",
     "softmax_rows",
     "log",
-    "exp",
     "clip_min",
     "scale",
     "transpose",
@@ -241,12 +240,6 @@ def log(m) -> Node:
     if not (mv > 0.0).all():
         raise DegenerateInputError("log: input has nonpositive entries")
     return Node(np.log(mv), "log", (m,), lambda g: (g / mv,))
-
-
-def exp(m) -> Node:
-    m = lift(m)
-    y = np.exp(m.value)
-    return Node(y, "exp", (m,), lambda g: (g * y,))
 
 
 def clip_min(m, floor: float) -> Node:

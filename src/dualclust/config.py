@@ -325,15 +325,19 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path}: not valid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config: {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise ConfigError(f"config: {path}: invalid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 

@@ -3,21 +3,24 @@
 One backbone maps inputs to features H; two heads branch off it: the
 instance head projects H into the contrastive embedding space, and the
 cluster head produces row-stochastic soft assignments via a softmax.
-Parameters live in plain arrays (``ModelParams``); each training step
-wraps them in graph nodes (``ParamNodes``) so gradients can be read off
-after a backward pass.
+Every parameter lives in one flat float64 buffer (``ModelParams.flat``);
+each weight and bias is a named view into it, in the canonical order
+that the checkpoint payload, the gradient list and the optimizer moments
+all follow. A training step wraps the views in graph leaves
+(``ModelParams.nodes``) so gradients can be read off after a backward
+pass, and the optimizer updates the whole buffer at once.
 
 Checkpoints use a small self-describing binary format: an 8-byte magic,
-a length-prefixed JSON header (sorted keys), then the raw float64
-little-endian payloads in header order. Writing the same parameters
-twice produces byte-identical files, and a round trip is bit-exact.
+a length-prefixed JSON header (sorted keys), then the flat buffer as raw
+float64 little-endian values. Writing the same parameters twice produces
+byte-identical files, and a round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .errors import ConfigError, FormatError, ShapeError
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "ParamNodes",
     "init_params",
     "forward_graph",
     "forward",
@@ -84,113 +86,85 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Weights as (in, out) matrices and biases as (1, out) rows.
+    """Every parameter in one flat float64 buffer, with named views.
 
-    ``encoder`` holds one (weight, bias) pair per layer with ReLU between
-    consecutive layers; both heads are two layers with ReLU after the
-    first. The cluster head's softmax is applied in the forward pass,
-    not stored here.
+    ``arrays`` maps ``encoder.i.weight``/``.bias``, then
+    ``instance_head.i.*``, then ``cluster_head.i.*`` to (in, out) weight
+    matrices and (1, out) bias rows; the views tile ``flat`` in that
+    order. The encoder has ReLU between consecutive layers; both heads
+    are two layers with ReLU after the first. The cluster head's softmax
+    is applied in the forward pass, not stored here.
     """
 
     config: ModelConfig
-    encoder: list = field(default_factory=list)
-    instance_head: list = field(default_factory=list)
-    cluster_head: list = field(default_factory=list)
-
-    def items(self):
-        """(name, array) pairs in canonical order: checkpoint layout and
-        optimizer state both follow this ordering."""
-        for group, layers in (
-            ("encoder", self.encoder),
-            ("instance_head", self.instance_head),
-            ("cluster_head", self.cluster_head),
-        ):
-            for i, (w, b) in enumerate(layers):
-                yield f"{group}.{i}.weight", w
-                yield f"{group}.{i}.bias", b
-
-
-@dataclass
-class ParamNodes:
-    """Graph-node view of ModelParams for one differentiable step.
-
-    Nodes share storage with the parameter arrays; gradients live on the
-    nodes and are reset by each backward pass.
-    """
-
-    encoder: list
-    instance_head: list
-    cluster_head: list
+    flat: np.ndarray
+    arrays: dict
 
     @classmethod
-    def from_params(cls, params: ModelParams) -> "ParamNodes":
-        wrap = lambda layers: [(ad.lift(w), ad.lift(b)) for w, b in layers]
-        return cls(
-            encoder=wrap(params.encoder),
-            instance_head=wrap(params.instance_head),
-            cluster_head=wrap(params.cluster_head),
-        )
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """All-zero parameters in the layout ``config`` implies."""
+        shapes = dict(_array_shapes(config))
+        sizes = [rows * cols for rows, cols in shapes.values()]
+        flat = np.zeros(sum(sizes))
+        views = np.split(flat, np.cumsum(sizes)[:-1])
+        arrays = {name: view.reshape(shape) for (name, shape), view in zip(shapes.items(), views)}
+        return cls(config=config, flat=flat, arrays=arrays)
 
-    def nodes(self):
-        for layers in (self.encoder, self.instance_head, self.cluster_head):
-            for w, b in layers:
-                yield w
-                yield b
+    def nodes(self) -> dict:
+        """Graph leaves over the views, by name. They share storage with
+        ``flat``, so they stay valid across in-place updates."""
+        return {name: ad.lift(view) for name, view in self.arrays.items()}
 
 
-def _layer_shapes(config: ModelConfig):
-    dims = [config.input_dim, *config.encoder_widths]
-    encoder = list(zip(dims[:-1], dims[1:]))
+def _array_shapes(config: ModelConfig):
+    """(name, shape) of every parameter array the config implies, in
+    canonical order: the one statement of the parameter layout."""
     hidden = config.head_hidden
-    instance = [(config.feature_dim, hidden), (hidden, config.instance_dim)]
-    cluster = [(config.feature_dim, hidden), (hidden, config.cluster_count)]
-    return encoder, instance, cluster
+    for group, dims in (
+        ("encoder", (config.input_dim, *config.encoder_widths)),
+        ("instance_head", (config.feature_dim, hidden, config.instance_dim)),
+        ("cluster_head", (config.feature_dim, hidden, config.cluster_count)),
+    ):
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            yield f"{group}.{i}.weight", (fan_in, fan_out)
+            yield f"{group}.{i}.bias", (1, fan_out)
 
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Fresh parameters: weights ~ Normal(0, 2/fan_in), biases zero.
 
-    Deterministic in ``config.init_seed``; layers are drawn in the fixed
+    Deterministic in ``config.init_seed``; weights are drawn in the
     canonical order (encoder, instance head, cluster head).
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.init_seed))
-
-    def draw(shapes):
-        layers = []
-        for fan_in, fan_out in shapes:
-            std = np.sqrt(WEIGHT_VARIANCE_FACTOR / fan_in)
-            w = rng.normal(0.0, std, size=(fan_in, fan_out))
-            b = np.zeros((1, fan_out))
-            layers.append((w, b))
-        return layers
-
-    enc_shapes, inst_shapes, clu_shapes = _layer_shapes(config)
-    return ModelParams(
-        config=config,
-        encoder=draw(enc_shapes),
-        instance_head=draw(inst_shapes),
-        cluster_head=draw(clu_shapes),
-    )
+    params = ModelParams.zeros(config)
+    for name, view in params.arrays.items():
+        if name.endswith(".weight"):
+            std = np.sqrt(WEIGHT_VARIANCE_FACTOR / view.shape[0])
+            view[...] = rng.normal(0.0, std, size=view.shape)
+    return params
 
 
-def _two_layer(layers, x: ad.Node) -> ad.Node:
-    (w0, b0), (w1, b1) = layers
-    hidden = ad.relu(ad.add_row_vector(ad.matmul(x, w0), b0))
-    return ad.add_row_vector(ad.matmul(hidden, w1), b1)
+def _layers(nodes: dict, group: str, x: ad.Node) -> ad.Node:
+    """Apply the linear layers ``group.0``, ``group.1``, ... in turn,
+    with ReLU between consecutive layers."""
+    i = 0
+    while f"{group}.{i}.weight" in nodes:
+        if i:
+            x = ad.relu(x)
+        weight, bias = nodes[f"{group}.{i}.weight"], nodes[f"{group}.{i}.bias"]
+        x = ad.add_row_vector(ad.matmul(x, weight), bias)
+        i += 1
+    return x
 
 
-def forward_graph(param_nodes: ParamNodes, batch: ad.Node):
-    """Differentiable forward pass: (features H, projections Z, soft
-    assignments Y). Z is left un-normalized; the loss normalizes. Y rows
-    are strictly positive and sum to 1."""
-    h = batch
-    last = len(param_nodes.encoder) - 1
-    for i, (w, b) in enumerate(param_nodes.encoder):
-        h = ad.add_row_vector(ad.matmul(h, w), b)
-        if i < last:
-            h = ad.relu(h)
-    z = _two_layer(param_nodes.instance_head, h)
-    y = ad.softmax_rows(_two_layer(param_nodes.cluster_head, h))
+def forward_graph(nodes: dict, batch: ad.Node):
+    """Differentiable forward pass over ``ModelParams.nodes``: (features
+    H, projections Z, soft assignments Y). Z is left un-normalized; the
+    loss normalizes. Y rows are strictly positive and sum to 1."""
+    h = _layers(nodes, "encoder", batch)
+    z = _layers(nodes, "instance_head", h)
+    y = ad.softmax_rows(_layers(nodes, "cluster_head", h))
     return h, z, y
 
 
@@ -207,7 +181,7 @@ def forward(params: ModelParams, batch):
     """Non-differentiable forward: plain arrays (H, Z, Y). Row-separable:
     each output row depends only on its own input row."""
     x = _check_batch(params.config, batch)
-    h, z, y = forward_graph(ParamNodes.from_params(params), ad.lift(x))
+    h, z, y = forward_graph(params.nodes(), ad.lift(x))
     return h.value, z.value, y.value
 
 
@@ -221,35 +195,19 @@ def predict_assignments(params: ModelParams, x) -> np.ndarray:
 
 def save_checkpoint(path, params: ModelParams) -> None:
     """Serialize config and parameters; same inputs give identical bytes."""
-    entries = []
-    payload = bytearray()
-    for name, array in params.items():
-        arr = np.ascontiguousarray(array, dtype=np.float64)
-        entries.append({"name": name, "shape": list(arr.shape)})
-        payload += arr.astype("<f8", copy=False).tobytes()
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
-        "arrays": entries,
+        "arrays": [
+            {"name": name, "shape": list(view.shape)} for name, view in params.arrays.items()
+        ],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(bytes(payload))
-
-
-PARAM_GROUPS = ("encoder", "instance_head", "cluster_head")
-
-
-def _array_shapes(config: ModelConfig):
-    """(name, shape) of every parameter array the config implies, in
-    ``ModelParams.items`` order."""
-    for group, shapes in zip(PARAM_GROUPS, _layer_shapes(config)):
-        for i, (fan_in, fan_out) in enumerate(shapes):
-            yield f"{group}.{i}.weight", (fan_in, fan_out)
-            yield f"{group}.{i}.bias", (1, fan_out)
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def _header_key(mapping, key, where):
@@ -291,7 +249,11 @@ def load_checkpoint(path) -> ModelParams:
         config = ModelConfig(**values)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint: header config is invalid ({exc})") from exc
-    flat = {}
+    # Every entry is checked against the config's layout before the buffer
+    # is allocated, so a header cannot make the loader allocate more than
+    # the file holds.
+    shapes = dict(_array_shapes(config))
+    offsets = {}
     offset = header_end
     entries = _header_key(header, "arrays", "header")
     if not isinstance(entries, list):
@@ -303,38 +265,29 @@ def load_checkpoint(path) -> ModelParams:
         shape = _header_key(entry, "shape", f"array entry {name!r}")
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise FormatError(f"checkpoint: array {name!r} has invalid shape {shape!r}")
-        shape = tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        if name not in shapes:
+            raise FormatError(f"checkpoint: array {name!r} is not part of the config's model")
+        if name in offsets:
+            raise FormatError(f"checkpoint: array entry {i} lists {name!r} a second time")
+        if tuple(shape) != shapes[name]:
+            raise FormatError(
+                f"checkpoint: array {name!r} has shape {tuple(shape)}, "
+                f"config implies {shapes[name]}"
+            )
+        nbytes = 8 * shape[0] * shape[1]
         if len(blob) < offset + nbytes:
             raise FormatError(f"checkpoint: truncated payload for {name} at offset {offset}")
-        flat[name] = (
-            np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
+        offsets[name] = offset
         offset += nbytes
     if offset != len(blob):
         raise FormatError(f"checkpoint: {len(blob) - offset} trailing bytes after payload")
-    expected = dict(_array_shapes(config))
-    for name, shape in expected.items():
-        if name not in flat:
-            raise FormatError(f"checkpoint: config implies array {name!r} {shape}, header lists none")
-        if flat[name].shape != shape:
+    for name, shape in shapes.items():
+        if name not in offsets:
             raise FormatError(
-                f"checkpoint: array {name!r} has shape {flat[name].shape}, "
-                f"config implies {shape}"
+                f"checkpoint: config implies array {name!r} {shape}, header lists none"
             )
-    unexpected = sorted(set(flat) - set(expected))
-    if unexpected:
-        raise FormatError(f"checkpoint: array {unexpected[0]!r} is not part of the config's model")
-    encoder, instance_head, cluster_head = (
-        [(flat[f"{group}.{i}.weight"], flat[f"{group}.{i}.bias"]) for i in range(len(shapes))]
-        for group, shapes in zip(PARAM_GROUPS, _layer_shapes(config))
-    )
-    return ModelParams(
-        config=config,
-        encoder=encoder,
-        instance_head=instance_head,
-        cluster_head=cluster_head,
-    )
+    params = ModelParams.zeros(config)
+    for name, view in params.arrays.items():
+        payload = np.frombuffer(blob, dtype="<f8", count=view.size, offset=offsets[name])
+        view[...] = payload.reshape(view.shape)
+    return params

@@ -27,14 +27,7 @@ from .losses import (
     pair_similarity_stats,
 )
 from .metrics import ari, clustering_accuracy, nmi
-from .model import (
-    ModelParams,
-    ParamNodes,
-    forward,
-    forward_graph,
-    init_params,
-    predict_assignments,
-)
+from .model import ModelParams, forward, forward_graph, init_params, predict_assignments
 
 __all__ = [
     "OptimizerState",
@@ -72,7 +65,7 @@ STEP_COLUMNS = REPORT_COLUMNS[1:4] + REPORT_COLUMNS[7:]
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators, aligned with ModelParams.items() order.
+    """Adam accumulators over ``ModelParams.flat``.
 
     Bias-corrected first/second moments, no weight decay, no schedule.
     """
@@ -82,8 +75,8 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(
@@ -94,49 +87,49 @@ class OptimizerState:
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> "OptimizerState":
-        arrays = [array for _, array in params.items()]
         return cls(
             learning_rate=learning_rate,
             beta1=beta1,
             beta2=beta2,
             epsilon=epsilon,
             step=0,
-            m=[np.zeros_like(a) for a in arrays],
-            v=[np.zeros_like(a) for a in arrays],
+            m=np.zeros_like(params.flat),
+            v=np.zeros_like(params.flat),
         )
 
 
 def adam_step(params: ModelParams, gradients: list, state: OptimizerState) -> None:
-    """One Adam update, in place on the parameter arrays.
+    """One Adam update, in place on ``params.flat``.
 
-    A zero gradient leaves its parameter bit-identical: both moments stay
-    zero and the update is exactly 0 / (0 + epsilon).
+    ``gradients`` holds one array per parameter, in ``params.arrays``
+    order. A zero gradient leaves its parameter bit-identical: both
+    moments stay zero and the update is exactly 0 / (0 + epsilon).
     """
-    arrays = [array for _, array in params.items()]
-    if len(gradients) != len(arrays):
+    shapes = [view.shape for view in params.arrays.values()]
+    if len(gradients) != len(shapes):
         raise ContractError(
-            f"optimizer: got {len(gradients)} gradients for {len(arrays)} parameters"
+            f"optimizer: got {len(gradients)} gradients for {len(shapes)} parameters"
         )
-    for i, (array, grad) in enumerate(zip(arrays, gradients)):
-        if grad.shape != array.shape:
+    for i, (grad, shape) in enumerate(zip(gradients, shapes)):
+        if grad.shape != shape:
             raise ContractError(
-                f"optimizer: gradient {i} has shape {grad.shape}, "
-                f"parameter has {array.shape}"
+                f"optimizer: gradient {i} has shape {grad.shape}, parameter has {shape}"
             )
+    grad = np.concatenate(gradients, axis=None)
     state.step += 1
     t = state.step
     correction1 = 1.0 - state.beta1**t
     correction2 = 1.0 - state.beta2**t
-    for array, grad, m, v in zip(arrays, gradients, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        # Epsilon sits outside the square root: at step 1 with constant
-        # gradient g the update is exactly -lr * g / (|g| + eps).
-        array -= state.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + state.epsilon
-        )
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    # Epsilon sits outside the square root: at step 1 with constant
+    # gradient g the update is exactly -lr * g / (|g| + eps).
+    params.flat -= state.learning_rate * (m / correction1) / (
+        np.sqrt(v / correction2) + state.epsilon
+    )
 
 
 def _loss_terms(
@@ -281,10 +274,9 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         literal_entropy_sign=config.losses.literal_entropy_sign,
     )
 
-    # Parameter nodes share storage with the arrays Adam updates in
-    # place, so the graph leaves stay valid across steps.
-    param_nodes = ParamNodes.from_params(params)
-    param_names = [name for name, _ in params.items()]
+    # The graph leaves share storage with the buffer Adam updates in
+    # place, so they stay valid across steps.
+    param_nodes = params.nodes()
     report = TrainReport()
     batch = settings.batch_size
     for epoch in range(settings.epochs):
@@ -309,13 +301,13 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 # Pre-zero every parameter gradient: a head outside the
                 # active objective is unreachable from the root and
                 # would otherwise keep a stale gradient.
-                for node in param_nodes.nodes():
+                for node in param_nodes.values():
                     node.grad = np.zeros_like(node.value)
                 ad.backward(total)
-                gradients = [node.grad for node in param_nodes.nodes()]
+                gradients = [node.grad for node in param_nodes.values()]
                 _require_finite(
                     (("l_ins", term_ins), ("l_clu", term_clu), ("l_total", total)),
-                    zip(param_names, gradients),
+                    zip(param_nodes, gradients),
                 )
                 pos_i, neg_i = pair_similarity_stats(z_a.value, z_b.value)
                 pos_c, neg_c = pair_similarity_stats(y_a.value.T, y_b.value.T)

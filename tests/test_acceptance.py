@@ -34,7 +34,7 @@ from dualclust.losses import (
     pair_similarity_stats,
 )
 from dualclust.metrics import ari, clustering_accuracy, hungarian, nmi
-from dualclust.model import ModelConfig, ParamNodes, forward, forward_graph, init_params
+from dualclust.model import ModelConfig, forward, forward_graph, init_params
 from dualclust.trainer import instance_space_assignments, total_loss, train
 
 from test_losses_cluster import naive_cluster_loss, random_row_stochastic
@@ -130,22 +130,22 @@ def test_criterion_1_gradient_fidelity():
         batch_b = rng.normal(size=(5, 4))
 
         def loss_value():
-            nodes = ParamNodes.from_params(params)
+            nodes = params.nodes()
             _, z_a, y_a = forward_graph(nodes, ad.lift(batch_a))
             _, z_b, y_b = forward_graph(nodes, ad.lift(batch_b))
             return total_loss(z_a, z_b, y_a, y_b)
 
-        root_nodes = ParamNodes.from_params(params)
+        root_nodes = params.nodes()
         _, z_a, y_a = forward_graph(root_nodes, ad.lift(batch_a))
         _, z_b, y_b = forward_graph(root_nodes, ad.lift(batch_b))
         root = total_loss(z_a, z_b, y_a, y_b)
-        for node in root_nodes.nodes():
+        for node in root_nodes.values():
             node.grad = np.zeros_like(node.value)
         ad.backward(root)
-        analytic = [node.grad.copy() for node in root_nodes.nodes()]
+        analytic = [node.grad.copy() for node in root_nodes.values()]
 
         step = 1e-5
-        for which, (name, array) in enumerate(params.items()):
+        for which, (name, array) in enumerate(params.arrays.items()):
             fd = np.zeros_like(array)
             it = np.nditer(array, flags=["multi_index"])
             for _ in it:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -415,4 +416,17 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text('{\n  "dataset": {,}\n}\n')
         with pytest.raises(ConfigError, match=r"line 2"):
+            load_config(path)
+
+    def test_integer_over_the_digit_limit_named(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match=f"config: {re.escape(str(path))}: invalid JSON"):
+            load_config(path)
+
+    def test_invalid_utf8_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": 1, "note": "caf\xe9"}')
+        message = f"config: {re.escape(str(path))}: not valid UTF-8 at byte 24"
+        with pytest.raises(ConfigError, match=message):
             load_config(path)

@@ -10,7 +10,6 @@ from dualclust import autodiff as ad
 from dualclust.errors import ConfigError, FormatError, ShapeError
 from dualclust.model import (
     ModelConfig,
-    ParamNodes,
     forward,
     forward_graph,
     init_params,
@@ -60,7 +59,7 @@ class TestInit:
     def test_same_seed_gives_identical_parameters(self):
         a = init_params(small_config())
         b = init_params(small_config())
-        for (name_a, arr_a), (name_b, arr_b) in zip(a.items(), b.items()):
+        for (name_a, arr_a), (name_b, arr_b) in zip(a.arrays.items(), b.arrays.items()):
             assert name_a == name_b
             np.testing.assert_array_equal(arr_a, arr_b)
 
@@ -68,12 +67,12 @@ class TestInit:
         a = init_params(small_config(init_seed=1))
         b = init_params(small_config(init_seed=2))
         assert any(
-            not np.array_equal(x, y) for (_, x), (_, y) in zip(a.items(), b.items())
+            not np.array_equal(x, y) for (_, x), (_, y) in zip(a.arrays.items(), b.arrays.items())
         )
 
     def test_biases_are_zero(self):
         params = init_params(small_config())
-        for name, arr in params.items():
+        for name, arr in params.arrays.items():
             if name.endswith("bias"):
                 np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
@@ -83,16 +82,38 @@ class TestInit:
         config = ModelConfig(
             input_dim=100, encoder_widths=(100,), cluster_count=4, init_seed=3
         )
-        w = init_params(config).encoder[0][0]
+        w = init_params(config).arrays["encoder.0.weight"]
         target = 2.0 / 100.0
         assert abs(w.var() - target) <= 0.2 * target
 
     def test_layer_shapes_compose(self):
         params = init_params(small_config())
-        shapes = [w.shape for w, _ in params.encoder]
-        assert shapes == [(6, 10), (10, 8)]
-        assert [w.shape for w, _ in params.instance_head] == [(8, 8), (8, 5)]
-        assert [w.shape for w, _ in params.cluster_head] == [(8, 8), (8, 3)]
+        shapes = {name: w.shape for name, w in params.arrays.items() if name.endswith("weight")}
+        assert shapes == {
+            "encoder.0.weight": (6, 10),
+            "encoder.1.weight": (10, 8),
+            "instance_head.0.weight": (8, 8),
+            "instance_head.1.weight": (8, 5),
+            "cluster_head.0.weight": (8, 8),
+            "cluster_head.1.weight": (8, 3),
+        }
+
+    def test_views_tile_the_flat_buffer_in_checkpoint_order(self, tmp_path):
+        params = init_params(small_config(head_hidden_dim=11))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        blob = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", blob, 8)
+        listed = [entry["name"] for entry in json.loads(blob[16 : 16 + length])["arrays"]]
+        assert list(params.arrays) == listed
+        start = params.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, view in params.arrays.items():
+            assert np.shares_memory(view, params.flat), name
+            assert view.flags.c_contiguous, name
+            assert view.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += view.size
+        assert offset == params.flat.size
 
 
 class TestForward:
@@ -113,7 +134,7 @@ class TestForward:
 
     def test_zero_weights_give_uniform_assignments(self):
         params = init_params(small_config(cluster_count=4))
-        for name, arr in params.items():
+        for name, arr in params.arrays.items():
             arr[:] = 0.0
         _, _, y = forward(params, np.ones((5, 6)))
         np.testing.assert_array_equal(y, np.full((5, 4), 0.25))
@@ -135,12 +156,12 @@ class TestForward:
 
     def test_gradients_reach_every_parameter(self):
         params = init_params(small_config())
-        nodes = ParamNodes.from_params(params)
+        nodes = params.nodes()
         x = ad.lift(np.random.default_rng(3).normal(size=(4, 6)))
         h, z, y = forward_graph(nodes, x)
         total = ad.add(ad.sum_all(z), ad.sum_all(ad.log(y)))
         ad.backward(total)
-        for node in nodes.nodes():
+        for node in nodes.values():
             assert np.any(node.grad != 0.0)
 
 
@@ -153,7 +174,7 @@ class TestPredictAssignments:
 
     def test_tie_breaks_to_lowest_index(self):
         params = init_params(small_config(cluster_count=4))
-        for name, arr in params.items():
+        for name, arr in params.arrays.items():
             arr[:] = 0.0  # uniform rows: every cluster ties
         assignments = predict_assignments(params, np.ones((6, 6)))
         np.testing.assert_array_equal(assignments, np.zeros(6, dtype=int))
@@ -175,7 +196,7 @@ class TestCheckpoint:
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
         assert loaded.config == params.config
-        for (name_a, arr_a), (name_b, arr_b) in zip(params.items(), loaded.items()):
+        for (name_a, arr_a), (name_b, arr_b) in zip(params.arrays.items(), loaded.arrays.items()):
             assert name_a == name_b
             np.testing.assert_array_equal(arr_a, arr_b)
 
@@ -306,6 +327,14 @@ class TestCheckpointHeader:
         broken = tmp_path / "broken.ckpt"
         rewrite_header(saved, broken, edit)
         with pytest.raises(FormatError, match=message):
+            load_checkpoint(broken)
+
+    def test_array_listed_twice_rejected(self, saved, tmp_path):
+        broken = tmp_path / "broken.ckpt"
+        extra = {"name": "encoder.0.bias", "shape": [1, 10]}
+        payload = np.full(10, 7.0).tobytes()
+        rewrite_header(saved, broken, lambda h: h["arrays"].append(extra), payload)
+        with pytest.raises(FormatError, match="entry 12 lists 'encoder.0.bias' a second time"):
             load_checkpoint(broken)
 
     def test_array_the_config_does_not_imply_rejected(self, saved, tmp_path):

@@ -59,11 +59,11 @@ def small_config(**overrides):
 
 
 def param_snapshot(params):
-    return [(name, array.copy()) for name, array in params.items()]
+    return [(name, array.copy()) for name, array in params.arrays.items()]
 
 
 def assert_params_equal(params, snapshot):
-    for (name, array), (ref_name, ref) in zip(params.items(), snapshot):
+    for (name, array), (ref_name, ref) in zip(params.arrays.items(), snapshot):
         assert name == ref_name
         np.testing.assert_array_equal(array, ref, err_msg=name)
 
@@ -80,13 +80,10 @@ class TestOptimizerState:
     def test_accumulators_match_parameter_shapes(self):
         params = init_params(TINY_MODEL)
         state = OptimizerState.for_params(params)
-        arrays = [array for _, array in params.items()]
-        assert len(state.m) == len(arrays) == len(state.v)
-        for m, v, array in zip(state.m, state.v, arrays):
-            assert m.shape == array.shape
-            assert v.shape == array.shape
-            assert not m.any()
-            assert not v.any()
+        for moment in (state.m, state.v):
+            assert moment.shape == params.flat.shape
+            assert not np.shares_memory(moment, params.flat)
+            assert not moment.any()
 
 
 class TestAdamStep:
@@ -94,7 +91,7 @@ class TestAdamStep:
         params = init_params(TINY_MODEL)
         state = OptimizerState.for_params(params)
         before = param_snapshot(params)
-        grads = [np.zeros_like(array) for _, array in params.items()]
+        grads = [np.zeros_like(array) for _, array in params.arrays.items()]
         for _ in range(3):
             adam_step(params, grads, state)
         assert_params_equal(params, before)
@@ -106,10 +103,10 @@ class TestAdamStep:
         params = init_params(TINY_MODEL)
         state = OptimizerState.for_params(params)
         rng = np.random.default_rng(11)
-        grads = [rng.normal(size=array.shape) for _, array in params.items()]
+        grads = [rng.normal(size=array.shape) for _, array in params.arrays.items()]
         before = param_snapshot(params)
         adam_step(params, grads, state)
-        for (name, array), (_, old), g in zip(params.items(), before, grads):
+        for (name, array), (_, old), g in zip(params.arrays.items(), before, grads):
             expected = old - state.learning_rate * g / (np.abs(g) + state.epsilon)
             np.testing.assert_allclose(array, expected, rtol=1e-12, err_msg=name)
 
@@ -120,7 +117,7 @@ class TestAdamStep:
             state = OptimizerState.for_params(params)
             rng = np.random.default_rng(5)
             for _ in range(100):
-                grads = [rng.normal(size=a.shape) for _, a in params.items()]
+                grads = [rng.normal(size=a.shape) for _, a in params.arrays.items()]
                 adam_step(params, grads, state)
             results.append(param_snapshot(params))
         for (name, a), (_, b) in zip(results[0], results[1]):
@@ -135,7 +132,7 @@ class TestAdamStep:
     def test_gradient_shape_mismatch_rejected(self):
         params = init_params(TINY_MODEL)
         state = OptimizerState.for_params(params)
-        grads = [np.zeros_like(a) for _, a in params.items()]
+        grads = [np.zeros_like(a) for _, a in params.arrays.items()]
         grads[0] = np.zeros((2, 2))
         with pytest.raises(ContractError, match="shape"):
             adam_step(params, grads, state)
@@ -306,7 +303,7 @@ class TestTrain:
         dataset = build_dataset(config.dataset)
         params, report = train(config, dataset)
         reference = init_params(config.resolve(dataset).model.model_config(dataset.dim))
-        for (name, array), (_, ref) in zip(params.items(), param_snapshot(reference)):
+        for (name, array), (_, ref) in zip(params.arrays.items(), param_snapshot(reference)):
             if name.startswith("cluster_head"):
                 np.testing.assert_array_equal(array, ref, err_msg=name)
             elif name.endswith("weight"):
@@ -320,7 +317,7 @@ class TestTrain:
         dataset = build_dataset(config.dataset)
         params, report = train(config, dataset)
         reference = init_params(config.resolve(dataset).model.model_config(dataset.dim))
-        for (name, array), (_, ref) in zip(params.items(), param_snapshot(reference)):
+        for (name, array), (_, ref) in zip(params.arrays.items(), param_snapshot(reference)):
             if name.startswith("instance_head"):
                 np.testing.assert_array_equal(array, ref, err_msg=name)
         for record in report.records:
@@ -369,14 +366,14 @@ def identity_routing_params(permutation):
     params = init_params(config)
     eye = np.eye(4)
     perm_matrix = eye[:, permutation]
-    for w, b in [params.encoder[0], *params.instance_head]:
-        w[:] = eye
-        b[:] = 0.0
-    (w0, b0), (w1, b1) = params.cluster_head
-    w0[:] = 10.0 * eye
-    b0[:] = 0.0
-    w1[:] = 10.0 * perm_matrix
-    b1[:] = 0.0
+    arrays = params.arrays
+    for layer in ("encoder.0", "instance_head.0", "instance_head.1"):
+        arrays[f"{layer}.weight"][:] = eye
+        arrays[f"{layer}.bias"][:] = 0.0
+    arrays["cluster_head.0.weight"][:] = 10.0 * eye
+    arrays["cluster_head.0.bias"][:] = 0.0
+    arrays["cluster_head.1.weight"][:] = 10.0 * perm_matrix
+    arrays["cluster_head.1.bias"][:] = 0.0
     return params
 
 
@@ -396,7 +393,7 @@ class TestEvaluate:
         samples = np.eye(4)[labels]
         dataset = Dataset(samples, VectorGeometry(4), labels)
         params = identity_routing_params([0, 1, 2, 3])
-        for _, array in params.items():
+        for _, array in params.arrays.items():
             array[:] = 0.0  # uniform softmax rows; argmax tie -> cluster 0
         bundle = evaluate(params, dataset)
         assert bundle["acc"] == 0.25
