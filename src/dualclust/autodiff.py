@@ -2,10 +2,10 @@
 
 The engine is deliberately small: a fixed set of primitives, each with a
 hand-written vector-Jacobian product, sufficient to express the encoder,
-the two projection heads, and both contrastive losses. There is no
-general broadcasting (the single exception is row-wise bias addition)
-and no higher-order machinery. Every primitive is finite-difference
-tested.
+the two projection heads, and both contrastive losses, which share the
+fused NT-Xent primitive ``ntxent``. There is no general broadcasting
+(the single exception is row-wise bias addition) and no higher-order
+machinery. Every primitive is finite-difference tested.
 
 Matrices are plain 2-D float64 numpy arrays throughout; ``as_matrix``
 is the boundary check. Values are treated as immutable once wrapped in
@@ -28,20 +28,16 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "sub",
     "mul",
     "add_row_vector",
     "relu",
-    "row_l2_normalize",
     "softmax_rows",
     "log",
     "clip_min",
     "scale",
     "transpose",
-    "concat_rows",
     "sum_all",
-    "take_per_row",
-    "masked_row_logsumexp",
+    "ntxent",
 ]
 
 # Type alias for readability: a 2-D float64 ndarray in row-major order.
@@ -59,10 +55,11 @@ def as_matrix(data) -> Matrix:
 class Node:
     """One vertex of the gradient tape.
 
-    Holds a value, a gradient slot of identical shape, and provenance
-    (primitive name plus parent references). Leaves have no parents;
-    ``backward`` accumulates into ``grad`` by summation when a node is
-    consumed more than once.
+    Holds a value, a gradient slot, and provenance (primitive name plus
+    parent references). The slot is ``None`` until ``backward`` zero-fills
+    it for every node reachable from its root, then accumulates into it
+    by summation when a node is consumed more than once. Leaves have no
+    parents.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_vjp")
@@ -75,7 +72,7 @@ class Node:
         vjp: Callable[[Matrix], tuple[Matrix, ...]] | None = None,
     ):
         self.value = as_matrix(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.op = op
         self.parents = tuple(parents)
         self._vjp = vjp
@@ -161,12 +158,6 @@ def add(a, b) -> Node:
     return Node(a.value + b.value, "add", (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Node:
-    a, b = lift(a), lift(b)
-    _require_same_shape("sub", a, b)
-    return Node(a.value - b.value, "sub", (a, b), lambda g: (g, -g))
-
-
 def mul(a, b) -> Node:
     """Elementwise (Hadamard) product."""
     a, b = lift(a), lift(b)
@@ -196,28 +187,6 @@ def relu(m) -> Node:
     m = lift(m)
     mv = m.value
     return Node(np.maximum(mv, 0.0), "relu", (m,), lambda g: (g * (mv > 0.0),))
-
-
-def row_l2_normalize(m) -> Node:
-    """Scale every row to unit Euclidean norm.
-
-    Exact per-row Jacobian (I - u u^T) / ||z|| where u is the normalized
-    row; a zero row is a degenerate input, reported by index.
-    """
-    m = lift(m)
-    mv = m.value
-    norms = np.sqrt((mv * mv).sum(axis=1, keepdims=True))
-    zero_rows = np.flatnonzero(norms[:, 0] == 0.0)
-    if zero_rows.size:
-        raise DegenerateInputError(
-            f"row_l2_normalize: row {int(zero_rows[0])} has zero norm"
-        )
-    y = mv / norms
-
-    def vjp(g):
-        return ((g - (g * y).sum(axis=1, keepdims=True) * y) / norms,)
-
-    return Node(y, "row_l2_normalize", (m,), vjp)
 
 
 def softmax_rows(m) -> Node:
@@ -262,20 +231,6 @@ def transpose(m) -> Node:
     return Node(m.value.T, "transpose", (m,), lambda g: (np.ascontiguousarray(g.T),))
 
 
-def concat_rows(a, b) -> Node:
-    """Stack two matrices with equal column counts vertically."""
-    a, b = lift(a), lift(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows: column counts differ, {a.shape} vs {b.shape}")
-    na = a.shape[0]
-    return Node(
-        np.vstack([a.value, b.value]),
-        "concat_rows",
-        (a, b),
-        lambda g: (g[:na], g[na:]),
-    )
-
-
 def sum_all(m) -> Node:
     """Sum of all entries as a 1 x 1 matrix."""
     m = lift(m)
@@ -287,48 +242,49 @@ def sum_all(m) -> Node:
     )
 
 
-def take_per_row(m, cols) -> Node:
-    """Pick one entry per row: output[i, 0] = m[i, cols[i]]."""
-    m = lift(m)
-    cols = np.asarray(cols, dtype=np.int64)
-    n = m.shape[0]
-    if cols.shape != (n,):
-        raise ContractError(f"take_per_row: need {n} column indices, got shape {cols.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() >= m.shape[1]):
-        raise ContractError("take_per_row: column index out of range")
-    rows = np.arange(n)
+def ntxent(a, b, temperature: float, exclude_self: bool) -> Node:
+    """Mean normalized temperature-scaled cross-entropy of two n-row views,
+    the shared core of both contrastive losses, as a 1 x 1 node.
 
-    def vjp(g):
-        out = np.zeros_like(m.value)
-        out[rows, cols] = g[:, 0]
-        return (out,)
-
-    return Node(m.value[rows, cols].reshape(n, 1), "take_per_row", (m,), vjp)
-
-
-def masked_row_logsumexp(m, mask) -> Node:
-    """Per row: log sum_j mask[i,j] * exp(m[i,j]), with max subtraction.
-
-    ``mask`` is a constant 0/1 matrix; every row must keep at least one
-    entry. This is the numerically stable core of both contrastive
-    losses (the mask drops excluded self-similarity terms).
+    The 2n rows of [a; b] are scaled to unit norm; row i's logits are its
+    cosine similarities over ``temperature``, its positive is row
+    (i + n) mod 2n, and its denominator sums over every row, minus the
+    self term when ``exclude_self``. A zero row is reported by index.
     """
-    m = lift(m)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != m.shape:
-        raise ShapeError(f"masked_row_logsumexp: mask shape {mask.shape} vs {m.shape}")
-    if not np.isin(mask, (0.0, 1.0)).all():
-        raise ContractError("masked_row_logsumexp: mask entries must be 0 or 1")
-    keep = mask > 0.0
-    if not keep.any(axis=1).all():
-        raise ContractError("masked_row_logsumexp: a row has no unmasked entries")
-    shifted = np.where(keep, m.value, -np.inf)
+    a, b = lift(a), lift(b)
+    _require_same_shape("ntxent", a, b)
+    n = a.shape[0]
+    if n < 1:
+        raise DegenerateInputError("ntxent: need at least one row per view")
+    x = np.vstack([a.value, b.value])
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    zero_rows = np.flatnonzero(norms[:, 0] == 0.0)
+    if zero_rows.size:
+        raise DegenerateInputError(f"ntxent: row {int(zero_rows[0])} has zero norm")
+    u = x / norms
+    ut = np.ascontiguousarray(u.T)
+    inv_temperature = float(1.0 / temperature)
+    inv_rows = float(1.0 / (2 * n))
+    logits = (u @ ut) * inv_temperature
+    rows = np.arange(2 * n)
+    positives = (rows + n) % (2 * n)
+    shifted = logits.copy()
+    if exclude_self:
+        np.fill_diagonal(shifted, -np.inf)
     mx = shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted - mx)  # exactly 0 where masked out
+    e = np.exp(shifted - mx)  # exactly 0 on an excluded diagonal
     s = e.sum(axis=1, keepdims=True)
-    w = e / s
+    per_row = mx + np.log(s) - logits[rows, positives].reshape(2 * n, 1)
 
     def vjp(g):
-        return (g * w,)
+        # d/d logits = (softmax - one-hot positive) / 2n; then tau, U U^T, norms.
+        g_row = g[0, 0] * inv_rows
+        dlogits = g_row * (e / s)
+        dlogits[rows, positives] -= g_row
+        dlogits *= inv_temperature
+        # Two products rather than (G + G^T) U: this rounds as the unfused chain did.
+        du = dlogits @ ut.T + np.ascontiguousarray((u.T @ dlogits).T)
+        dx = (du - (du * u).sum(axis=1, keepdims=True) * u) / norms
+        return dx[:n], dx[n:]
 
-    return Node(mx + np.log(s), "masked_row_logsumexp", (m,), vjp)
+    return Node([[per_row.sum() * inv_rows]], "ntxent", (a, b), vjp)

@@ -336,7 +336,7 @@ def load_config(path) -> ExperimentConfig:
             f"config: {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    except ValueError as exc:  # e.g. an integer literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # an integer over the digit limit, deep nesting
         raise ConfigError(f"config: {path}: invalid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 

@@ -13,6 +13,7 @@ Label CSVs pair a sample_id column with an integer label column.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -178,7 +179,7 @@ def _read_idx_array(path, magic, ndim):
             f"need {header_end} bytes"
         )
     dims = struct.unpack(f">{ndim}I", blob[4:header_end])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(blob) != header_end + count:
         raise FormatError(
             f"{path}: IDX payload expects {count} bytes at offset {header_end}, "
@@ -193,6 +194,8 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     with image geometry; pixel values are scaled into [0, 1]."""
     raw = _read_idx_array(images_path, IDX_IMAGES_MAGIC, ndim=3)
     n, height, width = raw.shape
+    if raw.size == 0:
+        raise FormatError(f"{images_path}: IDX file holds {n} images of {height}x{width} pixels")
     samples = raw.reshape(n, height * width).astype(np.float64) / 255.0
     labels = None
     if labels_path is not None:

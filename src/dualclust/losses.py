@@ -1,12 +1,13 @@
 """Instance- and cluster-level contrastive losses.
 
-Both losses share one normalized temperature-scaled cross-entropy core:
-the 2n rows to contrast are stacked, cosine similarities are divided by
-a temperature, and each row's positive partner is the matching row of
-the other view. The instance loss contrasts the 2N projected samples;
-the cluster loss contrasts the 2M soft-label columns and subtracts an
-assignment-entropy term that pushes cluster masses toward uniform to
-prevent the all-in-one-cluster collapse.
+Both losses share one normalized temperature-scaled cross-entropy core,
+the fused primitive ``autodiff.ntxent``: the 2n rows to contrast are
+stacked, cosine similarities are divided by a temperature, and each
+row's positive partner is the matching row of the other view. The
+instance loss contrasts the 2N projected samples; the cluster loss
+contrasts the 2M soft-label columns and subtracts an assignment-entropy
+term that pushes cluster masses toward uniform to prevent the
+all-in-one-cluster collapse.
 
 Sign conventions, both configurable:
 
@@ -103,27 +104,6 @@ def _canonical_view_order(a: ad.Node, b: ad.Node) -> tuple[ad.Node, ad.Node]:
     return a, b
 
 
-def _ntxent_mean(stacked: ad.Node, temperature: float, exclude_self: bool) -> ad.Node:
-    """Mean normalized temperature-scaled cross-entropy over 2n stacked rows.
-
-    Row i's positive partner is row (i + n) mod 2n; the denominator sums
-    over all rows (minus the self term when excluded).
-    """
-    two_n = stacked.shape[0]
-    n = two_n // 2
-    normalized = ad.row_l2_normalize(stacked)
-    logits = ad.scale(ad.matmul(normalized, ad.transpose(normalized)), 1.0 / temperature)
-    mask = np.ones((two_n, two_n))
-    if exclude_self:
-        np.fill_diagonal(mask, 0.0)
-    positive_cols = (np.arange(two_n) + n) % two_n
-    per_row = ad.sub(
-        ad.masked_row_logsumexp(logits, mask),
-        ad.take_per_row(logits, positive_cols),
-    )
-    return ad.scale(ad.sum_all(per_row), 1.0 / two_n)
-
-
 def instance_loss(z_a, z_b, config: InstanceLossConfig = InstanceLossConfig()) -> ad.Node:
     """Contrastive loss over 2N augmented samples; positive pairs are the
     two views of the same instance, everything else in the batch is
@@ -143,8 +123,7 @@ def instance_loss(z_a, z_b, config: InstanceLossConfig = InstanceLossConfig()) -
             "instance_loss: need at least 2 samples per view when self terms are excluded"
         )
     first, second = _canonical_view_order(z_a, z_b)
-    stacked = ad.concat_rows(first, second)
-    return _ntxent_mean(stacked, config.temperature, config.exclude_self_similarity)
+    return ad.ntxent(first, second, config.temperature, config.exclude_self_similarity)
 
 
 def _check_row_stochastic(name: str, y: ad.Node) -> None:
@@ -205,8 +184,9 @@ def cluster_loss(y_a, y_b, config: ClusterLossConfig = ClusterLossConfig()) -> a
             raise DegenerateInputError(
                 f"cluster_loss: cluster {int(empty[0])} has zero mass in view {view}"
             )
-    stacked = ad.concat_rows(ad.transpose(y_a), ad.transpose(y_b))
-    contrastive = _ntxent_mean(stacked, config.temperature, config.exclude_self_similarity)
+    contrastive = ad.ntxent(
+        ad.transpose(y_a), ad.transpose(y_b), config.temperature, config.exclude_self_similarity
+    )
     entropy = assignment_entropy(y_a, y_b)
     sign = 1.0 if config.literal_entropy_sign else -1.0
     return ad.add(contrastive, ad.scale(entropy, sign * config.entropy_weight))

@@ -235,7 +235,7 @@ def load_checkpoint(path) -> ModelParams:
         )
     try:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer over the digit limit
         raise FormatError(f"checkpoint: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise FormatError("checkpoint: header is not a JSON object")

@@ -44,7 +44,7 @@ class TestMatrixBasics:
             ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_elementwise_shape_errors(self):
-        for op in (ad.add, ad.sub, ad.mul):
+        for op in (ad.add, ad.mul):
             with pytest.raises(ShapeError):
                 op(np.zeros((2, 2)), np.zeros((3, 2)))
 
@@ -53,40 +53,23 @@ class TestMatrixBasics:
         m = rng.normal(scale=100.0, size=(4, 5))
         for node in (
             ad.softmax_rows(m),
-            ad.row_l2_normalize(m),
             ad.relu(m),
             ad.scale(m, 3.0),
-            ad.masked_row_logsumexp(m, np.ones_like(m)),
+            ad.ntxent(m[:2], m[2:], 0.5, exclude_self=True),
         ):
             assert np.isfinite(node.value).all()
 
 
-class TestRowNormalize:
-    def test_three_four_five(self):
-        out = ad.row_l2_normalize([[3.0, 4.0]]).value
-        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(6, 4))
-        once = ad.row_l2_normalize(m).value
-        twice = ad.row_l2_normalize(once).value
-        np.testing.assert_allclose(once, twice, atol=1e-12)
-
-    def test_unit_rows_unchanged(self):
-        m = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(ad.row_l2_normalize(m).value, m, atol=1e-15)
-
-    def test_output_norms_are_one(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(5, 3))
-        norms = np.linalg.norm(ad.row_l2_normalize(m).value, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
+class TestNtxent:
     def test_zero_row_reports_index(self):
-        m = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
-        with pytest.raises(DegenerateInputError, match="row 1"):
-            ad.row_l2_normalize(m)
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[0.0, 0.0], [3.0, 4.0]])
+        with pytest.raises(DegenerateInputError, match="row 2"):
+            ad.ntxent(a, b, 0.5, exclude_self=True)
+
+    def test_view_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.ntxent(np.ones((2, 3)), np.ones((3, 3)), 0.5, exclude_self=True)
 
 
 class TestSoftmax:
@@ -139,7 +122,7 @@ class TestBackwardContracts:
         x = rng.uniform(0.5, 3.0, size=(3, 2))
 
         def build(n):
-            shared = ad.row_l2_normalize(n)
+            shared = ad.softmax_rows(n)
             return ad.add(ad.sum_all(ad.mul(shared, shared)), ad.sum_all(ad.log(n)))
 
         check_gradients(build, [x])
@@ -167,7 +150,6 @@ class TestPrimitiveGradients:
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         w = rng.normal(size=(3, 3))
         check_gradients(lambda x, y: weighted_sum(ad.add(x, y), w), [a, b])
-        check_gradients(lambda x, y: weighted_sum(ad.sub(x, y), w), [a, b])
         check_gradients(lambda x, y: weighted_sum(ad.mul(x, y), w), [a, b])
 
     def test_add_row_vector(self, seed):
@@ -183,12 +165,6 @@ class TestPrimitiveGradients:
         m = np.where(np.abs(m) < 0.1, 0.5, m)
         w = rng.normal(size=(4, 4))
         check_gradients(lambda x: weighted_sum(ad.relu(x), w), [m])
-
-    def test_row_l2_normalize(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(4, 3)) + rng.choice([-2.0, 2.0])
-        w = rng.normal(size=(4, 3))
-        check_gradients(lambda x: weighted_sum(ad.row_l2_normalize(x), w), [m])
 
     def test_softmax_rows(self, seed):
         rng = np.random.default_rng(seed)
@@ -216,63 +192,16 @@ class TestPrimitiveGradients:
 
     def test_transpose_concat_sum(self, seed):
         rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
-        w = rng.normal(size=(3, 6))
-        check_gradients(
-            lambda x, y: weighted_sum(ad.transpose(ad.concat_rows(x, y)), w), [a, b]
-        )
+        a = rng.normal(size=(2, 3))
+        w = rng.normal(size=(3, 2))
+        check_gradients(lambda x: weighted_sum(ad.transpose(x), w), [a])
         check_gradients(lambda x: ad.sum_all(x), [a])
 
-    def test_take_per_row(self, seed):
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_ntxent(self, seed, exclude_self):
         rng = np.random.default_rng(seed)
-        m = rng.normal(size=(5, 4))
-        cols = rng.integers(0, 4, size=5)
-        w = rng.normal(size=(5, 1))
-        check_gradients(lambda x: weighted_sum(ad.take_per_row(x, cols), w), [m])
-
-    def test_masked_row_logsumexp(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(scale=2.0, size=(4, 6))
-        mask = np.ones((4, 6))
-        mask[np.arange(4), rng.integers(0, 6, size=4)] = 0.0
-        w = rng.normal(size=(4, 1))
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        temperature, weight = rng.uniform(0.3, 1.5), rng.normal()
         check_gradients(
-            lambda x: weighted_sum(ad.masked_row_logsumexp(x, mask), w), [m]
+            lambda x, y: ad.scale(ad.ntxent(x, y, temperature, exclude_self), weight), [a, b]
         )
-
-
-class TestMaskedLogsumexp:
-    def test_matches_direct_computation(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(3, 5))
-        mask = np.ones((3, 5))
-        mask[0, 0] = mask[2, 4] = 0.0
-        out = ad.masked_row_logsumexp(m, mask).value
-        expected = np.log((mask * np.exp(m)).sum(axis=1, keepdims=True))
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_stable_for_large_entries(self):
-        out = ad.masked_row_logsumexp([[1000.0, 999.0]], [[1.0, 1.0]]).value
-        assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, 1000.0 + np.log(1 + np.exp(-1.0)), atol=1e-12)
-
-    def test_all_masked_row_rejected(self):
-        with pytest.raises(ContractError):
-            ad.masked_row_logsumexp(np.ones((2, 2)), [[1.0, 1.0], [0.0, 0.0]])
-
-    def test_non_binary_mask_rejected(self):
-        with pytest.raises(ContractError):
-            ad.masked_row_logsumexp(np.ones((1, 2)), [[0.5, 1.0]])
-
-
-class TestTakePerRow:
-    def test_values(self):
-        m = np.arange(12.0).reshape(3, 4)
-        out = ad.take_per_row(m, [1, 0, 3]).value
-        np.testing.assert_array_equal(out, [[1.0], [4.0], [11.0]])
-
-    def test_bad_indices(self):
-        with pytest.raises(ContractError):
-            ad.take_per_row(np.ones((2, 2)), [0, 2])
-        with pytest.raises(ContractError):
-            ad.take_per_row(np.ones((2, 2)), [0])

@@ -26,16 +26,34 @@ BASE_CONFIG = {
     "seed": 1,
 }
 
-# sha256 of two artifacts of the BASE_CONFIG run at 10 epochs. A change that
-# alters any trained value, report cell or checkpoint byte changes them, so a
-# refactor that must keep runs byte-identical is checked here. Recorded before
-# the parameters moved into one flat buffer. Training goes through BLAS
-# matmuls and libm exp/log, so a platform that rounds differently in the last
-# bit gives other digests.
-PINNED_RUN = {
-    "report.csv": "ec9a33ca0c67cf9f722d8d911cfa84a32e29d33a55b2c9eed686b20288b9db38",
-    "checkpoint.bin": "be72ea0a06e0038635db3631fb3a72f6d415622cb02c49e2224b0e57f124c54f",
-}
+# sha256 of two artifacts of BASE_CONFIG runs at 10 epochs, keyed by the
+# overrides of each run: the default `full` run, and a `cch_only` run with the
+# other branch of both loss options. A change that alters any trained value,
+# report cell or checkpoint byte changes them, so a refactor that must keep
+# runs byte-identical is checked here. The `full` digests were recorded before
+# the parameters moved into one flat buffer, the `cch_only` ones before the
+# contrastive losses moved onto one fused primitive. Training goes through
+# BLAS matmuls and libm exp/log, so a platform that rounds differently in the
+# last bit gives other digests.
+PINNED_RUNS = [
+    (
+        {},
+        {
+            "report.csv": "ec9a33ca0c67cf9f722d8d911cfa84a32e29d33a55b2c9eed686b20288b9db38",
+            "checkpoint.bin": "be72ea0a06e0038635db3631fb3a72f6d415622cb02c49e2224b0e57f124c54f",
+        },
+    ),
+    (
+        {
+            "ablation": "cch_only",
+            "losses": {"exclude_self_similarity": False, "literal_entropy_sign": True},
+        },
+        {
+            "report.csv": "c8ac9e7ba0aa541236b81dfc0477c173abdd83263d36bbd73284ef6ee018e4f0",
+            "checkpoint.bin": "873b0ffd8cee88aacf8d8801518c7583d244e37c516c24ad4e519ddbcfc4a178",
+        },
+    ),
+]
 
 
 @pytest.fixture
@@ -167,10 +185,12 @@ class TestRun:
         assert bundle["acc"] >= 0.9
 
     def test_artifacts_match_pinned_digest(self, tmp_path, config_path):
-        out = tmp_path / "run"
-        assert main(["run", "--config", config_path(out_dir=out, training={"epochs": 10})]) == 0
-        digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in PINNED_RUN}
-        assert digests == PINNED_RUN
+        for i, (overrides, pinned) in enumerate(PINNED_RUNS):
+            out = tmp_path / f"run{i}"
+            config = config_path(out_dir=out, training={"epochs": 10}, **overrides)
+            assert main(["run", "--config", config]) == 0
+            digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in pinned}
+            assert digests == pinned, overrides
 
 
 class TestEval:

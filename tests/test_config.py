@@ -424,6 +424,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"config: {re.escape(str(path))}: invalid JSON"):
             load_config(path)
 
+    def test_deeply_nested_value_named(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ConfigError, match=f"config: {re.escape(str(path))}: invalid JSON"):
+            load_config(path)
+
     def test_invalid_utf8_named(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"seed": 1, "note": "caf\xe9"}')

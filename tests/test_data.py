@@ -1,5 +1,6 @@
 """Synthetic generators, IDX/CSV loaders, and dataset invariants."""
 
+import re
 import struct
 
 import numpy as np
@@ -161,6 +162,19 @@ class TestIdx:
         path = tmp_path / "short.idx"
         path.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">3I", 4, 2, 2) + b"\x00" * 7)
         with pytest.raises(FormatError, match="offset 16"):
+            load_idx(path)
+
+    def test_dimensions_overflowing_int64_report_payload_size(self, tmp_path):
+        path = tmp_path / "huge.idx"
+        path.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">3I", 2**31, 2**31, 4))
+        with pytest.raises(FormatError, match=f"expects {2**64} bytes at offset 16"):
+            load_idx(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 2, 0)], ids=["no_images", "zero_width"])
+    def test_empty_images_named(self, tmp_path, shape):
+        path = tmp_path / "empty.idx"
+        write_idx_images(path, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: IDX file holds"):
             load_idx(path)
 
     def test_label_count_mismatch_rejected(self, tmp_path):

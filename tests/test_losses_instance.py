@@ -9,7 +9,6 @@ from dualclust import autodiff as ad
 from dualclust.errors import ConfigError, DegenerateInputError, ShapeError
 from dualclust.losses import (
     InstanceLossConfig,
-    _ntxent_mean,
     cosine_similarity_matrix,
     instance_loss,
 )
@@ -96,8 +95,7 @@ class TestInstanceLossValues:
     def test_single_pair_core_value_is_zero(self):
         # With self terms excluded a lone pair's denominator equals its
         # numerator, which is why instance_loss refuses n=1 batches.
-        stack = ad.lift(np.array([[3.0, 4.0], [-1.0, 2.0]]))
-        core = _ntxent_mean(stack, 0.5, exclude_self=True)
+        core = ad.ntxent([[3.0, 4.0]], [[-1.0, 2.0]], 0.5, exclude_self=True)
         assert core.value[0, 0] == 0.0
 
     def test_single_pair_rejected_under_self_exclusion(self):

@@ -343,3 +343,16 @@ class TestCheckpointHeader:
         rewrite_header(saved, broken, lambda h: h["arrays"].append(extra), bytes(8))
         with pytest.raises(FormatError, match="'encoder.2.weight' is not part of"):
             load_checkpoint(broken)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"format_version": ' + b"1" * 5000 + b"}"],
+        ids=["nested_too_deeply", "integer_over_digit_limit"],
+    )
+    def test_unparseable_header_rejected(self, saved, tmp_path, header):
+        blob = saved.read_bytes()
+        (length,) = struct.unpack_from("<Q", blob, 8)
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + length :])
+        with pytest.raises(FormatError, match="header is not valid JSON"):
+            load_checkpoint(broken)
