@@ -265,26 +265,34 @@ def ntxent(a, b, temperature: float, exclude_self: bool) -> Node:
     ut = np.ascontiguousarray(u.T)
     inv_temperature = float(1.0 / temperature)
     inv_rows = float(1.0 / (2 * n))
-    logits = (u @ ut) * inv_temperature
+    # One 2n x 2n buffer goes from logits to exp(logits - row max) in
+    # place; the positive logits are read off before the diagonal is masked.
+    e = u @ ut
+    e *= inv_temperature
     rows = np.arange(2 * n)
     positives = (rows + n) % (2 * n)
-    shifted = logits.copy()
+    positive_logits = e[rows, positives].reshape(2 * n, 1)
     if exclude_self:
-        np.fill_diagonal(shifted, -np.inf)
-    mx = shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted - mx)  # exactly 0 on an excluded diagonal
+        np.fill_diagonal(e, -np.inf)
+    mx = e.max(axis=1, keepdims=True)
+    e -= mx
+    np.exp(e, out=e)  # exactly 0 on an excluded diagonal
     s = e.sum(axis=1, keepdims=True)
-    per_row = mx + np.log(s) - logits[rows, positives].reshape(2 * n, 1)
+    per_row = mx + np.log(s) - positive_logits
 
     def vjp(g):
         # d/d logits = (softmax - one-hot positive) / 2n; then tau, U U^T, norms.
+        # Only fresh arrays are written: e, s, u and norms serve every call.
         g_row = g[0, 0] * inv_rows
-        dlogits = g_row * (e / s)
+        dlogits = e / s
+        dlogits *= g_row
         dlogits[rows, positives] -= g_row
         dlogits *= inv_temperature
         # Two products rather than (G + G^T) U: this rounds as the unfused chain did.
-        du = dlogits @ ut.T + np.ascontiguousarray((u.T @ dlogits).T)
-        dx = (du - (du * u).sum(axis=1, keepdims=True) * u) / norms
-        return dx[:n], dx[n:]
+        du = dlogits @ ut.T
+        du += (u.T @ dlogits).T
+        du -= (du * u).sum(axis=1, keepdims=True) * u
+        du /= norms
+        return du[:n], du[n:]
 
     return Node([[per_row.sum() * inv_rows]], "ntxent", (a, b), vjp)

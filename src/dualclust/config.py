@@ -157,6 +157,8 @@ class DatasetConfig:
         required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
         _check_keys(raw, {"kind", *schema}, required, path, f": not a parameter of {kind!r}")
         params = {k: _typed(schema[k], raw[k], f"{path}.{k}") for k in raw if k != "kind"}
+        if "seed" in params:
+            _require(params["seed"] >= 0, f"{path}.seed", "must be nonnegative")
         standardize = params.pop("standardize", None)
         return cls(kind=kind, params=params, standardize=standardize)
 
@@ -173,6 +175,8 @@ class ModelSection:
     def from_dict(cls, raw: dict, path: str = "model") -> "ModelSection":
         out = _parse(cls, raw, path)
         _require(len(out.encoder_widths) >= 1, f"{path}.encoder_widths", "needs one width")
+        seed = out.init_seed
+        _require(seed is None or seed >= 0, f"{path}.init_seed", "must be nonnegative")
         return out
 
     def model_config(self, input_dim: int) -> ModelConfig:
@@ -267,6 +271,8 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # Here rather than in from_dict, so that a --seed override is checked too.
+        _require(self.seed >= 0, "seed", "must be nonnegative")
         if self.ablation not in ABLATION_MODES:
             raise ConfigError(
                 f"config: ablation: unknown mode {self.ablation!r}, "

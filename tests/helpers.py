@@ -1,8 +1,10 @@
-"""Shared test utilities: central finite differences and gradient checks."""
+"""Shared test utilities: central finite differences, gradient checks and
+reference computations."""
 
 import numpy as np
 
 from dualclust import autodiff as ad
+from dualclust.losses import cosine_similarity_matrix
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -55,3 +57,18 @@ def check_gradients(build, arrays, tol=GRAD_TOL, h=FD_STEP):
 def weighted_sum(node, weights):
     """Scalar probe sum(node * weights) used to exercise full Jacobians."""
     return ad.sum_all(ad.mul(node, ad.lift(weights)))
+
+
+def reference_pair_similarity_stats(a, b):
+    """Mean positive and negative cosine similarity read off the full
+    2n x 2n cosine matrix with boolean masks: the O(n^2) definition that
+    ``losses.pair_similarity_stats`` sums in O(n d)."""
+    n = a.shape[0]
+    stacked = np.vstack([a, b])
+    sim = cosine_similarity_matrix(stacked, stacked)
+    pos_mask = np.zeros_like(sim, dtype=bool)
+    pos_mask[np.arange(2 * n), (np.arange(2 * n) + n) % (2 * n)] = True
+    neg_mask = ~pos_mask & ~np.eye(2 * n, dtype=bool)
+    pos_mean = float(sim[pos_mask].mean())
+    neg_mean = float(sim[neg_mask].mean()) if neg_mask.any() else float("nan")
+    return pos_mean, neg_mean

@@ -71,6 +71,20 @@ class TestNtxent:
         with pytest.raises(ShapeError):
             ad.ntxent(np.ones((2, 3)), np.ones((3, 3)), 0.5, exclude_self=True)
 
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_repeated_backward_is_bit_identical(self, exclude_self):
+        # The forward and the VJP work in place on their own temporaries;
+        # a VJP that wrote into the arrays it shares across calls would
+        # change the second call's gradients.
+        rng = np.random.default_rng(8)
+        a, b = ad.lift(rng.normal(size=(6, 4))), ad.lift(rng.normal(size=(6, 4)))
+        root = ad.scale(ad.ntxent(a, b, 0.3, exclude_self), 1.7)
+        ad.backward(root)
+        first = a.grad.copy(), b.grad.copy()
+        ad.backward(root)
+        np.testing.assert_array_equal(a.grad, first[0])
+        np.testing.assert_array_equal(b.grad, first[1])
+
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):

@@ -30,16 +30,20 @@ BASE_CONFIG = {
 # overrides of each run: the default `full` run, and a `cch_only` run with the
 # other branch of both loss options. A change that alters any trained value,
 # report cell or checkpoint byte changes them, so a refactor that must keep
-# runs byte-identical is checked here. The `full` digests were recorded before
-# the parameters moved into one flat buffer, the `cch_only` ones before the
-# contrastive losses moved onto one fused primitive. Training goes through
-# BLAS matmuls and libm exp/log, so a platform that rounds differently in the
-# last bit gives other digests.
+# runs byte-identical is checked here. The `full` checkpoint digest was
+# recorded before the parameters moved into one flat buffer, the `cch_only`
+# one before the contrastive losses moved onto one fused primitive. Both
+# report.csv digests were re-recorded when the similarity columns
+# (pos_sim_*, neg_sim_*) moved from the 2n x 2n cosine matrix to O(n d)
+# sums: those cells moved by at most 2.2e-16, every other cell and both
+# checkpoints kept their bytes. Training goes through BLAS matmuls and libm
+# exp/log, so a platform that rounds differently in the last bit gives
+# other digests.
 PINNED_RUNS = [
     (
         {},
         {
-            "report.csv": "ec9a33ca0c67cf9f722d8d911cfa84a32e29d33a55b2c9eed686b20288b9db38",
+            "report.csv": "2441f0f781ab1a9a3884b6b6e6acd17abbe38123829922bd7f49b8a203c631ac",
             "checkpoint.bin": "be72ea0a06e0038635db3631fb3a72f6d415622cb02c49e2224b0e57f124c54f",
         },
     ),
@@ -49,7 +53,7 @@ PINNED_RUNS = [
             "losses": {"exclude_self_similarity": False, "literal_entropy_sign": True},
         },
         {
-            "report.csv": "c8ac9e7ba0aa541236b81dfc0477c173abdd83263d36bbd73284ef6ee018e4f0",
+            "report.csv": "02eeea70bb17c3d5b9c1982c3ed40451f4e596c8a3e5b3520e821e835221c51c",
             "checkpoint.bin": "873b0ffd8cee88aacf8d8801518c7583d244e37c516c24ad4e519ddbcfc4a178",
         },
     ),
@@ -169,6 +173,27 @@ class TestRun:
     def test_unknown_config_key_fails_with_path(self, tmp_path, config_path, capsys):
         assert main(["run", "--config", config_path(out_dir=tmp_path, extra=1)]) == 1
         assert "extra" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ({"seed": -1}, "seed"),
+            ({"model": {**BASE_CONFIG["model"], "init_seed": -3}}, "model.init_seed"),
+            ({"dataset": {**BASE_CONFIG["dataset"], "seed": -2}}, "dataset.seed"),
+            ({"dataset": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": -5}}, "dataset.seed"),
+        ],
+        ids=["seed", "init_seed", "blobs_seed", "moons_seed"],
+    )
+    def test_negative_seed_fails_with_path(self, tmp_path, capsys, section, path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIG, **section, "out_dir": str(tmp_path / "run")}))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error [ConfigError]: config: {path}: must be nonnegative\n"
+
+    def test_negative_seed_override_fails(self, tmp_path, config_path, capsys):
+        assert main(["run", "--config", config_path(out_dir=tmp_path / "run"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error [ConfigError]: config: seed: must be nonnegative\n"
+        assert not (tmp_path / "run" / "metrics.json").exists()
 
     def test_ich_only_uses_kmeans_pathway(self, tmp_path, config_path):
         out = tmp_path / "run"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualclust.errors import ConfigError, ContractError
-from dualclust.kmeans import _lloyd, kmeans
+from dualclust.kmeans import _lloyd, _plus_plus_init, kmeans
 
 
 def blob_data(seed=0):
@@ -13,6 +13,47 @@ def blob_data(seed=0):
     points = np.concatenate([c + 0.3 * rng.normal(size=(40, 2)) for c in centers])
     truth = np.repeat([0, 1, 2], 40)
     return points, truth
+
+
+def serial_kmeans(x, k, seed, n_restarts):
+    """The restarts one after another, keeping the lowest inertia and the
+    earliest restart among equals; also returns every restart's result."""
+    results = []
+    for restart in range(n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, restart)))
+        results.append(_lloyd(x, _plus_plus_init(x, k, rng), max_iter=300))
+    best = results[0]
+    for result in results[1:]:
+        if result[2] < best[2]:
+            best = result
+    return best, results
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestParallelRestarts:
+    """Restarts run on a thread pool; the result must be the serial loop's, bit for bit."""
+
+    @pytest.mark.parametrize("n_restarts", [1, 3, 10])
+    def test_matches_serial_loop(self, n_restarts):
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(300, 8))
+        want, _ = serial_kmeans(points, 7, 5, n_restarts)
+        assert_same_bits(kmeans(points, 7, seed=5, n_restarts=n_restarts), want)
+
+    def test_tie_goes_to_first_restart(self):
+        # One cluster per point: every restart reaches inertia 0 with its
+        # own numbering of the clusters, so only the tie rule picks one.
+        points = np.random.default_rng(2).normal(size=(8, 3))
+        want, results = serial_kmeans(points, 8, 0, 10)
+        assert all(result[2] == 0.0 for result in results)
+        assert any(not np.array_equal(r[0], results[0][0]) for r in results[1:])
+        assert want is results[0]
+        assert_same_bits(kmeans(points, 8, seed=0, n_restarts=10), want)
 
 
 class TestKmeans:

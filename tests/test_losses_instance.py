@@ -11,9 +11,10 @@ from dualclust.losses import (
     InstanceLossConfig,
     cosine_similarity_matrix,
     instance_loss,
+    pair_similarity_stats,
 )
 
-from helpers import check_gradients
+from helpers import check_gradients, reference_pair_similarity_stats
 
 
 def naive_cosine(u, v):
@@ -43,6 +44,53 @@ def naive_pairwise_loss(rows, tau, exclude_self):
 def naive_instance_loss(z_a, z_b, tau, exclude_self=True):
     rows = [list(r) for r in z_a] + [list(r) for r in z_b]
     return naive_pairwise_loss(rows, tau, exclude_self)
+
+
+class TestPairSimilarityStats:
+    """The O(n d) sums against the masked 2n x 2n matrix they replace."""
+
+    @staticmethod
+    def assert_matches_reference(a, b):
+        got = pair_similarity_stats(a, b)
+        want = reference_pair_similarity_stats(a, b)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True)
+        return got
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_shapes(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = rng.integers(2, 40), rng.integers(1, 20)
+        scale = rng.choice([1e-3, 1.0, 1e3])
+        a = scale * rng.normal(size=(n, d))
+        b = a + rng.uniform(0.0, 2.0) * scale * rng.normal(size=(n, d))
+        self.assert_matches_reference(a, b)
+
+    def test_single_pair_has_no_negatives(self):
+        pos, neg = self.assert_matches_reference(np.array([[1.0, 2.0]]), np.array([[2.0, 1.0]]))
+        assert pos == pytest.approx(0.8, abs=1e-15)
+        assert math.isnan(neg)
+
+    def test_identical_views_give_unit_positives(self):
+        a = np.random.default_rng(3).normal(size=(9, 4))
+        pos, _ = self.assert_matches_reference(a, a.copy())
+        assert pos == pytest.approx(1.0, abs=1e-15)
+
+    def test_collapsed_rows_give_unit_means(self):
+        row = np.array([0.3, -1.7, 2.2])
+        a = np.tile(row, (16, 1))
+        pos, neg = self.assert_matches_reference(a, 5.0 * a)
+        assert pos == pytest.approx(1.0, abs=1e-15) and pos <= 1.0
+        assert neg == pytest.approx(1.0, abs=1e-15) and neg <= 1.0
+
+    def test_zero_row_reports_index(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[3.0, 4.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateInputError, match="row 3 has zero norm"):
+            pair_similarity_stats(a, b)
+
+    def test_view_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            pair_similarity_stats(np.ones((2, 3)), np.ones((3, 3)))
 
 
 class TestCosineSimilarityMatrix:
