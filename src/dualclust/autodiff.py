@@ -4,12 +4,17 @@ The engine is deliberately small: a fixed set of primitives, each with a
 hand-written vector-Jacobian product, sufficient to express the encoder,
 the two projection heads, and both contrastive losses, which share the
 fused NT-Xent primitive ``ntxent``. There is no general broadcasting
-(the single exception is row-wise bias addition) and no higher-order
-machinery. Every primitive is finite-difference tested.
+(the single exception is the bias row that ``linear`` adds to every row)
+and no higher-order machinery. Every primitive is finite-difference
+tested.
 
 Matrices are plain 2-D float64 numpy arrays throughout; ``as_matrix``
-is the boundary check. Values are treated as immutable once wrapped in
-a :class:`Node`; a graph belongs to one training step on one thread.
+is the boundary check. A primitive lifts a plain-array argument to a
+leaf, except ``linear``, which takes a plain-array input as a constant
+and forms no gradient for it. Values are treated as immutable once
+wrapped in a :class:`Node`, and so are gradient slots: ``backward``
+keeps a node's first gradient contribution as is, so one array may
+fill several slots. A graph belongs to one training step on one thread.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "add_row_vector",
+    "linear",
     "relu",
     "softmax_rows",
     "log",
@@ -56,10 +61,10 @@ class Node:
     """One vertex of the gradient tape.
 
     Holds a value, a gradient slot, and provenance (primitive name plus
-    parent references). The slot is ``None`` until ``backward`` zero-fills
-    it for every node reachable from its root, then accumulates into it
-    by summation when a node is consumed more than once. Leaves have no
-    parents.
+    parent references). ``backward`` fills the slot of every node
+    reachable from its root, summing when a node is consumed more than
+    once. The slot is read-only: it may share storage with other slots.
+    Leaves have no parents.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_vjp")
@@ -112,22 +117,24 @@ def _toposort(root: Node) -> list[Node]:
 def backward(root: Node) -> None:
     """Reverse-mode sweep from a scalar root.
 
-    Zeroes the gradient slots of every node reachable from ``root``,
-    seeds the root with 1, and accumulates exact vector-Jacobian
-    products into each parent. Multiple uses of a node sum.
+    Clears the gradient slots of every node reachable from ``root``,
+    seeds the root with 1, and passes exact vector-Jacobian products to
+    each parent. A parent keeps its first contribution as is; each later
+    one is summed into a new array, so no slot is ever written in place
+    and arrays that an earlier sweep returned stay unchanged.
     """
     if root.shape != (1, 1):
         raise ContractError(f"backward requires a 1x1 scalar root, got shape {root.shape}")
     order = _toposort(root)
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     root.grad = np.ones((1, 1))
     for node in reversed(order):
         if node._vjp is None:
             continue
         contributions = node._vjp(node.grad)
         for parent, contrib in zip(node.parents, contributions):
-            parent.grad += contrib
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +173,29 @@ def mul(a, b) -> Node:
     return Node(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
 
 
-def add_row_vector(m, v) -> Node:
-    """Add a 1 x d bias row to every row of an n x d matrix.
+def linear(x, w, b) -> Node:
+    """Affine layer ``x @ w`` plus the 1 x d bias row ``b`` on every row.
 
-    The only broadcast the engine supports.
+    Gradients: dX = G @ W^T, dW = X^T @ G, db = column sums of G. A
+    plain-array ``x`` is a constant: the node's parents are then
+    ``(w, b)`` and G @ W^T is never formed.
     """
-    m, v = lift(m), lift(v)
-    if v.shape != (1, m.shape[1]):
-        raise ShapeError(
-            f"add_row_vector: bias shape {v.shape} does not match matrix {m.shape}"
-        )
+    w, b = lift(w), lift(b)
+    inputs = (x,) if isinstance(x, Node) else ()
+    xv = x.value if inputs else as_matrix(x)
+    wv = w.value
+    if xv.shape[1] != wv.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {xv.shape} x {wv.shape}")
+    if b.shape != (1, wv.shape[1]):
+        raise ShapeError(f"linear: bias shape {b.shape} does not match weight {wv.shape}")
+    out = xv @ wv
+    out += b.value
 
     def vjp(g):
-        return g, g.sum(axis=0, keepdims=True)
+        param_grads = (xv.T @ g, g.sum(axis=0, keepdims=True))
+        return (g @ wv.T, *param_grads) if inputs else param_grads
 
-    return Node(m.value + v.value, "add_row_vector", (m, v), vjp)
+    return Node(out, "linear", (*inputs, w, b), vjp)
 
 
 def relu(m) -> Node:

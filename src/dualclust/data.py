@@ -299,7 +299,7 @@ def load_csv(path, label_column=None) -> Dataset:
     header = None
     if any(not _is_number(cell) for cell in rows[0]):
         header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
+        header_row, rows = rows[0], rows[1:]
         if not rows:
             raise FormatError(f"{path}: header but no data rows")
     width = len(rows[0])
@@ -308,6 +308,11 @@ def load_csv(path, label_column=None) -> Dataset:
             raise FormatError(
                 f"{path}: line {_line_of(records, row)}: expected {width} columns, got {len(row)}"
             )
+    if header is not None and len(header) != width:
+        raise FormatError(
+            f"{path}: line {_line_of(records, header_row)}: header has {len(header)} "
+            f"columns, data rows have {width}"
+        )
     matrix = _parse_table(records, rows, path)
     labels = None
     if label_column is not None:

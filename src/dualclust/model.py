@@ -145,7 +145,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     return params
 
 
-def _layers(nodes: dict, group: str, x: ad.Node) -> ad.Node:
+def _layers(nodes: dict, group: str, x) -> ad.Node:
     """Apply the linear layers ``group.0``, ``group.1``, ... in turn,
     with ReLU between consecutive layers."""
     i = 0
@@ -153,15 +153,16 @@ def _layers(nodes: dict, group: str, x: ad.Node) -> ad.Node:
         if i:
             x = ad.relu(x)
         weight, bias = nodes[f"{group}.{i}.weight"], nodes[f"{group}.{i}.bias"]
-        x = ad.add_row_vector(ad.matmul(x, weight), bias)
+        x = ad.linear(x, weight, bias)
         i += 1
     return x
 
 
-def forward_graph(nodes: dict, batch: ad.Node):
+def forward_graph(nodes: dict, batch):
     """Differentiable forward pass over ``ModelParams.nodes``: (features
     H, projections Z, soft assignments Y). Z is left un-normalized; the
-    loss normalizes. Y rows are strictly positive and sum to 1."""
+    loss normalizes. Y rows are strictly positive and sum to 1. A batch
+    passed as a node gets a gradient; a plain array is a constant."""
     h = _layers(nodes, "encoder", batch)
     z = _layers(nodes, "instance_head", h)
     y = ad.softmax_rows(_layers(nodes, "cluster_head", h))
@@ -181,7 +182,7 @@ def forward(params: ModelParams, batch):
     """Non-differentiable forward: plain arrays (H, Z, Y). Row-separable:
     each output row depends only on its own input row."""
     x = _check_batch(params.config, batch)
-    h, z, y = forward_graph(params.nodes(), ad.lift(x))
+    h, z, y = forward_graph(params.nodes(), x)
     return h.value, z.value, y.value
 
 

@@ -68,6 +68,8 @@ class OptimizerState:
     """Adam accumulators over ``ModelParams.flat``.
 
     Bias-corrected first/second moments, no weight decay, no schedule.
+    ``grad`` and ``scratch`` are ``adam_step``'s work buffers, laid out
+    like ``flat``: the concatenated gradient and every intermediate.
     """
 
     learning_rate: float = 0.0003
@@ -77,6 +79,8 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grad: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
 
     @classmethod
     def for_params(
@@ -95,6 +99,8 @@ class OptimizerState:
             step=0,
             m=np.zeros_like(params.flat),
             v=np.zeros_like(params.flat),
+            grad=np.empty_like(params.flat),
+            scratch=np.empty_like(params.flat),
         )
 
 
@@ -102,8 +108,11 @@ def adam_step(params: ModelParams, gradients: list, state: OptimizerState) -> No
     """One Adam update, in place on ``params.flat``.
 
     ``gradients`` holds one array per parameter, in ``params.arrays``
-    order. A zero gradient leaves its parameter bit-identical: both
-    moments stay zero and the update is exactly 0 / (0 + epsilon).
+    order; they are only read. A zero gradient leaves its parameter
+    bit-identical: both moments stay zero and the update is exactly
+    0 / (0 + epsilon). A gradient that is not finite, or whose square
+    overflows the second moment, raises ``DegenerateInputError`` naming
+    its parameter before anything is written.
     """
     shapes = [view.shape for view in params.arrays.values()]
     if len(gradients) != len(shapes):
@@ -115,21 +124,43 @@ def adam_step(params: ModelParams, gradients: list, state: OptimizerState) -> No
             raise ContractError(
                 f"optimizer: gradient {i} has shape {grad.shape}, parameter has {shape}"
             )
-    grad = np.concatenate(gradients, axis=None)
+    grad, scratch = state.grad, state.scratch
+    np.concatenate(gradients, axis=None, out=grad)
+    with np.errstate(over="ignore"):
+        np.multiply(grad, 1.0 - state.beta2, out=scratch)
+        scratch *= grad
+    if not np.isfinite(scratch).all():
+        _raise_non_finite(params, grad, scratch)
     state.step += 1
     t = state.step
     correction1 = 1.0 - state.beta1**t
     correction2 = 1.0 - state.beta2**t
     m, v = state.m, state.v
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    grad *= 1.0 - state.beta1
+    m += grad
     v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
+    v += scratch
     # Epsilon sits outside the square root: at step 1 with constant
     # gradient g the update is exactly -lr * g / (|g| + eps).
-    params.flat -= state.learning_rate * (m / correction1) / (
-        np.sqrt(v / correction2) + state.epsilon
-    )
+    np.divide(v, correction2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    np.divide(m, correction1, out=grad)
+    grad *= state.learning_rate
+    grad /= scratch
+    params.flat -= grad
+
+
+def _raise_non_finite(params: ModelParams, grad, square) -> None:
+    """Name the parameter of the first entry whose scaled square is not finite."""
+    index = int(np.flatnonzero(~np.isfinite(square))[0])
+    reason = "overflows Adam's second moment" if np.isfinite(grad[index]) else "is not finite"
+    for name, view in params.arrays.items():
+        if index < view.size:
+            break
+        index -= view.size
+    raise DegenerateInputError(f"gradient of {name} {reason}")
 
 
 def _loss_terms(
@@ -215,17 +246,6 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _require_finite(terms, gradients) -> None:
-    """Stop a step whose loss or gradients are not finite before Adam
-    writes them into the parameters."""
-    for name, node in terms:
-        if node is not None and not np.isfinite(node.value).all():
-            raise DegenerateInputError(f"loss term {name} is not finite")
-    for name, grad in gradients:
-        if not np.isfinite(grad).all():
-            raise DegenerateInputError(f"gradient of {name} is not finite")
-
-
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence((SHUFFLE_STREAM_TAG, seed, epoch)))
     return rng.permutation(n)
@@ -292,30 +312,31 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 views_a.append(xa)
                 views_b.append(xb)
             try:
-                _, z_a, y_a = forward_graph(param_nodes, ad.lift(np.stack(views_a)))
-                _, z_b, y_b = forward_graph(param_nodes, ad.lift(np.stack(views_b)))
+                _, z_a, y_a = forward_graph(param_nodes, np.stack(views_a))
+                _, z_b, y_b = forward_graph(param_nodes, np.stack(views_b))
                 term_ins, term_clu, total = _loss_terms(
                     z_a, z_b, y_a, y_b, instance_config, cluster_config,
                     include_instance, include_cluster,
                 )
-                # Pre-zero every parameter gradient: a head outside the
-                # active objective is unreachable from the root and
-                # would otherwise keep a stale gradient.
-                for node in param_nodes.values():
-                    node.grad = np.zeros_like(node.value)
+                # A non-finite loss stops the step here; adam_step checks
+                # the gradients before it writes anything.
+                for name, term in (("l_ins", term_ins), ("l_clu", term_clu), ("l_total", total)):
+                    if term is not None and not np.isfinite(term.value).all():
+                        raise DegenerateInputError(f"loss term {name} is not finite")
                 ad.backward(total)
-                gradients = [node.grad for node in param_nodes.values()]
-                _require_finite(
-                    (("l_ins", term_ins), ("l_clu", term_clu), ("l_total", total)),
-                    zip(param_nodes, gradients),
-                )
+                # A head outside the active objective is unreachable from
+                # the root: its slots stay empty and its gradient is zero.
+                gradients = [
+                    np.zeros_like(node.value) if node.grad is None else node.grad
+                    for node in param_nodes.values()
+                ]
                 pos_i, neg_i = pair_similarity_stats(z_a.value, z_b.value)
                 pos_c, neg_c = pair_similarity_stats(y_a.value.T, y_b.value.T)
+                adam_step(params, gradients, state)
             except DegenerateInputError as exc:
                 raise DegenerateInputError(
                     f"epoch {epoch}, batch {batch_count}: {exc}"
                 ) from exc
-            adam_step(params, gradients, state)
             # A loss node keeps its step's whole tape alive: hold it only in
             # names that the next step rebinds before its backward pass.
             losses = [float(t.value[0, 0]) if t else 0.0 for t in (term_ins, term_clu, total)]

@@ -72,3 +72,16 @@ def reference_pair_similarity_stats(a, b):
     pos_mean = float(sim[pos_mask].mean())
     neg_mean = float(sim[neg_mask].mean()) if neg_mask.any() else float("nan")
     return pos_mean, neg_mean
+
+
+def reference_adam_step(flat, m, v, gradients, step, lr, beta1, beta2, epsilon):
+    """The allocating Adam expression that ``trainer.adam_step`` computes in
+    place, step ``step`` >= 1; updates ``flat``, ``m`` and ``v`` in place."""
+    grad = np.concatenate(gradients, axis=None)
+    correction1 = 1.0 - beta1**step
+    correction2 = 1.0 - beta2**step
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    flat -= lr * (m / correction1) / (np.sqrt(v / correction2) + epsilon)

@@ -86,6 +86,33 @@ class TestNtxent:
         np.testing.assert_array_equal(b.grad, first[1])
 
 
+class TestLinear:
+    def test_value_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(12)
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(1, 4))
+        np.testing.assert_array_equal(ad.linear(x, w, b).value, x @ w + b)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="inner dimensions"):
+            ad.linear(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
+        with pytest.raises(ShapeError, match="bias"):
+            ad.linear(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_constant_input_forms_parameter_gradients_only(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        probe = rng.normal(size=(6, 3))
+        lifted = [ad.lift(v) for v in (x, w, b)]
+        ad.backward(weighted_sum(ad.relu(ad.linear(*lifted)), probe))
+        w_node, b_node = ad.lift(w), ad.lift(b)
+        out = ad.linear(x, w_node, b_node)
+        assert out.parents == (w_node, b_node)
+        ad.backward(weighted_sum(ad.relu(out), probe))
+        np.testing.assert_array_equal(w_node.grad, lifted[1].grad)
+        np.testing.assert_array_equal(b_node.grad, lifted[2].grad)
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
         out = ad.softmax_rows([[0.0, 0.0, 0.0]]).value
@@ -141,6 +168,37 @@ class TestBackwardContracts:
 
         check_gradients(build, [x])
 
+    def test_node_added_to_itself(self):
+        leaf = ad.lift(np.arange(4.0).reshape(2, 2))
+        ad.backward(ad.sum_all(ad.add(leaf, leaf)))
+        np.testing.assert_array_equal(leaf.grad, np.full((2, 2), 2.0))
+
+    def test_shared_slot_is_not_written_through(self):
+        # add's VJP hands one array to both parents, so their slots share
+        # it; a's second use (through mul, swept after add) must sum into a
+        # new array, leaving b's intact.
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        a, b = ad.lift(x), ad.lift(y)
+        root = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.add(a, b)))
+        ad.backward(root)
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_allclose(a.grad, 1.0 + 2.0 * x, atol=1e-12)
+
+    def test_second_backward_leaves_first_results_untouched(self):
+        rng = np.random.default_rng(10)
+        x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
+        nodes = [ad.lift(v) for v in (x, w, b)]
+        h = ad.linear(*nodes)
+        root = ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(h))
+        ad.backward(root)
+        first = [node.grad for node in nodes]
+        copies = [g.copy() for g in first]
+        ad.backward(root)
+        for node, g, copy in zip(nodes, first, copies):
+            np.testing.assert_array_equal(g, copy)
+            np.testing.assert_array_equal(node.grad, copy)
+
     def test_repeated_backward_resets_gradients(self):
         leaf = ad.lift(np.ones((2, 2)))
         root = ad.sum_all(leaf)
@@ -166,11 +224,11 @@ class TestPrimitiveGradients:
         check_gradients(lambda x, y: weighted_sum(ad.add(x, y), w), [a, b])
         check_gradients(lambda x, y: weighted_sum(ad.mul(x, y), w), [a, b])
 
-    def test_add_row_vector(self, seed):
+    def test_linear(self, seed):
         rng = np.random.default_rng(seed)
-        m, v = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
-        w = rng.normal(size=(4, 3))
-        check_gradients(lambda x, y: weighted_sum(ad.add_row_vector(x, y), w), [m, v])
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+        probe = rng.normal(size=(4, 2))
+        check_gradients(lambda *nodes: weighted_sum(ad.linear(*nodes), probe), [x, w, b])
 
     def test_relu(self, seed):
         rng = np.random.default_rng(seed)

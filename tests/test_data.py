@@ -246,6 +246,18 @@ class TestCsv:
         ds = load_csv(path, label_column="target")
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
+    @pytest.mark.parametrize(
+        "text, header_width, width",
+        [("x,y,label\n1,2\n3,4\n", 3, 2), ("x,label\n1,2,7\n3,4,7\n", 2, 3)],
+        ids=["header_wider", "header_narrower"],
+    )
+    def test_header_width_must_match_rows(self, tmp_path, text, header_width, width):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        message = rf"data.csv: line 1: header has {header_width} columns, data rows have {width}"
+        with pytest.raises(FormatError, match=message):
+            load_csv(path, label_column="label")
+
     def test_non_integral_label_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,0.5\n2,1.0\n")

@@ -28,6 +28,8 @@ from dualclust.trainer import (
     train,
 )
 
+from helpers import reference_adam_step
+
 TINY_MODEL = ModelConfig(
     input_dim=4, encoder_widths=(8,), cluster_count=3, instance_dim=6, init_seed=0
 )
@@ -122,6 +124,47 @@ class TestAdamStep:
             results.append(param_snapshot(params))
         for (name, a), (_, b) in zip(results[0], results[1]):
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_fifty_steps_match_reference_bit_for_bit(self):
+        # Random gradients with exact zeros (whole arrays and single
+        # entries) and both signs of zero; the in-place step must give the
+        # allocating expression's parameters and moments exactly.
+        params = init_params(TINY_MODEL)
+        state = OptimizerState.for_params(params, learning_rate=0.01)
+        flat, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
+        rng = np.random.default_rng(21)
+        for step in range(1, 51):
+            grads = []
+            for i, array in enumerate(params.arrays.values()):
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=array.shape)
+                g[rng.random(array.shape) < 0.3] = 0.0
+                g[rng.random(array.shape) < 0.1] = -0.0
+                grads.append(np.zeros(array.shape) if (i + step) % 5 == 0 else g)
+            copies = [g.copy() for g in grads]
+            adam_step(params, grads, state)
+            reference_adam_step(flat, m, v, copies, step, 0.01, 0.9, 0.999, 1e-8)
+            for g, copy in zip(grads, copies):
+                np.testing.assert_array_equal(g, copy)
+            assert state.step == step
+            np.testing.assert_array_equal(params.flat, flat)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            for buffer in (state.grad, state.scratch):
+                for other in (params.flat, state.m, state.v, *grads):
+                    assert not np.shares_memory(buffer, other)
+            assert not np.shares_memory(state.grad, state.scratch)
+
+    def test_overflowing_square_stops_step_before_any_write(self):
+        params = init_params(TINY_MODEL)
+        state = OptimizerState.for_params(params)
+        grads = [np.zeros_like(a) for a in params.arrays.values()]
+        grads[3][0, 1] = 1e160  # finite, but (1 - beta2) g^2 is not
+        before, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
+        with pytest.raises(DegenerateInputError, match=r"gradient of instance_head\.0\.bias overflows"):
+            adam_step(params, grads, state)
+        assert state.step == 0
+        for array, ref in ((params.flat, before), (state.m, m), (state.v, v)):
+            np.testing.assert_array_equal(array, ref)
 
     def test_gradient_count_mismatch_rejected(self):
         params = init_params(TINY_MODEL)
@@ -271,11 +314,22 @@ class TestTrain:
                 train(config, build_dataset(config.dataset))
 
     def test_non_finite_gradient_named(self):
-        from dualclust.trainer import _require_finite
-
-        gradients = [("encoder.0.weight", np.zeros((2, 2))), ("encoder.0.bias", np.full((1, 2), np.nan))]
+        params = init_params(TINY_MODEL)
+        state = OptimizerState.for_params(params)
+        grads = [np.zeros_like(a) for a in params.arrays.values()]
+        grads[1][0, 2] = np.nan
         with pytest.raises(DegenerateInputError, match="gradient of encoder.0.bias is not finite"):
-            _require_finite([("l_total", ad.lift(np.zeros((1, 1))))], gradients)
+            adam_step(params, grads, state)
+
+    def test_second_moment_overflow_stopped_with_location(self):
+        # tau = 1e-300 keeps every loss finite, but the gradients' squares
+        # overflow the second moment, which would freeze their parameters.
+        config = small_config(losses={"instance_temperature": 1e-300})
+        with pytest.raises(
+            DegenerateInputError,
+            match="epoch 0, batch 0: gradient of encoder.0.weight overflows Adam's second moment",
+        ):
+            train(config, build_dataset(config.dataset))
 
     def test_blobs_reach_high_accuracy(self):
         # Well-separated blobs should be solved on most seeds.
