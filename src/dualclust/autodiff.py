@@ -3,10 +3,10 @@
 The engine is deliberately small: a fixed set of primitives, each with a
 hand-written vector-Jacobian product, sufficient to express the encoder,
 the two projection heads, and both contrastive losses, which share the
-fused NT-Xent primitive ``ntxent``. There is no general broadcasting
-(the single exception is the bias row that ``linear`` adds to every row)
-and no higher-order machinery. Every primitive is finite-difference
-tested.
+fused NT-Xent primitive ``ntxent``; the fused ``mass_entropy`` is the
+cluster loss's entropy term. There is no general broadcasting (the
+single exception is the bias row that ``linear`` adds to every row) and
+no higher-order machinery. Every primitive is finite-difference tested.
 
 Matrices are plain 2-D float64 numpy arrays throughout; ``as_matrix``
 is the boundary check. A primitive lifts a plain-array argument to a
@@ -31,18 +31,14 @@ __all__ = [
     "as_matrix",
     "lift",
     "backward",
-    "matmul",
     "add",
-    "mul",
     "linear",
     "relu",
     "softmax_rows",
-    "log",
-    "clip_min",
     "scale",
     "transpose",
-    "sum_all",
     "ntxent",
+    "mass_entropy",
 ]
 
 # Type alias for readability: a 2-D float64 ndarray in row-major order.
@@ -141,19 +137,6 @@ def backward(root: Node) -> None:
 # Primitives
 
 
-def matmul(a, b) -> Node:
-    """Matrix product. Gradients: dA = G @ B^T, dB = A^T @ G."""
-    a, b = lift(a), lift(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    av, bv = a.value, b.value
-
-    def vjp(g):
-        return g @ bv.T, av.T @ g
-
-    return Node(av @ bv, "matmul", (a, b), vjp)
-
-
 def _require_same_shape(op: str, a: Node, b: Node) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
@@ -163,14 +146,6 @@ def add(a, b) -> Node:
     a, b = lift(a), lift(b)
     _require_same_shape("add", a, b)
     return Node(a.value + b.value, "add", (a, b), lambda g: (g, g))
-
-
-def mul(a, b) -> Node:
-    """Elementwise (Hadamard) product."""
-    a, b = lift(a), lift(b)
-    _require_same_shape("mul", a, b)
-    av, bv = a.value, b.value
-    return Node(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
 
 
 def linear(x, w, b) -> Node:
@@ -217,23 +192,6 @@ def softmax_rows(m) -> Node:
     return Node(y, "softmax_rows", (m,), vjp)
 
 
-def log(m) -> Node:
-    """Elementwise natural log; requires strictly positive entries."""
-    m = lift(m)
-    mv = m.value
-    if not (mv > 0.0).all():
-        raise DegenerateInputError("log: input has nonpositive entries")
-    return Node(np.log(mv), "log", (m,), lambda g: (g / mv,))
-
-
-def clip_min(m, floor: float) -> Node:
-    """Elementwise max(x, floor). Gradient passes through where x > floor."""
-    m = lift(m)
-    mv = m.value
-    floor = float(floor)
-    return Node(np.maximum(mv, floor), "clip_min", (m,), lambda g: (g * (mv > floor),))
-
-
 def scale(m, c: float) -> Node:
     """Multiply every entry by the constant ``c``."""
     m = lift(m)
@@ -244,17 +202,6 @@ def scale(m, c: float) -> Node:
 def transpose(m) -> Node:
     m = lift(m)
     return Node(m.value.T, "transpose", (m,), lambda g: (np.ascontiguousarray(g.T),))
-
-
-def sum_all(m) -> Node:
-    """Sum of all entries as a 1 x 1 matrix."""
-    m = lift(m)
-    return Node(
-        [[m.value.sum()]],
-        "sum_all",
-        (m,),
-        lambda g: (np.full_like(m.value, g[0, 0]),),
-    )
 
 
 def ntxent(a, b, temperature: float, exclude_self: bool) -> Node:
@@ -311,3 +258,37 @@ def ntxent(a, b, temperature: float, exclude_self: bool) -> Node:
         return du[:n], du[n:]
 
     return Node([[per_row.sum() * inv_rows]], "ntxent", (a, b), vjp)
+
+
+def mass_entropy(y, floor: float) -> Node:
+    """Entropy -sum_j p_j log max(p_j, floor) of the column masses
+    p = (1^T Y) / n of an n-row matrix, as a 1 x 1 node.
+
+    The floor defines 0 log 0 = 0 with a bounded gradient. Column sums
+    come before the division, so integer-valued sums stay exact and
+    concentrated masses give entropy exactly 0. A mass that is not
+    finite is reported by column.
+    """
+    y = lift(y)
+    n = y.shape[0]
+    if n < 1:
+        raise DegenerateInputError("mass_entropy: need at least one row")
+    floor = float(floor)
+    inv_n = float(1.0 / n)
+    p = np.ones((1, n)) @ y.value
+    p *= inv_n
+    bad = np.flatnonzero(~np.isfinite(p[0]))
+    if bad.size:
+        raise DegenerateInputError(f"mass_entropy: column {int(bad[0])} has non-finite mass")
+    clipped = np.maximum(p, floor)
+    logp = np.log(clipped)
+
+    def vjp(g):
+        # (gs p) / clipped is kept as written: it rounds as the unfused chain did.
+        gs = -g
+        dp = gs * logp
+        dp += (gs * p) / clipped * (p > floor)
+        dp *= inv_n
+        return (np.ones((n, 1)) @ dp,)
+
+    return Node([[(p * logp).sum() * -1.0]], "mass_entropy", (y,), vjp)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import as_matrix
-from .errors import ConfigError, ContractError, FormatError, GenerationError
+from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
 
 __all__ = [
     "VectorGeometry",
@@ -394,9 +394,18 @@ def write_label_csv(path, labels) -> None:
 
 def standardize(matrix):
     """Per-dimension zero mean, unit variance. Returns (standardized,
-    mean, std); constant columns are centered but left unscaled."""
+    mean, std); constant columns are centered but left unscaled. A
+    column whose values are finite but too large to standardize in
+    float64 is reported by index."""
     matrix = as_matrix(matrix)
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (matrix - mean) / std, mean, std
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        std = matrix.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        out = (matrix - mean) / std
+    bad = np.flatnonzero(~(np.isfinite(out).all(axis=0) & np.isfinite(std)))
+    if bad.size:
+        raise DegenerateInputError(
+            f"standardize: column {int(bad[0])} overflows float64 when standardized"
+        )
+    return out, mean, std

@@ -6,8 +6,9 @@ stacked, cosine similarities are divided by a temperature, and each
 row's positive partner is the matching row of the other view. The
 instance loss contrasts the 2N projected samples; the cluster loss
 contrasts the 2M soft-label columns and subtracts an assignment-entropy
-term that pushes cluster masses toward uniform to prevent the
-all-in-one-cluster collapse.
+term, one fused ``autodiff.mass_entropy`` node per view, that pushes
+cluster masses toward uniform to prevent the all-in-one-cluster
+collapse.
 
 Sign conventions, both configurable:
 
@@ -130,7 +131,8 @@ def instance_loss(z_a, z_b, config: InstanceLossConfig = InstanceLossConfig()) -
 
 def _check_row_stochastic(name: str, y: ad.Node) -> None:
     sums = y.value.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    # Negated so that a NaN sum, which compares false, is flagged too.
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
     if bad.size:
         raise ContractError(
             f"{name}: row {int(bad[0])} sums to {sums[bad[0]]:.12g}, expected 1"
@@ -149,16 +151,9 @@ def assignment_entropy(y_a, y_b) -> ad.Node:
         raise ShapeError(f"assignment_entropy: view shapes differ, {y_a.shape} vs {y_b.shape}")
     _check_row_stochastic("assignment_entropy (first view)", y_a)
     _check_row_stochastic("assignment_entropy (second view)", y_b)
-    n = y_a.shape[0]
-    ones_row = np.ones((1, n))
-
-    def neg_entropy(y):
-        # Sum columns first, then divide: keeps integer-valued column sums
-        # exact so concentrated masses give entropy exactly 0.
-        p = ad.scale(ad.matmul(ones_row, y), 1.0 / n)  # 1 x M column masses
-        return ad.sum_all(ad.mul(p, ad.log(ad.clip_min(p, ENTROPY_LOG_FLOOR))))
-
-    return ad.scale(ad.add(neg_entropy(y_a), neg_entropy(y_b)), -1.0)
+    return ad.add(
+        ad.mass_entropy(y_a, ENTROPY_LOG_FLOOR), ad.mass_entropy(y_b, ENTROPY_LOG_FLOOR)
+    )
 
 
 def cluster_loss(y_a, y_b, config: ClusterLossConfig = ClusterLossConfig()) -> ad.Node:

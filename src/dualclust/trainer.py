@@ -333,10 +333,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 pos_i, neg_i = pair_similarity_stats(z_a.value, z_b.value)
                 pos_c, neg_c = pair_similarity_stats(y_a.value.T, y_b.value.T)
                 adam_step(params, gradients, state)
-            except DegenerateInputError as exc:
-                raise DegenerateInputError(
-                    f"epoch {epoch}, batch {batch_count}: {exc}"
-                ) from exc
+            except (ContractError, DegenerateInputError) as exc:
+                raise type(exc)(f"epoch {epoch}, batch {batch_count}: {exc}") from exc
             # A loss node keeps its step's whole tape alive: hold it only in
             # names that the next step rebinds before its backward pass.
             losses = [float(t.value[0, 0]) if t else 0.0 for t in (term_ins, term_clu, total)]

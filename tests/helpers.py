@@ -55,8 +55,13 @@ def check_gradients(build, arrays, tol=GRAD_TOL, h=FD_STEP):
 
 
 def weighted_sum(node, weights):
-    """Scalar probe sum(node * weights) used to exercise full Jacobians."""
-    return ad.sum_all(ad.mul(node, ad.lift(weights)))
+    """Scalar probe sum(node * weights) used to exercise full Jacobians.
+
+    A hand-built node with its own VJP, so that it relies on no engine
+    primitive and adds no node of a kind under test."""
+    weights = ad.as_matrix(weights)
+    value = [[(node.value * weights).sum()]]
+    return ad.Node(value, "weighted_sum", (node,), lambda g: (g * weights,))
 
 
 def reference_pair_similarity_stats(a, b):
@@ -85,3 +90,39 @@ def reference_adam_step(flat, m, v, gradients, step, lr, beta1, beta2, epsilon):
     v *= beta2
     v += (1.0 - beta2) * grad * grad
     flat -= lr * (m / correction1) / (np.sqrt(v / correction2) + epsilon)
+
+
+def soft_labels_with_empty_columns(rng, n, m):
+    """An n x m row-stochastic matrix, m >= 3, whose column masses include
+    one exact zero and one below ``losses.ENTROPY_LOG_FLOOR``."""
+    y = rng.dirichlet(np.full(m, rng.uniform(0.2, 2.0)), size=n)
+    y[:, 0] = 0.0
+    y[:, 1] *= 1e-14
+    y /= y.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray(y[:, rng.permutation(m)])
+
+
+def reference_entropy_chain(views, floor, g):
+    """The unfused node chain that ``autodiff.mass_entropy`` replaces,
+    in plain NumPy: -(sum over views of sum_j p_j log max(p_j, floor)),
+    p = (1^T Y) / n, and its gradient for each view under the upstream
+    1 x 1 gradient ``g``. Every float operation is the chain's own
+    (matmul, scale, clip_min, log, mul, sum_all, add, scale by -1), in
+    its order; returns (value, [gradient per view])."""
+    masses = []
+    for y in views:
+        n = y.shape[0]
+        p = (np.ones((1, n)) @ y) * float(1.0 / n)
+        clipped = np.maximum(p, floor)
+        masses.append((n, p, clipped, np.log(clipped)))
+    total = None
+    for _, p, _, logp in masses:
+        s = np.array([[(p * logp).sum()]])
+        total = s if total is None else total + s
+    value = total * -1.0
+    grads = []
+    for n, p, clipped, logp in masses:
+        gs = np.full_like(p, (g * -1.0)[0, 0])
+        dp = gs * logp + ((gs * p) / clipped) * (p > floor)
+        grads.append(np.ones((1, n)).T @ (dp * float(1.0 / n)))
+    return value, grads

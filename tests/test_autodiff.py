@@ -6,10 +6,38 @@ import pytest
 
 from dualclust import autodiff as ad
 from dualclust.errors import ContractError, DegenerateInputError, ShapeError
+from dualclust.losses import ENTROPY_LOG_FLOOR
 
-from helpers import check_gradients, weighted_sum
+from helpers import (
+    check_gradients,
+    reference_entropy_chain,
+    soft_labels_with_empty_columns,
+    weighted_sum,
+)
 
 SEEDS = range(20)
+
+# Every differentiable primitive the engine exports, with the
+# TestPrimitiveGradients test that checks it against finite differences.
+PRIMITIVE_FD_TESTS = {
+    "add": "test_add_sub_mul",
+    "linear": "test_linear",
+    "relu": "test_relu",
+    "softmax_rows": "test_softmax_rows",
+    "scale": "test_scalar_ops",
+    "transpose": "test_transpose_concat_sum",
+    "ntxent": "test_ntxent",
+    "mass_entropy": "test_mass_entropy",
+}
+NON_PRIMITIVES = {"Matrix", "Node", "as_matrix", "lift", "backward"}
+
+
+def squared_frobenius(node):
+    """sum(X * X) from the remaining primitives: the trace of X X^T, with
+    ``node`` used twice by one ``linear``."""
+    rows = node.shape[0]
+    gram = ad.linear(node, ad.transpose(node), np.zeros((1, rows)))
+    return weighted_sum(gram, np.eye(rows))
 
 
 class TestMatrixBasics:
@@ -19,34 +47,9 @@ class TestMatrixBasics:
         with pytest.raises(ShapeError):
             ad.as_matrix(np.zeros((2, 2, 2)))
 
-    def test_matmul_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(a, np.eye(2)).value
-        np.testing.assert_array_equal(out, a)
-
-    def test_matmul_identity_times_column(self):
-        out = ad.matmul(np.eye(2), [[5.0], [7.0]]).value
-        np.testing.assert_array_equal(out, [[5.0], [7.0]])
-
-    def test_matmul_matches_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        expected = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(ad.matmul(a, b).value, expected, atol=1e-12)
-
-    def test_matmul_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_elementwise_shape_errors(self):
-        for op in (ad.add, ad.mul):
-            with pytest.raises(ShapeError):
-                op(np.zeros((2, 2)), np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            ad.add(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(0)
@@ -56,6 +59,7 @@ class TestMatrixBasics:
             ad.relu(m),
             ad.scale(m, 3.0),
             ad.ntxent(m[:2], m[2:], 0.5, exclude_self=True),
+            ad.mass_entropy(np.abs(m), 1e-12),
         ):
             assert np.isfinite(node.value).all()
 
@@ -84,6 +88,33 @@ class TestNtxent:
         ad.backward(root)
         np.testing.assert_array_equal(a.grad, first[0])
         np.testing.assert_array_equal(b.grad, first[1])
+
+
+class TestMassEntropy:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_unfused_chain_bit_for_bit(self, seed):
+        # Value and gradient repeat the matmul / scale / clip_min / log /
+        # mul / sum_all chain's float operations, including at zero and
+        # below-floor columns where clip_min cuts the log's gradient.
+        rng = np.random.default_rng(seed)
+        y = soft_labels_with_empty_columns(rng, int(rng.integers(1, 600)), int(rng.integers(3, 21)))
+        g = rng.normal(size=(1, 1))
+        leaf = ad.lift(y)
+        root = ad.scale(ad.mass_entropy(leaf, ENTROPY_LOG_FLOOR), g[0, 0])
+        ad.backward(root)
+        value, (grad,) = reference_entropy_chain([y], ENTROPY_LOG_FLOOR, g)
+        np.testing.assert_array_equal(root.parents[0].value, value)
+        np.testing.assert_array_equal(leaf.grad, grad)
+
+    def test_non_finite_mass_reports_column(self):
+        y = np.full((3, 4), 0.25)
+        y[1, 2] = np.nan
+        with pytest.raises(DegenerateInputError, match="column 2 has non-finite mass"):
+            ad.mass_entropy(y, 1e-12)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DegenerateInputError, match="at least one row"):
+            ad.mass_entropy(np.zeros((0, 3)), 1e-12)
 
 
 class TestLinear:
@@ -139,14 +170,14 @@ class TestBackwardContracts:
 
     def test_sum_of_entries_gives_ones(self):
         leaf = ad.lift(np.arange(6.0).reshape(2, 3))
-        ad.backward(ad.sum_all(leaf))
+        ad.backward(weighted_sum(leaf, np.ones((2, 3))))
         np.testing.assert_array_equal(leaf.grad, np.ones((2, 3)))
 
     def test_squared_frobenius_gives_two_x(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 3))
         leaf = ad.lift(x)
-        ad.backward(ad.sum_all(ad.mul(leaf, leaf)))
+        ad.backward(squared_frobenius(leaf))
         np.testing.assert_allclose(leaf.grad, 2.0 * x, atol=1e-12)
 
     def test_node_used_twice_accumulates(self):
@@ -154,33 +185,36 @@ class TestBackwardContracts:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 4))
         leaf = ad.lift(x)
-        root = ad.add(ad.sum_all(leaf), ad.sum_all(ad.mul(leaf, leaf)))
+        root = ad.add(weighted_sum(leaf, np.ones((2, 4))), squared_frobenius(leaf))
         ad.backward(root)
         np.testing.assert_allclose(leaf.grad, 1.0 + 2.0 * x, atol=1e-12)
 
     def test_node_used_twice_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(0.5, 3.0, size=(3, 2))
+        w, v = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
 
         def build(n):
+            # n feeds softmax_rows and relu; shared feeds linear twice.
             shared = ad.softmax_rows(n)
-            return ad.add(ad.sum_all(ad.mul(shared, shared)), ad.sum_all(ad.log(n)))
+            gram = ad.linear(shared, ad.transpose(shared), np.zeros((1, 3)))
+            return ad.add(weighted_sum(gram, w), weighted_sum(ad.relu(n), v))
 
         check_gradients(build, [x])
 
     def test_node_added_to_itself(self):
         leaf = ad.lift(np.arange(4.0).reshape(2, 2))
-        ad.backward(ad.sum_all(ad.add(leaf, leaf)))
+        ad.backward(weighted_sum(ad.add(leaf, leaf), np.ones((2, 2))))
         np.testing.assert_array_equal(leaf.grad, np.full((2, 2), 2.0))
 
     def test_shared_slot_is_not_written_through(self):
         # add's VJP hands one array to both parents, so their slots share
-        # it; a's second use (through mul, swept after add) must sum into a
-        # new array, leaving b's intact.
+        # it; a's second use (through linear, swept after add) must sum
+        # into a new array, leaving b's intact.
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
         a, b = ad.lift(x), ad.lift(y)
-        root = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.add(a, b)))
+        root = ad.add(squared_frobenius(a), weighted_sum(ad.add(a, b), np.ones((2, 3))))
         ad.backward(root)
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
         np.testing.assert_allclose(a.grad, 1.0 + 2.0 * x, atol=1e-12)
@@ -190,7 +224,7 @@ class TestBackwardContracts:
         x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(1, 2))
         nodes = [ad.lift(v) for v in (x, w, b)]
         h = ad.linear(*nodes)
-        root = ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(h))
+        root = ad.add(squared_frobenius(h), weighted_sum(h, np.ones((3, 2))))
         ad.backward(root)
         first = [node.grad for node in nodes]
         copies = [g.copy() for g in first]
@@ -201,7 +235,7 @@ class TestBackwardContracts:
 
     def test_repeated_backward_resets_gradients(self):
         leaf = ad.lift(np.ones((2, 2)))
-        root = ad.sum_all(leaf)
+        root = weighted_sum(leaf, np.ones((2, 2)))
         ad.backward(root)
         ad.backward(root)
         np.testing.assert_array_equal(leaf.grad, np.ones((2, 2)))
@@ -211,18 +245,11 @@ class TestBackwardContracts:
 class TestPrimitiveGradients:
     """Finite-difference checks for every differentiable primitive."""
 
-    def test_matmul(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        w = rng.normal(size=(3, 2))
-        check_gradients(lambda x, y: weighted_sum(ad.matmul(x, y), w), [a, b])
-
     def test_add_sub_mul(self, seed):
         rng = np.random.default_rng(seed)
         a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         w = rng.normal(size=(3, 3))
         check_gradients(lambda x, y: weighted_sum(ad.add(x, y), w), [a, b])
-        check_gradients(lambda x, y: weighted_sum(ad.mul(x, y), w), [a, b])
 
     def test_linear(self, seed):
         rng = np.random.default_rng(seed)
@@ -244,18 +271,6 @@ class TestPrimitiveGradients:
         w = rng.normal(size=(4, 5))
         check_gradients(lambda x: weighted_sum(ad.softmax_rows(x), w), [m])
 
-    def test_log(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.uniform(0.5, 3.0, size=(3, 4))
-        w = rng.normal(size=(3, 4))
-        check_gradients(lambda x: weighted_sum(ad.log(x), w), [m])
-
-    def test_clip_min(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.uniform(0.2, 2.0, size=(3, 4))  # away from the 0.1 floor
-        w = rng.normal(size=(3, 4))
-        check_gradients(lambda x: weighted_sum(ad.clip_min(x, 0.1), w), [m])
-
     def test_scalar_ops(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(3, 4))
@@ -267,7 +282,6 @@ class TestPrimitiveGradients:
         a = rng.normal(size=(2, 3))
         w = rng.normal(size=(3, 2))
         check_gradients(lambda x: weighted_sum(ad.transpose(x), w), [a])
-        check_gradients(lambda x: ad.sum_all(x), [a])
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     def test_ntxent(self, seed, exclude_self):
@@ -277,3 +291,19 @@ class TestPrimitiveGradients:
         check_gradients(
             lambda x, y: ad.scale(ad.ntxent(x, y, temperature, exclude_self), weight), [a, b]
         )
+
+    def test_mass_entropy(self, seed):
+        # Column 0's mass lies in [0.02, 0.1], below the 0.15 floor, and
+        # every other column's in [0.2, 1]: each side of the clip is
+        # checked, and both stay far from it.
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0.2, 1.0, size=(5, 4))
+        y[:, 0] *= 0.1
+        weight = rng.normal()
+        check_gradients(lambda x: ad.scale(ad.mass_entropy(x, 0.15), weight), [y])
+
+
+def test_every_exported_primitive_is_finite_difference_tested():
+    assert set(ad.__all__) - NON_PRIMITIVES == set(PRIMITIVE_FD_TESTS)
+    for name, test in PRIMITIVE_FD_TESTS.items():
+        assert callable(getattr(TestPrimitiveGradients, test, None)), f"{name}: no {test}"

@@ -20,7 +20,14 @@ from dualclust.data import (
     two_moons,
     write_label_csv,
 )
-from dualclust.errors import ConfigError, ContractError, FormatError, GenerationError
+from dualclust.config import DatasetConfig, build_dataset
+from dualclust.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateInputError,
+    FormatError,
+    GenerationError,
+)
 from dualclust.kmeans import kmeans
 from dualclust.metrics import clustering_accuracy
 
@@ -340,3 +347,16 @@ class TestStandardize:
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[:, 0], np.zeros(10))
         assert std[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "column", [[1e308, 1.25e308, 1.5e308, 1e308], [1e200, -1e200, 1e200, -1e200]]
+    )
+    def test_overflowing_csv_column_named_through_build_dataset(self, tmp_path, column):
+        # Finite cells whose mean or spread overflows float64: the first
+        # would come out NaN, the second silently all zero.
+        path = tmp_path / "data.csv"
+        rows = [f"{i},{value!r},{i % 2}" for i, value in enumerate(column)]
+        path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        config = DatasetConfig.from_dict({"kind": "csv", "path": str(path), "label_column": "label"})
+        with pytest.raises(DegenerateInputError, match="column 1 overflows"):
+            build_dataset(config)

@@ -1,6 +1,7 @@
 """Cluster-level contrastive loss, column semantics, and the entropy term."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ import pytest
 from dualclust import autodiff as ad
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError
 from dualclust.losses import (
+    ENTROPY_LOG_FLOOR,
     ClusterLossConfig,
     assignment_entropy,
     cluster_loss,
 )
 
-from helpers import check_gradients
+from helpers import check_gradients, reference_entropy_chain, soft_labels_with_empty_columns
 from test_losses_instance import naive_pairwise_loss
 
 
@@ -68,6 +70,30 @@ class TestAssignmentEntropy:
             assignment_entropy(bad, good)
         with pytest.raises(ContractError, match="second view"):
             assignment_entropy(good, bad)
+
+    @pytest.mark.parametrize("loss", [assignment_entropy, cluster_loss])
+    def test_nan_row_named_in_either_view(self, loss):
+        # NaN > tol is false, so the check must flag what is not within tol.
+        good = np.full((4, 3), 1.0 / 3.0)
+        bad = good.copy()
+        bad[2, 1] = np.nan
+        for views in ((bad, good), (good, bad)):
+            with pytest.raises(ContractError, match="row 2 sums to nan"):
+                loss(*views)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_unfused_chain_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 600)), int(rng.integers(3, 21))
+        y_a, y_b = (soft_labels_with_empty_columns(rng, n, m) for _ in range(2))
+        g = rng.normal(size=(1, 1))
+        a, b = ad.lift(y_a), ad.lift(y_b)
+        entropy = assignment_entropy(a, b)
+        ad.backward(ad.scale(entropy, g[0, 0]))
+        value, grads = reference_entropy_chain([y_a, y_b], ENTROPY_LOG_FLOOR, g)
+        np.testing.assert_array_equal(entropy.value, value)
+        np.testing.assert_array_equal(a.grad, grads[0])
+        np.testing.assert_array_equal(b.grad, grads[1])
 
     def test_gradient_vanishes_on_simplex_at_uniform(self):
         # dH/dY is constant within each row at uniform masses, so its
@@ -161,6 +187,19 @@ class TestClusterLossValues:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
             ClusterLossConfig(temperature=0.0)
+
+    def test_tape_above_the_inputs(self):
+        rng = np.random.default_rng(21)
+        inputs = [ad.lift(random_row_stochastic(rng, 8, 3)) for _ in range(2)]
+        seen, stack, ops = {id(v) for v in inputs}, [cluster_loss(*inputs)], Counter()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            ops[node.op] += 1
+            stack.extend(node.parents)
+        assert ops == {"transpose": 2, "ntxent": 1, "mass_entropy": 2, "add": 2, "scale": 1}
 
 
 class TestClusterLossProperties:

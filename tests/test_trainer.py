@@ -313,6 +313,14 @@ class TestTrain:
             with pytest.raises(DegenerateInputError, match=where + " is not finite"):
                 train(config, build_dataset(config.dataset))
 
+    def test_overflowing_soft_labels_stopped_with_location(self):
+        # Parameters driven to overflow give NaN soft-label rows, which the
+        # cluster loss names before any entropy is taken.
+        config = small_config(training={"learning_rate": 1e300})
+        with np.errstate(all="ignore"):
+            with pytest.raises(ContractError, match=r"epoch 0, batch 1: .* row \d+ sums to nan"):
+                train(config, build_dataset(config.dataset))
+
     def test_non_finite_gradient_named(self):
         params = init_params(TINY_MODEL)
         state = OptimizerState.for_params(params)
