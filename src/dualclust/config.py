@@ -3,10 +3,13 @@
 Configs are JSON. Parsing is strict: unknown keys fail with their full
 dotted path, so a typo can never silently fall back to a default, and a
 value of the wrong type fails with its path too. One parser reads every
-section off its dataclass fields and their annotations. Every
-optional field has a documented default, and ``resolve`` pins all of
-them (including ones that depend on the dataset, like the cluster count
-inferred from labels) so the echoed config re-runs identically.
+section off its dataclass fields and their annotations. Range checks
+sit in each section's ``__post_init__``, so a section built in Python
+or copied with ``dataclasses.replace`` is checked like a parsed one.
+Every optional field has a documented default, and ``resolve`` pins
+all of them (including ones that depend on the dataset, like the
+cluster count inferred from labels) so the echoed config re-runs
+identically.
 """
 
 from __future__ import annotations
@@ -106,11 +109,13 @@ def _require(condition: bool, path: str, message: str):
 
 def _typed(annotation, value, path: str):
     """``value`` checked against a field annotation: a config section is
-    parsed by its ``from_dict``, ``tuple[X, ...]`` takes a list of X and
+    parsed by its ``from_dict`` if it has one and by ``_parse`` if not,
+    ``tuple[X, ...]`` takes a list of X and
     returns a tuple, and anything else takes what ``_ACCEPTS`` lists for
     the type or for one member of the union."""
     if is_dataclass(annotation):
-        return annotation.from_dict(value, path)
+        parse = getattr(annotation, "from_dict", None)
+        return parse(value, path) if parse else _parse(annotation, value, path)
     if typing.get_origin(annotation) is tuple:
         _require(isinstance(value, (list, tuple)), path, f"must be a list, got {value!r}")
         item = typing.get_args(annotation)[0]
@@ -171,13 +176,10 @@ class ModelSection:
     cluster_count: int | None = None  # None: inferred from dataset labels
     init_seed: int | None = None  # None: the experiment seed
 
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "model") -> "ModelSection":
-        out = _parse(cls, raw, path)
-        _require(len(out.encoder_widths) >= 1, f"{path}.encoder_widths", "needs one width")
-        seed = out.init_seed
-        _require(seed is None or seed >= 0, f"{path}.init_seed", "must be nonnegative")
-        return out
+    def __post_init__(self):
+        _require(len(self.encoder_widths) >= 1, "model.encoder_widths", "needs one width")
+        seed = self.init_seed
+        _require(seed is None or seed >= 0, "model.init_seed", "must be nonnegative")
 
     def model_config(self, input_dim: int) -> ModelConfig:
         if self.cluster_count is None or self.init_seed is None:
@@ -193,12 +195,9 @@ class LossSection:
     exclude_self_similarity: bool = True
     literal_entropy_sign: bool = False
 
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "losses") -> "LossSection":
-        out = _parse(cls, raw, path)
-        _require(out.instance_temperature > 0, f"{path}.instance_temperature", "must be positive")
-        _require(out.cluster_temperature > 0, f"{path}.cluster_temperature", "must be positive")
-        return out
+    def __post_init__(self):
+        _require(self.instance_temperature > 0, "losses.instance_temperature", "must be positive")
+        _require(self.cluster_temperature > 0, "losses.cluster_temperature", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -210,16 +209,13 @@ class TrainingSection:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "training") -> "TrainingSection":
-        out = _parse(cls, raw, path)
-        _require(out.batch_size >= 2, f"{path}.batch_size", "must be at least 2")
-        _require(out.epochs >= 0, f"{path}.epochs", "must be nonnegative")
-        _require(out.learning_rate > 0, f"{path}.learning_rate", "must be positive")
-        _require(0 <= out.beta1 < 1, f"{path}.beta1", "must be in [0, 1)")
-        _require(0 <= out.beta2 < 1, f"{path}.beta2", "must be in [0, 1)")
-        _require(out.epsilon > 0, f"{path}.epsilon", "must be positive")
-        return out
+    def __post_init__(self):
+        _require(self.batch_size >= 2, "training.batch_size", "must be at least 2")
+        _require(self.epochs >= 0, "training.epochs", "must be nonnegative")
+        _require(self.learning_rate > 0, "training.learning_rate", "must be positive")
+        _require(0 <= self.beta1 < 1, "training.beta1", "must be in [0, 1)")
+        _require(0 <= self.beta2 < 1, "training.beta2", "must be in [0, 1)")
+        _require(self.epsilon > 0, "training.epsilon", "must be positive")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ term, one fused ``autodiff.mass_entropy`` node per view, that pushes
 cluster masses toward uniform to prevent the all-in-one-cluster
 collapse.
 
-Sign conventions, both configurable:
+Both losses take their settings from one ``config.LossSection``, which
+holds each default and range check: the instance loss reads
+``instance_temperature``, the cluster loss ``cluster_temperature`` and
+``entropy_weight``. Sign conventions, both fields of that section:
 
 * ``exclude_self_similarity`` (default on) drops the constant
   exp(1/temperature) self term from each denominator, the standard
@@ -30,17 +33,13 @@ sums unit rows instead of forming the 2n x 2n similarity matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
+from .config import LossSection
+from .errors import ContractError, DegenerateInputError, ShapeError
 
 __all__ = [
-    "InstanceLossConfig",
-    "ClusterLossConfig",
-    "cosine_similarity_matrix",
     "instance_loss",
     "assignment_entropy",
     "cluster_loss",
@@ -54,50 +53,6 @@ ENTROPY_LOG_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class InstanceLossConfig:
-    temperature: float = 0.5
-    exclude_self_similarity: bool = True
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(
-                f"instance loss temperature must be positive, got {self.temperature}"
-            )
-
-
-@dataclass(frozen=True)
-class ClusterLossConfig:
-    temperature: float = 1.0
-    entropy_weight: float = 1.0
-    exclude_self_similarity: bool = True
-    literal_entropy_sign: bool = False
-
-    def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(
-                f"cluster loss temperature must be positive, got {self.temperature}"
-            )
-
-
-def cosine_similarity_matrix(a, b) -> np.ndarray:
-    """Pairwise cosine similarities: out[i, j] = cos(a_i, b_j), in [-1, 1]."""
-    a = ad.as_matrix(a)
-    b = ad.as_matrix(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"cosine_similarity_matrix: widths differ, {a.shape} vs {b.shape}")
-    for name, m in (("first", a), ("second", b)):
-        norms = np.linalg.norm(m, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateInputError(
-                f"cosine_similarity_matrix: {name} input row {int(zero[0])} has zero norm"
-            )
-    an = a / np.linalg.norm(a, axis=1, keepdims=True)
-    bn = b / np.linalg.norm(b, axis=1, keepdims=True)
-    return np.clip(an @ bn.T, -1.0, 1.0)
-
-
 def _canonical_view_order(a: ad.Node, b: ad.Node) -> tuple[ad.Node, ad.Node]:
     # The losses are symmetric in their two views. Evaluating in a fixed
     # canonical order makes the swap equality hold bit-for-bit instead of
@@ -107,7 +62,7 @@ def _canonical_view_order(a: ad.Node, b: ad.Node) -> tuple[ad.Node, ad.Node]:
     return a, b
 
 
-def instance_loss(z_a, z_b, config: InstanceLossConfig = InstanceLossConfig()) -> ad.Node:
+def instance_loss(z_a, z_b, config: LossSection = LossSection()) -> ad.Node:
     """Contrastive loss over 2N augmented samples; positive pairs are the
     two views of the same instance, everything else in the batch is
     negative. Returns a differentiable 1x1 node.
@@ -126,7 +81,7 @@ def instance_loss(z_a, z_b, config: InstanceLossConfig = InstanceLossConfig()) -
             "instance_loss: need at least 2 samples per view when self terms are excluded"
         )
     first, second = _canonical_view_order(z_a, z_b)
-    return ad.ntxent(first, second, config.temperature, config.exclude_self_similarity)
+    return ad.ntxent(first, second, config.instance_temperature, config.exclude_self_similarity)
 
 
 def _check_row_stochastic(name: str, y: ad.Node) -> None:
@@ -156,7 +111,7 @@ def assignment_entropy(y_a, y_b) -> ad.Node:
     )
 
 
-def cluster_loss(y_a, y_b, config: ClusterLossConfig = ClusterLossConfig()) -> ad.Node:
+def cluster_loss(y_a, y_b, config: LossSection = LossSection()) -> ad.Node:
     """Contrastive loss over the 2M cluster columns plus the entropy term.
 
     Inputs are row-stochastic soft-label matrices (N x M) for the two
@@ -182,7 +137,10 @@ def cluster_loss(y_a, y_b, config: ClusterLossConfig = ClusterLossConfig()) -> a
                 f"cluster_loss: cluster {int(empty[0])} has zero mass in view {view}"
             )
     contrastive = ad.ntxent(
-        ad.transpose(y_a), ad.transpose(y_b), config.temperature, config.exclude_self_similarity
+        ad.transpose(y_a),
+        ad.transpose(y_b),
+        config.cluster_temperature,
+        config.exclude_self_similarity,
     )
     entropy = assignment_entropy(y_a, y_b)
     sign = 1.0 if config.literal_entropy_sign else -1.0

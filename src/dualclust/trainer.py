@@ -15,17 +15,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import make_pair, pair_rng
-from .config import ExperimentConfig, build_pipeline
+from .config import ExperimentConfig, LossSection, TrainingSection, build_pipeline
 from .data import Dataset
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .kmeans import kmeans
-from .losses import (
-    ClusterLossConfig,
-    InstanceLossConfig,
-    cluster_loss,
-    instance_loss,
-    pair_similarity_stats,
-)
+from .losses import cluster_loss, instance_loss, pair_similarity_stats
 from .metrics import ari, clustering_accuracy, nmi
 from .model import ModelParams, forward, forward_graph, init_params, predict_assignments
 
@@ -68,39 +62,32 @@ class OptimizerState:
     """Adam accumulators over ``ModelParams.flat``.
 
     Bias-corrected first/second moments, no weight decay, no schedule.
+    The learning rate, betas and epsilon are read from ``settings``, the
+    run's ``config.TrainingSection``, which holds their defaults and
+    range checks.
     ``grad`` and ``scratch`` are ``adam_step``'s work buffers, laid out
     like ``flat``: the concatenated gradient and every intermediate.
     """
 
-    learning_rate: float = 0.0003
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    grad: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+    settings: TrainingSection
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray = field(repr=False)
+    scratch: np.ndarray = field(repr=False)
 
     @classmethod
     def for_params(
-        cls,
-        params: ModelParams,
-        learning_rate: float = 0.0003,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
+        cls, params: ModelParams, settings: TrainingSection = TrainingSection()
     ) -> "OptimizerState":
+        flat = params.flat
         return cls(
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
+            settings=settings,
             step=0,
-            m=np.zeros_like(params.flat),
-            v=np.zeros_like(params.flat),
-            grad=np.empty_like(params.flat),
-            scratch=np.empty_like(params.flat),
+            m=np.zeros_like(flat),
+            v=np.zeros_like(flat),
+            grad=np.empty_like(flat),
+            scratch=np.empty_like(flat),
         )
 
 
@@ -108,7 +95,8 @@ def adam_step(params: ModelParams, gradients: list, state: OptimizerState) -> No
     """One Adam update, in place on ``params.flat``.
 
     ``gradients`` holds one array per parameter, in ``params.arrays``
-    order; they are only read. A zero gradient leaves its parameter
+    order; they are only read. The hyperparameters come from
+    ``state.settings``. A zero gradient leaves its parameter
     bit-identical: both moments stay zero and the update is exactly
     0 / (0 + epsilon). A gradient that is not finite, or whose square
     overflows the second moment, raises ``DegenerateInputError`` naming
@@ -124,30 +112,30 @@ def adam_step(params: ModelParams, gradients: list, state: OptimizerState) -> No
             raise ContractError(
                 f"optimizer: gradient {i} has shape {grad.shape}, parameter has {shape}"
             )
-    grad, scratch = state.grad, state.scratch
+    grad, scratch, settings = state.grad, state.scratch, state.settings
     np.concatenate(gradients, axis=None, out=grad)
     with np.errstate(over="ignore"):
-        np.multiply(grad, 1.0 - state.beta2, out=scratch)
+        np.multiply(grad, 1.0 - settings.beta2, out=scratch)
         scratch *= grad
     if not np.isfinite(scratch).all():
         _raise_non_finite(params, grad, scratch)
     state.step += 1
     t = state.step
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - settings.beta1**t
+    correction2 = 1.0 - settings.beta2**t
     m, v = state.m, state.v
-    m *= state.beta1
-    grad *= 1.0 - state.beta1
+    m *= settings.beta1
+    grad *= 1.0 - settings.beta1
     m += grad
-    v *= state.beta2
+    v *= settings.beta2
     v += scratch
     # Epsilon sits outside the square root: at step 1 with constant
     # gradient g the update is exactly -lr * g / (|g| + eps).
     np.divide(v, correction2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.epsilon
+    scratch += settings.epsilon
     np.divide(m, correction1, out=grad)
-    grad *= state.learning_rate
+    grad *= settings.learning_rate
     grad /= scratch
     params.flat -= grad
 
@@ -163,13 +151,11 @@ def _raise_non_finite(params: ModelParams, grad, square) -> None:
     raise DegenerateInputError(f"gradient of {name} {reason}")
 
 
-def _loss_terms(
-    z_a, z_b, y_a, y_b, instance_config, cluster_config, include_instance, include_cluster
-):
+def _loss_terms(z_a, z_b, y_a, y_b, config: LossSection, include_instance, include_cluster):
     """(instance term, cluster term, joint objective); a switched-off
     term is None."""
-    term_ins = instance_loss(z_a, z_b, instance_config) if include_instance else None
-    term_clu = cluster_loss(y_a, y_b, cluster_config) if include_cluster else None
+    term_ins = instance_loss(z_a, z_b, config) if include_instance else None
+    term_clu = cluster_loss(y_a, y_b, config) if include_cluster else None
     if term_ins is not None and term_clu is not None:
         return term_ins, term_clu, ad.add(term_ins, term_clu)
     return term_ins, term_clu, term_ins or term_clu or ad.lift(np.zeros((1, 1)))
@@ -180,8 +166,7 @@ def total_loss(
     z_b,
     y_a,
     y_b,
-    instance_config: InstanceLossConfig = InstanceLossConfig(),
-    cluster_config: ClusterLossConfig = ClusterLossConfig(),
+    config: LossSection = LossSection(),
     include_instance: bool = True,
     include_cluster: bool = True,
 ) -> ad.Node:
@@ -190,9 +175,7 @@ def total_loss(
     With one term switched off the result is the other term's node
     itself; with both off it is the constant 0.
     """
-    return _loss_terms(
-        z_a, z_b, y_a, y_b, instance_config, cluster_config, include_instance, include_cluster
-    )[2]
+    return _loss_terms(z_a, z_b, y_a, y_b, config, include_instance, include_cluster)[2]
 
 
 def _term_switches(ablation: str) -> tuple[bool, bool]:
@@ -269,30 +252,12 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
             f"training: batch_size {settings.batch_size} exceeds "
             f"dataset size {dataset.n}"
         )
-    if config.model.cluster_count < 2:
-        raise ConfigError("training: need at least 2 clusters")
 
     params = init_params(config.model.model_config(dataset.dim))
-    state = OptimizerState.for_params(
-        params,
-        learning_rate=settings.learning_rate,
-        beta1=settings.beta1,
-        beta2=settings.beta2,
-        epsilon=settings.epsilon,
-    )
+    state = OptimizerState.for_params(params, settings)
     pipeline = build_pipeline(config.augmentation, dataset.geometry)
     include_instance, include_cluster = _term_switches(config.ablation)
     pair_mode = _pair_mode(config.ablation)
-    instance_config = InstanceLossConfig(
-        temperature=config.losses.instance_temperature,
-        exclude_self_similarity=config.losses.exclude_self_similarity,
-    )
-    cluster_config = ClusterLossConfig(
-        temperature=config.losses.cluster_temperature,
-        entropy_weight=config.losses.entropy_weight,
-        exclude_self_similarity=config.losses.exclude_self_similarity,
-        literal_entropy_sign=config.losses.literal_entropy_sign,
-    )
 
     # The graph leaves share storage with the buffer Adam updates in
     # place, so they stay valid across steps.
@@ -315,8 +280,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 _, z_a, y_a = forward_graph(param_nodes, np.stack(views_a))
                 _, z_b, y_b = forward_graph(param_nodes, np.stack(views_b))
                 term_ins, term_clu, total = _loss_terms(
-                    z_a, z_b, y_a, y_b, instance_config, cluster_config,
-                    include_instance, include_cluster,
+                    z_a, z_b, y_a, y_b, config.losses, include_instance, include_cluster
                 )
                 # A non-finite loss stops the step here; adam_step checks
                 # the gradients before it writes anything.

@@ -24,15 +24,8 @@ import pytest
 from dualclust import autodiff as ad
 from dualclust.augment import make_pair, pair_rng
 from dualclust.cli import main
-from dualclust.config import ExperimentConfig, build_dataset, build_pipeline
-from dualclust.losses import (
-    ClusterLossConfig,
-    InstanceLossConfig,
-    assignment_entropy,
-    cluster_loss,
-    instance_loss,
-    pair_similarity_stats,
-)
+from dualclust.config import ExperimentConfig, LossSection, build_dataset, build_pipeline
+from dualclust.losses import assignment_entropy, cluster_loss, instance_loss, pair_similarity_stats
 from dualclust.metrics import ari, clustering_accuracy, hungarian, nmi
 from dualclust.model import ModelConfig, forward, forward_graph, init_params
 from dualclust.trainer import instance_space_assignments, total_loss, train
@@ -189,7 +182,7 @@ def test_criterion_2_loss_oracle_equivalence():
         z_a = rng.normal(size=(n, dim))
         z_b = rng.normal(size=(n, dim))
         got = instance_loss(
-            z_a, z_b, InstanceLossConfig(temperature=tau_i, exclude_self_similarity=exclude)
+            z_a, z_b, LossSection(instance_temperature=tau_i, exclude_self_similarity=exclude)
         ).value[0, 0]
         want = naive_instance_loss(z_a, z_b, tau_i, exclude_self=exclude)
         worst = max(worst, abs(got - want))
@@ -199,8 +192,8 @@ def test_criterion_2_loss_oracle_equivalence():
         got = cluster_loss(
             y_a,
             y_b,
-            ClusterLossConfig(
-                temperature=tau_c, entropy_weight=weight, exclude_self_similarity=exclude
+            LossSection(
+                cluster_temperature=tau_c, entropy_weight=weight, exclude_self_similarity=exclude
             ),
         ).value[0, 0]
         want = naive_cluster_loss(y_a, y_b, tau_c, weight, exclude_self=exclude)

@@ -1,15 +1,19 @@
 """Strict config parsing, defaults, and resolution tests."""
 
 import copy
+import importlib
+import inspect
 import json
+import pkgutil
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dualclust
 from dualclust.augment import AugmentationPipeline
 from dualclust.config import (
     AugmentationSection,
@@ -76,23 +80,47 @@ class TestStrictKeys:
             ExperimentConfig.from_dict(minimal(ablation="half"))
 
 
+SECTIONS = {"model": ModelSection, "losses": LossSection, "training": TrainingSection}
+
+# One way to build a section holding the given value, by each construction
+# path: all three must run the same range check.
+BUILDERS = {
+    "from_dict": lambda section, key, value: ExperimentConfig.from_dict(
+        minimal(**{section: {key: value}})
+    ),
+    "direct": lambda section, key, value: SECTIONS[section](**{key: value}),
+    "replace": lambda section, key, value: replace(SECTIONS[section](), **{key: value}),
+}
+
+OUT_OF_RANGE = [
+    ("training", "batch_size", 1),
+    ("training", "epochs", -1),
+    ("training", "learning_rate", 0.0),
+    ("training", "beta1", 1.0),
+    ("training", "beta2", -0.1),
+    ("training", "epsilon", 0.0),
+    ("losses", "instance_temperature", 0.0),
+    ("losses", "cluster_temperature", -1.0),
+    ("model", "init_seed", -1),
+    ("model", "encoder_widths", []),
+]
+
+
+def _out_of_range_case(build, section, key, value):
+    # The from_dict cases keep the ids they had before the other paths.
+    case = f"{section}-{key}-{value}"
+    case = case if build == "from_dict" else f"{build}-{case}"
+    return pytest.param(build, section, key, value, id=case)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
-        "section,field,value",
-        [
-            ("training", "batch_size", 1),
-            ("training", "epochs", -1),
-            ("training", "learning_rate", 0.0),
-            ("training", "beta1", 1.0),
-            ("training", "beta2", -0.1),
-            ("training", "epsilon", 0.0),
-            ("losses", "instance_temperature", 0.0),
-            ("losses", "cluster_temperature", -1.0),
-        ],
+        "build,section,field,value",
+        [_out_of_range_case(build, *case) for build in BUILDERS for case in OUT_OF_RANGE],
     )
-    def test_out_of_range_values_rejected(self, section, field, value):
-        with pytest.raises(ConfigError, match=field):
-            ExperimentConfig.from_dict(minimal(**{section: {field: value}}))
+    def test_out_of_range_values_rejected(self, build, section, field, value):
+        with pytest.raises(ConfigError, match=rf"config: {section}\.{field}: "):
+            BUILDERS[build](section, field, value)
 
     def test_empty_encoder_widths_rejected(self):
         with pytest.raises(ConfigError, match="encoder_widths"):
@@ -436,3 +464,38 @@ class TestLoadConfig:
         message = f"config: {re.escape(str(path))}: not valid UTF-8 at byte 24"
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+
+def _defaulted_names(obj):
+    """(owner, name) of every parameter or dataclass field with a default
+    that ``obj`` (a function or class) and its methods declare."""
+    if inspect.isfunction(obj):
+        for name, param in inspect.signature(obj).parameters.items():
+            if param.default is not inspect.Parameter.empty:
+                yield obj.__qualname__, name
+    elif inspect.isclass(obj):
+        if is_dataclass(obj):
+            for f in fields(obj):
+                if f.default is not MISSING or f.default_factory is not MISSING:
+                    yield obj.__qualname__, f.name
+        for member in vars(obj).values():
+            yield from _defaulted_names(getattr(member, "__func__", member))
+
+
+class TestOneHomeForSettings:
+    def test_no_second_default_for_a_loss_or_training_setting(self):
+        # Each loss and Adam setting has its default in config.py only; the
+        # losses and Adam read the section itself. A per-head copy would
+        # drop the head from the name, as in ``temperature``.
+        settings = {f.name for section in (LossSection, TrainingSection) for f in fields(section)}
+        settings |= {name.split("_", 1)[1] for name in settings if name.endswith("_temperature")}
+        copies = []
+        for info in pkgutil.iter_modules(dualclust.__path__):
+            if info.name == "config":
+                continue
+            module = importlib.import_module(f"dualclust.{info.name}")
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) == module.__name__:
+                    owned = _defaulted_names(obj)
+                    copies += [f"{module.__name__}.{o}.{n}" for o, n in owned if n in settings]
+        assert copies == [], copies

@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from dualclust import autodiff as ad
+from dualclust.config import LossSection
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError
-from dualclust.losses import (
-    ENTROPY_LOG_FLOOR,
-    ClusterLossConfig,
-    assignment_entropy,
-    cluster_loss,
-)
+from dualclust.losses import ENTROPY_LOG_FLOOR, assignment_entropy, cluster_loss
 
 from helpers import check_gradients, reference_entropy_chain, soft_labels_with_empty_columns
 from test_losses_instance import naive_pairwise_loss
@@ -124,7 +120,7 @@ class TestClusterLossValues:
         # negatives at 0. At temperature 1 the contrastive part is
         # -log(e / (e + 2)); balanced masses put the entropy at 2 log 2.
         y = np.eye(2)
-        cfg = ClusterLossConfig(temperature=1.0, entropy_weight=1.0)
+        cfg = LossSection(cluster_temperature=1.0, entropy_weight=1.0)
         contrastive = -math.log(math.e / (math.e + 2.0))
         expected = contrastive - 2.0 * math.log(2.0)
         loss = cluster_loss(y, y, cfg).value[0, 0]
@@ -132,17 +128,16 @@ class TestClusterLossValues:
 
     def test_literal_entropy_sign_adds_instead(self):
         y = np.eye(2)
-        cfg = ClusterLossConfig(literal_entropy_sign=True)
+        cfg = LossSection(literal_entropy_sign=True)
         contrastive = -math.log(math.e / (math.e + 2.0))
         expected = contrastive + 2.0 * math.log(2.0)
         loss = cluster_loss(y, y, cfg).value[0, 0]
         np.testing.assert_allclose(loss, expected, rtol=0, atol=1e-12)
 
     def test_identical_orthogonal_views_have_unit_positive_similarity(self):
-        from dualclust.losses import cosine_similarity_matrix
-
         y = np.eye(3)
-        sim = cosine_similarity_matrix(y.T, y.T)
+        u = y.T / np.linalg.norm(y.T, axis=1, keepdims=True)
+        sim = u @ u.T
         np.testing.assert_allclose(np.diag(sim), np.ones(3), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exclude_self", [True, False])
@@ -151,8 +146,8 @@ class TestClusterLossValues:
         rng = np.random.default_rng(seed)
         y_a = random_row_stochastic(rng, 12, 3)
         y_b = random_row_stochastic(rng, 12, 3)
-        cfg = ClusterLossConfig(
-            temperature=1.0, entropy_weight=1.0, exclude_self_similarity=exclude_self
+        cfg = LossSection(
+            cluster_temperature=1.0, entropy_weight=1.0, exclude_self_similarity=exclude_self
         )
         got = cluster_loss(y_a, y_b, cfg).value[0, 0]
         want = naive_cluster_loss(y_a, y_b, 1.0, 1.0, exclude_self)
@@ -162,8 +157,8 @@ class TestClusterLossValues:
         rng = np.random.default_rng(21)
         y_a = random_row_stochastic(rng, 10, 4)
         y_b = random_row_stochastic(rng, 10, 4)
-        light = cluster_loss(y_a, y_b, ClusterLossConfig(entropy_weight=0.0)).value[0, 0]
-        heavy = cluster_loss(y_a, y_b, ClusterLossConfig(entropy_weight=2.0)).value[0, 0]
+        light = cluster_loss(y_a, y_b, LossSection(entropy_weight=0.0)).value[0, 0]
+        heavy = cluster_loss(y_a, y_b, LossSection(entropy_weight=2.0)).value[0, 0]
         h = assignment_entropy(y_a, y_b).value[0, 0]
         np.testing.assert_allclose(heavy, light - 2.0 * h, rtol=1e-12, atol=1e-12)
 
@@ -186,7 +181,7 @@ class TestClusterLossValues:
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterLossConfig(temperature=0.0)
+            LossSection(cluster_temperature=0.0)
 
     def test_tape_above_the_inputs(self):
         rng = np.random.default_rng(21)

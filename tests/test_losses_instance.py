@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from dualclust import autodiff as ad
+from dualclust.config import LossSection
 from dualclust.errors import ConfigError, DegenerateInputError, ShapeError
-from dualclust.losses import (
-    InstanceLossConfig,
-    cosine_similarity_matrix,
-    instance_loss,
-    pair_similarity_stats,
-)
+from dualclust.losses import instance_loss, pair_similarity_stats
 
 from helpers import check_gradients, reference_pair_similarity_stats
 
@@ -93,43 +89,6 @@ class TestPairSimilarityStats:
             pair_similarity_stats(np.ones((2, 3)), np.ones((3, 3)))
 
 
-class TestCosineSimilarityMatrix:
-    def test_unit_rows_self_similarity_is_one(self):
-        a = np.eye(4)
-        sim = cosine_similarity_matrix(a, a)
-        np.testing.assert_allclose(np.diag(sim), np.ones(4))
-
-    def test_orthogonal_rows_give_zero(self):
-        a = np.array([[1.0, 0.0, 0.0]])
-        b = np.array([[0.0, 2.0, 0.0]])
-        assert cosine_similarity_matrix(a, b)[0, 0] == 0.0
-
-    def test_matches_per_pair_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(4, 3))
-        sim = cosine_similarity_matrix(a, b)
-        for i in range(4):
-            for j in range(4):
-                np.testing.assert_allclose(
-                    sim[i, j], naive_cosine(a[i], b[j]), rtol=0, atol=1e-12
-                )
-
-    def test_entries_bounded(self):
-        rng = np.random.default_rng(11)
-        sim = cosine_similarity_matrix(rng.normal(size=(6, 5)), rng.normal(size=(9, 5)))
-        assert np.all(sim >= -1.0) and np.all(sim <= 1.0)
-
-    def test_zero_row_rejected(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateInputError, match="row 1"):
-            cosine_similarity_matrix(a, np.ones((2, 2)))
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            cosine_similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
-
-
 class TestInstanceLossValues:
     def test_two_orthogonal_instances_hand_value(self):
         # Both views identical, the two instances orthogonal. Every anchor
@@ -137,7 +96,7 @@ class TestInstanceLossValues:
         # temperature 0.5 each term is -log(e^2 / (e^2 + 2)).
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = -math.log(math.exp(2.0) / (math.exp(2.0) + 2.0))
-        loss = instance_loss(z, z, InstanceLossConfig(temperature=0.5))
+        loss = instance_loss(z, z, LossSection(instance_temperature=0.5))
         np.testing.assert_allclose(loss.value[0, 0], expected, rtol=0, atol=1e-12)
 
     def test_single_pair_core_value_is_zero(self):
@@ -154,7 +113,7 @@ class TestInstanceLossValues:
     def test_single_pair_allowed_with_literal_denominator(self):
         z_a = np.array([[1.0, 0.0]])
         z_b = np.array([[0.0, 1.0]])
-        cfg = InstanceLossConfig(temperature=0.5, exclude_self_similarity=False)
+        cfg = LossSection(instance_temperature=0.5, exclude_self_similarity=False)
         # Denominator keeps the exp(1/tau) self term plus the positive.
         expected = -math.log(1.0 / (math.exp(2.0) + 1.0))
         loss = instance_loss(z_a, z_b, cfg)
@@ -166,7 +125,7 @@ class TestInstanceLossValues:
         rng = np.random.default_rng(seed)
         z_a = rng.normal(size=(5, 8))
         z_b = rng.normal(size=(5, 8))
-        cfg = InstanceLossConfig(temperature=0.5, exclude_self_similarity=exclude_self)
+        cfg = LossSection(instance_temperature=0.5, exclude_self_similarity=exclude_self)
         got = instance_loss(z_a, z_b, cfg).value[0, 0]
         want = naive_instance_loss(z_a, z_b, 0.5, exclude_self)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
@@ -180,8 +139,8 @@ class TestInstanceLossValues:
     def test_temperature_affects_value(self):
         rng = np.random.default_rng(3)
         z_a, z_b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        cold = instance_loss(z_a, z_b, InstanceLossConfig(temperature=0.1)).value[0, 0]
-        warm = instance_loss(z_a, z_b, InstanceLossConfig(temperature=5.0)).value[0, 0]
+        cold = instance_loss(z_a, z_b, LossSection(instance_temperature=0.1)).value[0, 0]
+        warm = instance_loss(z_a, z_b, LossSection(instance_temperature=5.0)).value[0, 0]
         assert cold != warm
 
 
@@ -229,9 +188,9 @@ class TestInstanceLossProperties:
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
-            InstanceLossConfig(temperature=0.0)
+            LossSection(instance_temperature=0.0)
         with pytest.raises(ConfigError):
-            InstanceLossConfig(temperature=-1.0)
+            LossSection(instance_temperature=-1.0)
 
 
 class TestInstanceLossGradients:

@@ -1,5 +1,7 @@
 """Optimizer, joint objective, training loop, and evaluation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from dualclust.config import (
     AugmentationSection,
     DatasetConfig,
     ExperimentConfig,
+    LossSection,
     ModelSection,
     TrainingSection,
     build_dataset,
 )
 from dualclust.data import Dataset, VectorGeometry
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError
-from dualclust.losses import ClusterLossConfig, InstanceLossConfig, cluster_loss, instance_loss
+from dualclust.losses import cluster_loss, instance_loss
 from dualclust.metrics import clustering_accuracy
 from dualclust.model import ModelConfig, init_params
 from dualclust.trainer import (
@@ -73,10 +76,11 @@ def assert_params_equal(params, snapshot):
 class TestOptimizerState:
     def test_defaults(self):
         state = OptimizerState.for_params(init_params(TINY_MODEL))
-        assert state.learning_rate == 0.0003
-        assert state.beta1 == 0.9
-        assert state.beta2 == 0.999
-        assert state.epsilon == 1e-8
+        assert state.settings == TrainingSection()
+        assert state.settings.learning_rate == 0.0003
+        assert state.settings.beta1 == 0.9
+        assert state.settings.beta2 == 0.999
+        assert state.settings.epsilon == 1e-8
         assert state.step == 0
 
     def test_accumulators_match_parameter_shapes(self):
@@ -109,7 +113,7 @@ class TestAdamStep:
         before = param_snapshot(params)
         adam_step(params, grads, state)
         for (name, array), (_, old), g in zip(params.arrays.items(), before, grads):
-            expected = old - state.learning_rate * g / (np.abs(g) + state.epsilon)
+            expected = old - state.settings.learning_rate * g / (np.abs(g) + state.settings.epsilon)
             np.testing.assert_allclose(array, expected, rtol=1e-12, err_msg=name)
 
     def test_hundred_steps_deterministic(self):
@@ -130,7 +134,7 @@ class TestAdamStep:
         # entries) and both signs of zero; the in-place step must give the
         # allocating expression's parameters and moments exactly.
         params = init_params(TINY_MODEL)
-        state = OptimizerState.for_params(params, learning_rate=0.01)
+        state = OptimizerState.for_params(params, TrainingSection(learning_rate=0.01))
         flat, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
         rng = np.random.default_rng(21)
         for step in range(1, 51):
@@ -223,11 +227,12 @@ class TestTotalLoss:
 
     def test_custom_configs_are_honored(self):
         z_a, z_b, y_a, y_b = random_views(7)
-        inst = InstanceLossConfig(temperature=0.25)
-        clu = ClusterLossConfig(temperature=2.0, entropy_weight=0.5)
-        total = float(total_loss(z_a, z_b, y_a, y_b, inst, clu).value[0, 0])
-        parts = float(instance_loss(z_a, z_b, inst).value[0, 0]) + float(
-            cluster_loss(y_a, y_b, clu).value[0, 0]
+        config = LossSection(
+            instance_temperature=0.25, cluster_temperature=2.0, entropy_weight=0.5
+        )
+        total = float(total_loss(z_a, z_b, y_a, y_b, config).value[0, 0])
+        parts = float(instance_loss(z_a, z_b, config).value[0, 0]) + float(
+            cluster_loss(y_a, y_b, config).value[0, 0]
         )
         assert abs(total - parts) < 1e-14
 
@@ -320,6 +325,22 @@ class TestTrain:
         with np.errstate(all="ignore"):
             with pytest.raises(ContractError, match=r"epoch 0, batch 1: .* row \d+ sums to nan"):
                 train(config, build_dataset(config.dataset))
+
+    def test_overflowing_encoder_layer_named_without_warning(self):
+        # No errstate here: a RuntimeWarning from the overflowing matmul
+        # would fail the test.
+        config = small_config(
+            model={"encoder_widths": [32, 32]}, training={"learning_rate": 1e200}
+        )
+        with pytest.raises(
+            DegenerateInputError, match="epoch 0, batch 1: encoder.1: output is not finite"
+        ):
+            train(config, build_dataset(config.dataset))
+
+    def test_section_built_in_python_is_checked(self):
+        with pytest.raises(ConfigError, match="training.epochs: must be nonnegative"):
+            config = replace(small_config(), training=TrainingSection(epochs=-1))
+            train(config, build_dataset(config.dataset))
 
     def test_non_finite_gradient_named(self):
         params = init_params(TINY_MODEL)
