@@ -4,7 +4,9 @@ The engine is deliberately small: a fixed set of primitives, each with a
 hand-written vector-Jacobian product, sufficient to express the encoder,
 the two projection heads, and both contrastive losses, which share the
 fused NT-Xent primitive ``ntxent``; the fused ``mass_entropy`` is the
-cluster loss's entropy term. There is no general broadcasting (the
+cluster loss's entropy term. These take both augmented views as 2N
+stacked rows [A; B], row i paired with row i + N; ``transpose_halves``
+stacks the soft-label columns. There is no general broadcasting (the
 single exception is the bias row that ``linear`` adds to every row) and
 no higher-order machinery. Every primitive is finite-difference tested.
 
@@ -29,6 +31,8 @@ __all__ = [
     "Matrix",
     "Node",
     "as_matrix",
+    "view_rows",
+    "unit_rows",
     "lift",
     "backward",
     "add",
@@ -36,7 +40,7 @@ __all__ = [
     "relu",
     "softmax_rows",
     "scale",
-    "transpose",
+    "transpose_halves",
     "ntxent",
     "mass_entropy",
 ]
@@ -137,14 +141,10 @@ def backward(root: Node) -> None:
 # Primitives
 
 
-def _require_same_shape(op: str, a: Node, b: Node) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
-
-
 def add(a, b) -> Node:
     a, b = lift(a), lift(b)
-    _require_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
     return Node(a.value + b.value, "add", (a, b), lambda g: (g, g))
 
 
@@ -199,31 +199,54 @@ def scale(m, c: float) -> Node:
     return Node(m.value * c, "scale", (m,), lambda g: (g * c,))
 
 
-def transpose(m) -> Node:
+def view_rows(op: str, m) -> int:
+    """Rows per view of a matrix that stacks two views as [A; B]."""
+    rows = m.shape[0]
+    if rows % 2:
+        raise ShapeError(f"{op}: {rows} rows do not split into two equal views")
+    if rows < 2:
+        raise DegenerateInputError(f"{op}: need at least one row per view")
+    return rows // 2
+
+
+def unit_rows(op: str, x: Matrix) -> tuple[Matrix, Matrix]:
+    """(rows of ``x`` scaled to unit norm, the n x 1 norms). A row whose
+    norm is zero or overflows is reported by index."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    bad = np.flatnonzero(~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf)))
+    if bad.size:
+        kind = "zero" if norms[bad[0], 0] == 0.0 else "non-finite"
+        raise DegenerateInputError(f"{op}: row {int(bad[0])} has {kind} norm")
+    return x / norms, norms
+
+
+def transpose_halves(m) -> Node:
+    """Map the 2n x M stack [A; B] to the 2M x n stack [A^T; B^T]."""
     m = lift(m)
-    return Node(m.value.T, "transpose", (m,), lambda g: (np.ascontiguousarray(g.T),))
+    n, cols = view_rows("transpose_halves", m), m.shape[1]
+    out = np.vstack([m.value[:n].T, m.value[n:].T])
+    return Node(out, "transpose_halves", (m,), lambda g: (np.vstack([g[:cols].T, g[cols:].T]),))
 
 
-def ntxent(a, b, temperature: float, exclude_self: bool) -> Node:
-    """Mean normalized temperature-scaled cross-entropy of two n-row views,
-    the shared core of both contrastive losses, as a 1 x 1 node.
+def ntxent(x, temperature: float, exclude_self: bool) -> Node:
+    """Mean normalized temperature-scaled cross-entropy over the 2N stacked
+    rows [A; B] of two n-row views, the shared core of both contrastive
+    losses, as a 1 x 1 node.
 
-    The 2n rows of [a; b] are scaled to unit norm; row i's logits are its
-    cosine similarities over ``temperature``, its positive is row
-    (i + n) mod 2n, and its denominator sums over every row, minus the
-    self term when ``exclude_self``. A zero row is reported by index.
+    The rows are scaled to unit norm; row i's logits are its cosine
+    similarities over ``temperature``, its positive is row (i + n) mod 2n,
+    and its denominator sums over every row, minus the self term when
+    ``exclude_self``. It is evaluated with the view whose bytes sort
+    first on top, so swapping the views gives the same value bit for bit.
+    A row whose norm is zero or overflows is reported by index.
     """
-    a, b = lift(a), lift(b)
-    _require_same_shape("ntxent", a, b)
-    n = a.shape[0]
-    if n < 1:
-        raise DegenerateInputError("ntxent: need at least one row per view")
-    x = np.vstack([a.value, b.value])
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    zero_rows = np.flatnonzero(norms[:, 0] == 0.0)
-    if zero_rows.size:
-        raise DegenerateInputError(f"ntxent: row {int(zero_rows[0])} has zero norm")
-    u = x / norms
+    x = lift(x)
+    n = view_rows("ntxent", x)
+    u, norms = unit_rows("ntxent", x.value)
+    swapped = x.value[n:].tobytes() < x.value[:n].tobytes()
+    if swapped:
+        u, norms = np.concatenate((u[n:], u[:n])), np.concatenate((norms[n:], norms[:n]))
     ut = np.ascontiguousarray(u.T)
     inv_temperature = float(1.0 / temperature)
     inv_rows = float(1.0 / (2 * n))
@@ -255,31 +278,32 @@ def ntxent(a, b, temperature: float, exclude_self: bool) -> Node:
         du += (u.T @ dlogits).T
         du -= (du * u).sum(axis=1, keepdims=True) * u
         du /= norms
-        return du[:n], du[n:]
+        return (np.concatenate((du[n:], du[:n])) if swapped else du,)
 
-    return Node([[per_row.sum() * inv_rows]], "ntxent", (a, b), vjp)
+    return Node([[per_row.sum() * inv_rows]], "ntxent", (x,), vjp)
 
 
 def mass_entropy(y, floor: float) -> Node:
-    """Entropy -sum_j p_j log max(p_j, floor) of the column masses
-    p = (1^T Y) / n of an n-row matrix, as a 1 x 1 node.
+    """Summed entropy of the two views' column masses over the 2N stacked
+    rows [A; B] of two n-row matrices, as a 1 x 1 node: the sum over
+    views of -sum_j p_j log max(p_j, floor), p = (1^T V) / n.
 
     The floor defines 0 log 0 = 0 with a bounded gradient. Column sums
     come before the division, so integer-valued sums stay exact and
     concentrated masses give entropy exactly 0. A mass that is not
-    finite is reported by column.
+    finite is reported by view and column.
     """
     y = lift(y)
-    n = y.shape[0]
-    if n < 1:
-        raise DegenerateInputError("mass_entropy: need at least one row")
+    n = view_rows("mass_entropy", y)
     floor = float(floor)
     inv_n = float(1.0 / n)
-    p = np.ones((1, n)) @ y.value
+    ones = np.ones((1, n))
+    p = np.vstack([ones @ y.value[:n], ones @ y.value[n:]])  # one row per view
     p *= inv_n
-    bad = np.flatnonzero(~np.isfinite(p[0]))
+    bad = np.argwhere(~np.isfinite(p))
     if bad.size:
-        raise DegenerateInputError(f"mass_entropy: column {int(bad[0])} has non-finite mass")
+        view, column = ("first", "second")[bad[0, 0]], int(bad[0, 1])
+        raise DegenerateInputError(f"mass_entropy: {view} view, column {column}: mass not finite")
     clipped = np.maximum(p, floor)
     logp = np.log(clipped)
 
@@ -289,6 +313,7 @@ def mass_entropy(y, floor: float) -> Node:
         dp = gs * logp
         dp += (gs * p) / clipped * (p > floor)
         dp *= inv_n
-        return (np.ones((n, 1)) @ dp,)
+        return (np.vstack([ones.T @ dp[:1], ones.T @ dp[1:]]),)
 
-    return Node([[(p * logp).sum() * -1.0]], "mass_entropy", (y,), vjp)
+    per_view = (p * logp).sum(axis=1)
+    return Node([[(per_view[0] + per_view[1]) * -1.0]], "mass_entropy", (y,), vjp)

@@ -145,17 +145,16 @@ def init_params(config: ModelConfig) -> ModelParams:
     return params
 
 
-def _layers(nodes: dict, group: str, x, checked: bool = False) -> ad.Node:
+def _layers(nodes: dict, group: str, x) -> ad.Node:
     """Apply the linear layers ``group.0``, ``group.1``, ... in turn,
-    with ReLU between consecutive layers. A ``checked`` group raises
-    ``DegenerateInputError`` naming its first layer whose output is not
-    finite."""
+    with ReLU between consecutive layers. Raises ``DegenerateInputError``
+    naming the first layer whose output is not finite."""
     i = 0
     while f"{group}.{i}.weight" in nodes:
         if i:
             x = ad.relu(x)
         x = ad.linear(x, nodes[f"{group}.{i}.weight"], nodes[f"{group}.{i}.bias"])
-        if checked and not np.isfinite(x.value).all():
+        if not np.isfinite(x.value).all():
             raise DegenerateInputError(f"{group}.{i}: output is not finite")
         i += 1
     return x
@@ -167,13 +166,12 @@ def forward_graph(nodes: dict, batch):
     loss normalizes. Y rows are strictly positive and sum to 1. A batch
     passed as a node gets a gradient; a plain array is a constant.
 
-    An encoder layer that overflows is named here, with numpy's warning
-    off. A head that does is named downstream, by the losses' checks on
-    their terms and rows."""
+    The first layer whose output is not finite, in the encoder or in
+    either head, is named here, with numpy's warning off."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _layers(nodes, "encoder", batch, checked=True)
-    z = _layers(nodes, "instance_head", h)
-    y = ad.softmax_rows(_layers(nodes, "cluster_head", h))
+        h = _layers(nodes, "encoder", batch)
+        z = _layers(nodes, "instance_head", h)
+        y = ad.softmax_rows(_layers(nodes, "cluster_head", h))
     return h, z, y
 
 

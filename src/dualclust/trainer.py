@@ -1,10 +1,11 @@
 """Mini-batch training of the two-head model with Adam.
 
-One step is forward (both augmented views) -> joint loss -> backward ->
-parameter update. The joint objective is the plain sum of the instance
-and cluster terms; ablation switches drop either one. Everything is
-seeded: batch order, per-sample augmentation streams, and the parameter
-init, so identical configs reproduce byte-identical reports.
+One step is one forward pass over both augmented views as 2N stacked
+rows [views_a; views_b] -> joint loss -> backward -> parameter update.
+The joint objective is the plain sum of the instance and cluster terms;
+ablation switches drop either one. Everything is seeded: batch order,
+per-sample augmentation streams, and the parameter init, so identical
+configs reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -151,31 +152,30 @@ def _raise_non_finite(params: ModelParams, grad, square) -> None:
     raise DegenerateInputError(f"gradient of {name} {reason}")
 
 
-def _loss_terms(z_a, z_b, y_a, y_b, config: LossSection, include_instance, include_cluster):
-    """(instance term, cluster term, joint objective); a switched-off
-    term is None."""
-    term_ins = instance_loss(z_a, z_b, config) if include_instance else None
-    term_clu = cluster_loss(y_a, y_b, config) if include_cluster else None
+def _loss_terms(z, y, config: LossSection, include_instance, include_cluster):
+    """(instance term, cluster term, joint objective) of the 2N stacked
+    projections ``z`` and soft labels ``y``; a switched-off term is None."""
+    term_ins = instance_loss(z, config) if include_instance else None
+    term_clu = cluster_loss(y, config) if include_cluster else None
     if term_ins is not None and term_clu is not None:
         return term_ins, term_clu, ad.add(term_ins, term_clu)
     return term_ins, term_clu, term_ins or term_clu or ad.lift(np.zeros((1, 1)))
 
 
 def total_loss(
-    z_a,
-    z_b,
-    y_a,
-    y_b,
+    z,
+    y,
     config: LossSection = LossSection(),
     include_instance: bool = True,
     include_cluster: bool = True,
 ) -> ad.Node:
-    """Joint objective: unweighted sum of the two heads' losses.
+    """Joint objective: unweighted sum of the two heads' losses over the
+    2N stacked rows ``z`` and ``y``.
 
     With one term switched off the result is the other term's node
     itself; with both off it is the constant 0.
     """
-    return _loss_terms(z_a, z_b, y_a, y_b, config, include_instance, include_cluster)[2]
+    return _loss_terms(z, y, config, include_instance, include_cluster)[2]
 
 
 def _term_switches(ablation: str) -> tuple[bool, bool]:
@@ -277,10 +277,9 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 views_a.append(xa)
                 views_b.append(xb)
             try:
-                _, z_a, y_a = forward_graph(param_nodes, np.stack(views_a))
-                _, z_b, y_b = forward_graph(param_nodes, np.stack(views_b))
+                _, z, y = forward_graph(param_nodes, np.stack(views_a + views_b))
                 term_ins, term_clu, total = _loss_terms(
-                    z_a, z_b, y_a, y_b, config.losses, include_instance, include_cluster
+                    z, y, config.losses, include_instance, include_cluster
                 )
                 # A non-finite loss stops the step here; adam_step checks
                 # the gradients before it writes anything.
@@ -294,8 +293,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                     np.zeros_like(node.value) if node.grad is None else node.grad
                     for node in param_nodes.values()
                 ]
-                pos_i, neg_i = pair_similarity_stats(z_a.value, z_b.value)
-                pos_c, neg_c = pair_similarity_stats(y_a.value.T, y_b.value.T)
+                pos_i, neg_i = pair_similarity_stats(z.value)
+                pos_c, neg_c = pair_similarity_stats(ad.transpose_halves(y.value).value)
                 adam_step(params, gradients, state)
             except (ContractError, DegenerateInputError) as exc:
                 raise type(exc)(f"epoch {epoch}, batch {batch_count}: {exc}") from exc
@@ -309,7 +308,12 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         means = {key: value / batch_count for key, value in sums.items()}
         means["l_ins"] = means["l_ins"] if include_instance else None
         means["l_clu"] = means["l_clu"] if include_cluster else None
-        metrics = metric_bundle(None, None) if dataset.labels is None else evaluate(params, dataset)
+        metrics = metric_bundle(None, None)
+        if dataset.labels is not None:
+            try:
+                metrics = evaluate(params, dataset)
+            except DegenerateInputError as exc:
+                raise DegenerateInputError(f"epoch {epoch}, evaluation: {exc}") from exc
         report.records.append(EpochRecord(epoch=epoch, **means, **metrics))
     return params, report
 

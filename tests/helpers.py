@@ -63,6 +63,18 @@ def weighted_sum(node, weights):
     return ad.Node(value, "weighted_sum", (node,), lambda g: (g * weights,))
 
 
+def transposed(node):
+    """The transpose of ``node``, a hand-built node like ``weighted_sum``."""
+    return ad.Node(node.value.T, "transposed", (node,), lambda g: (np.ascontiguousarray(g.T),))
+
+
+def stacked(a, b):
+    """The rows of ``a`` over those of ``b``, a hand-built node like
+    ``weighted_sum``: the two-view step's way to feed the stacked losses."""
+    n = a.shape[0]
+    return ad.Node(np.vstack([a.value, b.value]), "stacked", (a, b), lambda g: (g[:n], g[n:]))
+
+
 def reference_pair_similarity_stats(a, b):
     """Mean positive and negative cosine similarity read off the full
     2n x 2n cosine matrix with boolean masks: the O(n^2) definition that

@@ -63,9 +63,8 @@ def heldout_alignment(params, dataset, pipeline, seed, epoch):
         make_pair(pipeline, dataset.samples[i], pair_rng(seed, epoch, i))
         for i in range(dataset.n)
     ]
-    _, z_a, _ = forward(params, np.stack([a for a, _ in pairs]))
-    _, z_b, _ = forward(params, np.stack([b for _, b in pairs]))
-    return pair_similarity_stats(z_a, z_b)[0]
+    _, z, _ = forward(params, np.stack([a for a, _ in pairs] + [b for _, b in pairs]))
+    return pair_similarity_stats(z)[0]
 
 
 @pytest.fixture(scope="module")
@@ -119,19 +118,16 @@ def test_criterion_1_gradient_fidelity():
         )
         params = init_params(config)
         rng = np.random.default_rng(1000 + seed)
-        batch_a = rng.normal(size=(5, 4))
-        batch_b = rng.normal(size=(5, 4))
+        # Both views, 5 samples each, stacked as 10 rows.
+        batch = rng.normal(size=(10, 4))
 
         def loss_value():
-            nodes = params.nodes()
-            _, z_a, y_a = forward_graph(nodes, ad.lift(batch_a))
-            _, z_b, y_b = forward_graph(nodes, ad.lift(batch_b))
-            return total_loss(z_a, z_b, y_a, y_b)
+            _, z, y = forward_graph(params.nodes(), ad.lift(batch))
+            return total_loss(z, y)
 
         root_nodes = params.nodes()
-        _, z_a, y_a = forward_graph(root_nodes, ad.lift(batch_a))
-        _, z_b, y_b = forward_graph(root_nodes, ad.lift(batch_b))
-        root = total_loss(z_a, z_b, y_a, y_b)
+        _, z, y = forward_graph(root_nodes, ad.lift(batch))
+        root = total_loss(z, y)
         for node in root_nodes.values():
             node.grad = np.zeros_like(node.value)
         ad.backward(root)
@@ -182,7 +178,8 @@ def test_criterion_2_loss_oracle_equivalence():
         z_a = rng.normal(size=(n, dim))
         z_b = rng.normal(size=(n, dim))
         got = instance_loss(
-            z_a, z_b, LossSection(instance_temperature=tau_i, exclude_self_similarity=exclude)
+            np.vstack([z_a, z_b]),
+            LossSection(instance_temperature=tau_i, exclude_self_similarity=exclude),
         ).value[0, 0]
         want = naive_instance_loss(z_a, z_b, tau_i, exclude_self=exclude)
         worst = max(worst, abs(got - want))
@@ -190,8 +187,7 @@ def test_criterion_2_loss_oracle_equivalence():
         y_a = random_row_stochastic(rng, n, m)
         y_b = random_row_stochastic(rng, n, m)
         got = cluster_loss(
-            y_a,
-            y_b,
+            np.vstack([y_a, y_b]),
             LossSection(
                 cluster_temperature=tau_c, entropy_weight=weight, exclude_self_similarity=exclude
             ),
@@ -219,32 +215,29 @@ def test_criterion_3_loss_invariances():
         y_a = random_row_stochastic(rng, n, m)
         y_b = random_row_stochastic(rng, n, m)
 
-        base_i = instance_loss(z_a, z_b).value[0, 0]
-        base_c = cluster_loss(y_a, y_b).value[0, 0]
+        def ins(a, b):
+            return instance_loss(np.vstack([a, b])).value[0, 0]
+
+        def clu(a, b):
+            return cluster_loss(np.vstack([a, b])).value[0, 0]
+
+        base_i = ins(z_a, z_b)
+        base_c = clu(y_a, y_b)
 
         # View swap is bit-exact by construction.
-        assert instance_loss(z_b, z_a).value[0, 0] == base_i
-        assert cluster_loss(y_b, y_a).value[0, 0] == base_c
+        assert ins(z_b, z_a) == base_i
+        assert clu(y_b, y_a) == base_c
 
         perm = rng.permutation(n)
-        worst_drift = max(
-            worst_drift, abs(instance_loss(z_a[perm], z_b[perm]).value[0, 0] - base_i)
-        )
-        worst_drift = max(
-            worst_drift, abs(cluster_loss(y_a[perm], y_b[perm]).value[0, 0] - base_c)
-        )
+        worst_drift = max(worst_drift, abs(ins(z_a[perm], z_b[perm]) - base_i))
+        worst_drift = max(worst_drift, abs(clu(y_a[perm], y_b[perm]) - base_c))
 
         cols = rng.permutation(m)
-        worst_drift = max(
-            worst_drift, abs(cluster_loss(y_a[:, cols], y_b[:, cols]).value[0, 0] - base_c)
-        )
+        worst_drift = max(worst_drift, abs(clu(y_a[:, cols], y_b[:, cols]) - base_c))
 
         scale_a = rng.uniform(0.1, 10.0, size=(n, 1))
         scale_b = rng.uniform(0.1, 10.0, size=(n, 1))
-        worst_drift = max(
-            worst_drift,
-            abs(instance_loss(z_a * scale_a, z_b * scale_b).value[0, 0] - base_i),
-        )
+        worst_drift = max(worst_drift, abs(ins(z_a * scale_a, z_b * scale_b) - base_i))
     ok = worst_drift < 1e-10
     gate(3, ok, f"view swap exact, max drift {worst_drift:.2e} over 50 cases each")
     assert worst_drift < 1e-10
@@ -258,7 +251,7 @@ def test_criterion_4_entropy_contract():
     worst_gap = 0.0
     for m in (2, 3, 4, 5, 8):
         uniform = np.full((10, m), 1.0 / m)
-        value = assignment_entropy(uniform, uniform).value[0, 0]
+        value = assignment_entropy(np.vstack([uniform, uniform])).value[0, 0]
         worst_gap = max(worst_gap, abs(value - 2.0 * math.log(m)))
     assert worst_gap < 1e-12
 
@@ -276,16 +269,16 @@ def test_criterion_4_entropy_contract():
                 p = np.full(m, 1.0 / m)
                 p[i] += 0.1
                 p[j] -= 0.1
-                y = np.tile(p, (8, 1))
-                strict &= assignment_entropy(y, y).value[0, 0] < ceiling
+                y = np.tile(p, (16, 1))
+                strict &= assignment_entropy(y).value[0, 0] < ceiling
         for case in range(20):
             direction = rng.normal(size=m)
             direction -= direction.mean()
             direction *= 0.1 / direction[direction > 0].sum()
             p = np.full(m, 1.0 / m) + direction
             assert p.min() > 0.0
-            y = np.tile(p, (8, 1))
-            strict &= assignment_entropy(y, y).value[0, 0] < ceiling
+            y = np.tile(p, (16, 1))
+            strict &= assignment_entropy(y).value[0, 0] < ceiling
     assert strict
 
     # Projected gradient at uniform: finite differences along the simplex
@@ -306,8 +299,8 @@ def test_criterion_4_entropy_contract():
                 down[row, j] -= step
                 down[row, k] += step
                 delta = (
-                    assignment_entropy(up, fixed).value[0, 0]
-                    - assignment_entropy(down, fixed).value[0, 0]
+                    assignment_entropy(np.vstack([up, fixed])).value[0, 0]
+                    - assignment_entropy(np.vstack([down, fixed])).value[0, 0]
                 ) / (2.0 * step)
                 worst_directional = max(worst_directional, abs(delta))
     ok = worst_gap < 1e-12 and strict and worst_directional < 1e-6

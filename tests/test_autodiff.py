@@ -1,6 +1,9 @@
 """Gradient-engine tests: exact cases, contracts, and finite-difference
 checks for every primitive on many seeds."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from helpers import (
     check_gradients,
     reference_entropy_chain,
     soft_labels_with_empty_columns,
+    transposed,
     weighted_sum,
 )
 
@@ -25,18 +29,18 @@ PRIMITIVE_FD_TESTS = {
     "relu": "test_relu",
     "softmax_rows": "test_softmax_rows",
     "scale": "test_scalar_ops",
-    "transpose": "test_transpose_concat_sum",
+    "transpose_halves": "test_transpose_concat_sum",
     "ntxent": "test_ntxent",
     "mass_entropy": "test_mass_entropy",
 }
-NON_PRIMITIVES = {"Matrix", "Node", "as_matrix", "lift", "backward"}
+NON_PRIMITIVES = {"Matrix", "Node", "as_matrix", "view_rows", "unit_rows", "lift", "backward"}
 
 
 def squared_frobenius(node):
-    """sum(X * X) from the remaining primitives: the trace of X X^T, with
-    ``node`` used twice by one ``linear``."""
+    """sum(X * X) as the trace of X X^T, with ``node`` used twice by one
+    ``linear``."""
     rows = node.shape[0]
-    gram = ad.linear(node, ad.transpose(node), np.zeros((1, rows)))
+    gram = ad.linear(node, transposed(node), np.zeros((1, rows)))
     return weighted_sum(gram, np.eye(rows))
 
 
@@ -58,7 +62,8 @@ class TestMatrixBasics:
             ad.softmax_rows(m),
             ad.relu(m),
             ad.scale(m, 3.0),
-            ad.ntxent(m[:2], m[2:], 0.5, exclude_self=True),
+            ad.ntxent(m, 0.5, exclude_self=True),
+            ad.transpose_halves(m),
             ad.mass_entropy(np.abs(m), 1e-12),
         ):
             assert np.isfinite(node.value).all()
@@ -68,12 +73,31 @@ class TestNtxent:
     def test_zero_row_reports_index(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[0.0, 0.0], [3.0, 4.0]])
-        with pytest.raises(DegenerateInputError, match="row 2"):
-            ad.ntxent(a, b, 0.5, exclude_self=True)
+        with pytest.raises(DegenerateInputError, match="row 2 has zero norm"):
+            ad.ntxent(np.vstack([a, b]), 0.5, exclude_self=True)
+        # A finite row whose squared norm overflows, without a warning.
+        with pytest.raises(DegenerateInputError, match="row 3 has non-finite norm"):
+            ad.ntxent(np.vstack([a, [[3.0, 4.0], [1e200, 1e200]]]), 0.5, exclude_self=True)
 
     def test_view_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.ntxent(np.ones((2, 3)), np.ones((3, 3)), 0.5, exclude_self=True)
+        # Views of unequal length stack to an odd row count.
+        with pytest.raises(ShapeError, match="ntxent: 5 rows do not split"):
+            ad.ntxent(np.ones((5, 3)), 0.5, exclude_self=True)
+        with pytest.raises(ShapeError, match="transpose_halves: 3 rows do not split"):
+            ad.transpose_halves(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_view_swap_rolls_value_and_gradient(self, seed):
+        # The halves are evaluated in byte order, so a swap gives the same
+        # value and the same gradient rows, swapped, bit for bit.
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        ab, ba = ad.lift(np.vstack([a, b])), ad.lift(np.vstack([b, a]))
+        roots = [ad.ntxent(x, 0.4, exclude_self=bool(seed % 2)) for x in (ab, ba)]
+        for root in roots:
+            ad.backward(root)
+        np.testing.assert_array_equal(roots[0].value, roots[1].value)
+        np.testing.assert_array_equal(ab.grad, np.roll(ba.grad, 5, axis=0))
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     def test_repeated_backward_is_bit_identical(self, exclude_self):
@@ -81,36 +105,42 @@ class TestNtxent:
         # a VJP that wrote into the arrays it shares across calls would
         # change the second call's gradients.
         rng = np.random.default_rng(8)
-        a, b = ad.lift(rng.normal(size=(6, 4))), ad.lift(rng.normal(size=(6, 4)))
-        root = ad.scale(ad.ntxent(a, b, 0.3, exclude_self), 1.7)
-        ad.backward(root)
-        first = a.grad.copy(), b.grad.copy()
-        ad.backward(root)
-        np.testing.assert_array_equal(a.grad, first[0])
-        np.testing.assert_array_equal(b.grad, first[1])
+        # One of the two orders of the halves is evaluated swapped.
+        x = rng.normal(size=(12, 4))
+        for x in (x, np.roll(x, 6, axis=0)):
+            leaf = ad.lift(x)
+            root = ad.scale(ad.ntxent(leaf, 0.3, exclude_self), 1.7)
+            ad.backward(root)
+            first = leaf.grad.copy()
+            ad.backward(root)
+            np.testing.assert_array_equal(leaf.grad, first)
 
 
 class TestMassEntropy:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_unfused_chain_bit_for_bit(self, seed):
         # Value and gradient repeat the matmul / scale / clip_min / log /
-        # mul / sum_all chain's float operations, including at zero and
-        # below-floor columns where clip_min cuts the log's gradient.
+        # mul / sum_all / add chain's float operations over both views,
+        # including at zero and below-floor columns where clip_min cuts
+        # the log's gradient.
         rng = np.random.default_rng(seed)
-        y = soft_labels_with_empty_columns(rng, int(rng.integers(1, 600)), int(rng.integers(3, 21)))
+        n, m = int(rng.integers(1, 600)), int(rng.integers(3, 21))
+        views = [soft_labels_with_empty_columns(rng, n, m) for _ in range(2)]
         g = rng.normal(size=(1, 1))
-        leaf = ad.lift(y)
+        leaf = ad.lift(np.vstack(views))
         root = ad.scale(ad.mass_entropy(leaf, ENTROPY_LOG_FLOOR), g[0, 0])
         ad.backward(root)
-        value, (grad,) = reference_entropy_chain([y], ENTROPY_LOG_FLOOR, g)
+        value, grads = reference_entropy_chain(views, ENTROPY_LOG_FLOOR, g)
         np.testing.assert_array_equal(root.parents[0].value, value)
-        np.testing.assert_array_equal(leaf.grad, grad)
+        np.testing.assert_array_equal(leaf.grad, np.vstack(grads))
 
     def test_non_finite_mass_reports_column(self):
-        y = np.full((3, 4), 0.25)
-        y[1, 2] = np.nan
-        with pytest.raises(DegenerateInputError, match="column 2 has non-finite mass"):
-            ad.mass_entropy(y, 1e-12)
+        y = np.full((6, 4), 0.25)
+        for row, view in ((1, "first"), (4, "second")):
+            bad = y.copy()
+            bad[row, 2] = np.nan
+            with pytest.raises(DegenerateInputError, match=f"{view} view, column 2: mass not finite"):
+                ad.mass_entropy(bad, 1e-12)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DegenerateInputError, match="at least one row"):
@@ -197,7 +227,7 @@ class TestBackwardContracts:
         def build(n):
             # n feeds softmax_rows and relu; shared feeds linear twice.
             shared = ad.softmax_rows(n)
-            gram = ad.linear(shared, ad.transpose(shared), np.zeros((1, 3)))
+            gram = ad.linear(shared, transposed(shared), np.zeros((1, 3)))
             return ad.add(weighted_sum(gram, w), weighted_sum(ad.relu(n), v))
 
         check_gradients(build, [x])
@@ -279,25 +309,23 @@ class TestPrimitiveGradients:
 
     def test_transpose_concat_sum(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(2, 3))
-        w = rng.normal(size=(3, 2))
-        check_gradients(lambda x: weighted_sum(ad.transpose(x), w), [a])
+        a = rng.normal(size=(4, 3))
+        w = rng.normal(size=(6, 2))
+        check_gradients(lambda x: weighted_sum(ad.transpose_halves(x), w), [a])
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     def test_ntxent(self, seed, exclude_self):
         rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        x = rng.normal(size=(6, 4))
         temperature, weight = rng.uniform(0.3, 1.5), rng.normal()
-        check_gradients(
-            lambda x, y: ad.scale(ad.ntxent(x, y, temperature, exclude_self), weight), [a, b]
-        )
+        check_gradients(lambda x: ad.scale(ad.ntxent(x, temperature, exclude_self), weight), [x])
 
     def test_mass_entropy(self, seed):
         # Column 0's mass lies in [0.02, 0.1], below the 0.15 floor, and
         # every other column's in [0.2, 1]: each side of the clip is
         # checked, and both stay far from it.
         rng = np.random.default_rng(seed)
-        y = rng.uniform(0.2, 1.0, size=(5, 4))
+        y = rng.uniform(0.2, 1.0, size=(10, 4))
         y[:, 0] *= 0.1
         weight = rng.normal()
         check_gradients(lambda x: ad.scale(ad.mass_entropy(x, 0.15), weight), [y])
@@ -307,3 +335,13 @@ def test_every_exported_primitive_is_finite_difference_tested():
     assert set(ad.__all__) - NON_PRIMITIVES == set(PRIMITIVE_FD_TESTS)
     for name, test in PRIMITIVE_FD_TESTS.items():
         assert callable(getattr(TestPrimitiveGradients, test, None)), f"{name}: no {test}"
+
+
+def test_every_exported_primitive_has_a_caller_in_the_package():
+    # A primitive that only its own tests call is dead code: delete it.
+    package = Path(ad.__file__).parent
+    source = "".join(
+        path.read_text() for path in sorted(package.glob("*.py")) if path.name != "autodiff.py"
+    )
+    for name in sorted(set(ad.__all__) - NON_PRIMITIVES):
+        assert re.search(rf"\bad\.{name}\(", source), f"ad.{name} has no caller in {package}"

@@ -40,13 +40,13 @@ class TestAssignmentEntropy:
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_uniform_masses_hit_maximum(self, m):
         y = np.full((12, m), 1.0 / m)
-        h = assignment_entropy(y, y).value[0, 0]
+        h = assignment_entropy(np.vstack([y, y])).value[0, 0]
         np.testing.assert_allclose(h, 2.0 * math.log(m), rtol=0, atol=1e-12)
 
     def test_concentrated_masses_give_zero(self):
         y = np.zeros((6, 3))
         y[:, 1] = 1.0
-        assert assignment_entropy(y, y).value[0, 0] == 0.0
+        assert assignment_entropy(np.vstack([y, y])).value[0, 0] == 0.0
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(17)
@@ -56,16 +56,16 @@ class TestAssignmentEntropy:
         for y in (y_a, y_b):
             p = y.sum(axis=0) / 16.0
             want -= float(np.sum(p * np.log(p)))
-        got = assignment_entropy(y_a, y_b).value[0, 0]
+        got = assignment_entropy(np.vstack([y_a, y_b])).value[0, 0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_rejects_rows_not_summing_to_one(self):
         bad = np.full((3, 2), 0.6)
         good = np.full((3, 2), 0.5)
-        with pytest.raises(ContractError, match="row 0"):
-            assignment_entropy(bad, good)
-        with pytest.raises(ContractError, match="second view"):
-            assignment_entropy(good, bad)
+        with pytest.raises(ContractError, match=r"\(first view\): row 0"):
+            assignment_entropy(np.vstack([bad, good]))
+        with pytest.raises(ContractError, match=r"\(second view\): row 0"):
+            assignment_entropy(np.vstack([good, bad]))
 
     @pytest.mark.parametrize("loss", [assignment_entropy, cluster_loss])
     def test_nan_row_named_in_either_view(self, loss):
@@ -73,9 +73,9 @@ class TestAssignmentEntropy:
         good = np.full((4, 3), 1.0 / 3.0)
         bad = good.copy()
         bad[2, 1] = np.nan
-        for views in ((bad, good), (good, bad)):
-            with pytest.raises(ContractError, match="row 2 sums to nan"):
-                loss(*views)
+        for view, views in (("first", (bad, good)), ("second", (good, bad))):
+            with pytest.raises(ContractError, match=rf"\({view} view\): row 2 sums to nan"):
+                loss(np.vstack(views))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_unfused_chain_bit_for_bit(self, seed):
@@ -83,33 +83,24 @@ class TestAssignmentEntropy:
         n, m = int(rng.integers(1, 600)), int(rng.integers(3, 21))
         y_a, y_b = (soft_labels_with_empty_columns(rng, n, m) for _ in range(2))
         g = rng.normal(size=(1, 1))
-        a, b = ad.lift(y_a), ad.lift(y_b)
-        entropy = assignment_entropy(a, b)
+        y = ad.lift(np.vstack([y_a, y_b]))
+        entropy = assignment_entropy(y)
         ad.backward(ad.scale(entropy, g[0, 0]))
         value, grads = reference_entropy_chain([y_a, y_b], ENTROPY_LOG_FLOOR, g)
         np.testing.assert_array_equal(entropy.value, value)
-        np.testing.assert_array_equal(a.grad, grads[0])
-        np.testing.assert_array_equal(b.grad, grads[1])
+        np.testing.assert_array_equal(y.grad, np.vstack(grads))
 
     def test_gradient_vanishes_on_simplex_at_uniform(self):
         # dH/dY is constant within each row at uniform masses, so its
         # projection onto directions that preserve row sums is zero.
-        y_a = ad.lift(np.full((8, 4), 0.25))
-        y_b = ad.lift(np.full((8, 4), 0.25))
-        ad.backward(assignment_entropy(y_a, y_b))
-        for node in (y_a, y_b):
-            tangent = node.grad - node.grad.mean(axis=1, keepdims=True)
-            np.testing.assert_allclose(tangent, 0.0, rtol=0, atol=1e-12)
+        y = ad.lift(np.full((16, 4), 0.25))
+        ad.backward(assignment_entropy(y))
+        tangent = y.grad - y.grad.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(tangent, 0.0, rtol=0, atol=1e-12)
 
     def test_gradient_through_softmax_vanishes_at_uniform(self):
-        logits = np.zeros((6, 3))
-
-        def build(raw):
-            y = ad.softmax_rows(raw)
-            return assignment_entropy(y, y)
-
-        node = ad.lift(logits)
-        ad.backward(build(node))
+        node = ad.lift(np.zeros((12, 3)))
+        ad.backward(assignment_entropy(ad.softmax_rows(node)))
         np.testing.assert_allclose(node.grad, 0.0, rtol=0, atol=1e-12)
 
 
@@ -123,7 +114,7 @@ class TestClusterLossValues:
         cfg = LossSection(cluster_temperature=1.0, entropy_weight=1.0)
         contrastive = -math.log(math.e / (math.e + 2.0))
         expected = contrastive - 2.0 * math.log(2.0)
-        loss = cluster_loss(y, y, cfg).value[0, 0]
+        loss = cluster_loss(np.vstack([y, y]), cfg).value[0, 0]
         np.testing.assert_allclose(loss, expected, rtol=0, atol=1e-12)
 
     def test_literal_entropy_sign_adds_instead(self):
@@ -131,7 +122,7 @@ class TestClusterLossValues:
         cfg = LossSection(literal_entropy_sign=True)
         contrastive = -math.log(math.e / (math.e + 2.0))
         expected = contrastive + 2.0 * math.log(2.0)
-        loss = cluster_loss(y, y, cfg).value[0, 0]
+        loss = cluster_loss(np.vstack([y, y]), cfg).value[0, 0]
         np.testing.assert_allclose(loss, expected, rtol=0, atol=1e-12)
 
     def test_identical_orthogonal_views_have_unit_positive_similarity(self):
@@ -149,7 +140,7 @@ class TestClusterLossValues:
         cfg = LossSection(
             cluster_temperature=1.0, entropy_weight=1.0, exclude_self_similarity=exclude_self
         )
-        got = cluster_loss(y_a, y_b, cfg).value[0, 0]
+        got = cluster_loss(np.vstack([y_a, y_b]), cfg).value[0, 0]
         want = naive_cluster_loss(y_a, y_b, 1.0, 1.0, exclude_self)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
@@ -157,27 +148,29 @@ class TestClusterLossValues:
         rng = np.random.default_rng(21)
         y_a = random_row_stochastic(rng, 10, 4)
         y_b = random_row_stochastic(rng, 10, 4)
-        light = cluster_loss(y_a, y_b, LossSection(entropy_weight=0.0)).value[0, 0]
-        heavy = cluster_loss(y_a, y_b, LossSection(entropy_weight=2.0)).value[0, 0]
-        h = assignment_entropy(y_a, y_b).value[0, 0]
+        y = np.vstack([y_a, y_b])
+        light = cluster_loss(y, LossSection(entropy_weight=0.0)).value[0, 0]
+        heavy = cluster_loss(y, LossSection(entropy_weight=2.0)).value[0, 0]
+        h = assignment_entropy(y).value[0, 0]
         np.testing.assert_allclose(heavy, light - 2.0 * h, rtol=1e-12, atol=1e-12)
 
     def test_zero_mass_cluster_rejected_with_index(self):
         y = np.zeros((4, 3))
         y[:, 0] = 1.0
         y_other = np.full((4, 3), 1.0 / 3.0)
-        with pytest.raises(DegenerateInputError, match="cluster 1"):
-            cluster_loss(y, y_other)
+        with pytest.raises(DegenerateInputError, match="cluster 1 has zero mass in view a"):
+            cluster_loss(np.vstack([y, y_other]))
+        with pytest.raises(DegenerateInputError, match="cluster 1 has zero mass in view b"):
+            cluster_loss(np.vstack([y_other, y]))
 
     def test_single_cluster_rejected(self):
-        y = np.ones((4, 1))
         with pytest.raises(DegenerateInputError):
-            cluster_loss(y, y)
+            cluster_loss(np.ones((8, 1)))
 
     def test_row_sum_violation_rejected(self):
         y = np.full((4, 2), 0.3)
         with pytest.raises(ContractError):
-            cluster_loss(y, np.full((4, 2), 0.5))
+            cluster_loss(np.vstack([y, np.full((4, 2), 0.5)]))
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
@@ -185,8 +178,8 @@ class TestClusterLossValues:
 
     def test_tape_above_the_inputs(self):
         rng = np.random.default_rng(21)
-        inputs = [ad.lift(random_row_stochastic(rng, 8, 3)) for _ in range(2)]
-        seen, stack, ops = {id(v) for v in inputs}, [cluster_loss(*inputs)], Counter()
+        y = ad.lift(random_row_stochastic(rng, 16, 3))
+        seen, stack, ops = {id(y)}, [cluster_loss(y)], Counter()
         while stack:
             node = stack.pop()
             if id(node) in seen:
@@ -194,7 +187,7 @@ class TestClusterLossValues:
             seen.add(id(node))
             ops[node.op] += 1
             stack.extend(node.parents)
-        assert ops == {"transpose": 2, "ntxent": 1, "mass_entropy": 2, "add": 2, "scale": 1}
+        assert ops == {"transpose_halves": 1, "ntxent": 1, "mass_entropy": 1, "add": 1, "scale": 1}
 
 
 class TestClusterLossProperties:
@@ -203,7 +196,8 @@ class TestClusterLossProperties:
         rng = np.random.default_rng(seed)
         y_a = random_row_stochastic(rng, 9, 4)
         y_b = random_row_stochastic(rng, 9, 4)
-        assert cluster_loss(y_a, y_b).value[0, 0] == cluster_loss(y_b, y_a).value[0, 0]
+        lhs = cluster_loss(np.vstack([y_a, y_b])).value[0, 0]
+        assert lhs == cluster_loss(np.vstack([y_b, y_a])).value[0, 0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_joint_column_permutation_invariance(self, seed):
@@ -211,8 +205,8 @@ class TestClusterLossProperties:
         y_a = random_row_stochastic(rng, 8, 5)
         y_b = random_row_stochastic(rng, 8, 5)
         perm = rng.permutation(5)
-        base = cluster_loss(y_a, y_b).value[0, 0]
-        permuted = cluster_loss(y_a[:, perm], y_b[:, perm]).value[0, 0]
+        base = cluster_loss(np.vstack([y_a, y_b])).value[0, 0]
+        permuted = cluster_loss(np.vstack([y_a, y_b])[:, perm]).value[0, 0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -221,8 +215,8 @@ class TestClusterLossProperties:
         y_a = random_row_stochastic(rng, 10, 3)
         y_b = random_row_stochastic(rng, 10, 3)
         perm = rng.permutation(10)
-        base = cluster_loss(y_a, y_b).value[0, 0]
-        permuted = cluster_loss(y_a[perm], y_b[perm]).value[0, 0]
+        base = cluster_loss(np.vstack([y_a, y_b])).value[0, 0]
+        permuted = cluster_loss(np.vstack([y_a[perm], y_b[perm]])).value[0, 0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -230,9 +224,4 @@ class TestClusterLossProperties:
         # Direct perturbation would break row-stochasticity, so the check
         # runs through the softmax parametrization the head actually uses.
         rng = np.random.default_rng(700 + seed)
-        arrays = [rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]
-
-        def build(raw_a, raw_b):
-            return cluster_loss(ad.softmax_rows(raw_a), ad.softmax_rows(raw_b))
-
-        check_gradients(build, arrays)
+        check_gradients(lambda raw: cluster_loss(ad.softmax_rows(raw)), [rng.normal(size=(12, 3))])

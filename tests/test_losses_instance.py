@@ -47,7 +47,7 @@ class TestPairSimilarityStats:
 
     @staticmethod
     def assert_matches_reference(a, b):
-        got = pair_similarity_stats(a, b)
+        got = pair_similarity_stats(np.vstack([a, b]))
         want = reference_pair_similarity_stats(a, b)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, equal_nan=True)
         return got
@@ -82,11 +82,12 @@ class TestPairSimilarityStats:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[3.0, 4.0], [0.0, 0.0]])
         with pytest.raises(DegenerateInputError, match="row 3 has zero norm"):
-            pair_similarity_stats(a, b)
+            pair_similarity_stats(np.vstack([a, b]))
 
     def test_view_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            pair_similarity_stats(np.ones((2, 3)), np.ones((3, 3)))
+        # Views of unequal length stack to an odd row count.
+        with pytest.raises(ShapeError, match="5 rows do not split into two equal views"):
+            pair_similarity_stats(np.ones((5, 3)))
 
 
 class TestInstanceLossValues:
@@ -96,19 +97,18 @@ class TestInstanceLossValues:
         # temperature 0.5 each term is -log(e^2 / (e^2 + 2)).
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = -math.log(math.exp(2.0) / (math.exp(2.0) + 2.0))
-        loss = instance_loss(z, z, LossSection(instance_temperature=0.5))
+        loss = instance_loss(np.vstack([z, z]), LossSection(instance_temperature=0.5))
         np.testing.assert_allclose(loss.value[0, 0], expected, rtol=0, atol=1e-12)
 
     def test_single_pair_core_value_is_zero(self):
         # With self terms excluded a lone pair's denominator equals its
         # numerator, which is why instance_loss refuses n=1 batches.
-        core = ad.ntxent([[3.0, 4.0]], [[-1.0, 2.0]], 0.5, exclude_self=True)
+        core = ad.ntxent([[3.0, 4.0], [-1.0, 2.0]], 0.5, exclude_self=True)
         assert core.value[0, 0] == 0.0
 
     def test_single_pair_rejected_under_self_exclusion(self):
-        z = np.ones((1, 4))
         with pytest.raises(DegenerateInputError):
-            instance_loss(z, z)
+            instance_loss(np.ones((2, 4)))
 
     def test_single_pair_allowed_with_literal_denominator(self):
         z_a = np.array([[1.0, 0.0]])
@@ -116,7 +116,7 @@ class TestInstanceLossValues:
         cfg = LossSection(instance_temperature=0.5, exclude_self_similarity=False)
         # Denominator keeps the exp(1/tau) self term plus the positive.
         expected = -math.log(1.0 / (math.exp(2.0) + 1.0))
-        loss = instance_loss(z_a, z_b, cfg)
+        loss = instance_loss(np.vstack([z_a, z_b]), cfg)
         np.testing.assert_allclose(loss.value[0, 0], expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exclude_self", [True, False])
@@ -126,21 +126,21 @@ class TestInstanceLossValues:
         z_a = rng.normal(size=(5, 8))
         z_b = rng.normal(size=(5, 8))
         cfg = LossSection(instance_temperature=0.5, exclude_self_similarity=exclude_self)
-        got = instance_loss(z_a, z_b, cfg).value[0, 0]
+        got = instance_loss(np.vstack([z_a, z_b]), cfg).value[0, 0]
         want = naive_instance_loss(z_a, z_b, 0.5, exclude_self)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nonnegative_under_self_exclusion(self, seed):
         rng = np.random.default_rng(100 + seed)
-        loss = instance_loss(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
+        loss = instance_loss(rng.normal(size=(12, 4)))
         assert loss.value[0, 0] >= 0.0
 
     def test_temperature_affects_value(self):
         rng = np.random.default_rng(3)
-        z_a, z_b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        cold = instance_loss(z_a, z_b, LossSection(instance_temperature=0.1)).value[0, 0]
-        warm = instance_loss(z_a, z_b, LossSection(instance_temperature=5.0)).value[0, 0]
+        z = rng.normal(size=(8, 5))
+        cold = instance_loss(z, LossSection(instance_temperature=0.1)).value[0, 0]
+        warm = instance_loss(z, LossSection(instance_temperature=5.0)).value[0, 0]
         assert cold != warm
 
 
@@ -150,8 +150,8 @@ class TestInstanceLossProperties:
         rng = np.random.default_rng(seed)
         z_a = rng.normal(size=(5, 6))
         z_b = rng.normal(size=(5, 6))
-        lhs = instance_loss(z_a, z_b).value[0, 0]
-        rhs = instance_loss(z_b, z_a).value[0, 0]
+        lhs = instance_loss(np.vstack([z_a, z_b])).value[0, 0]
+        rhs = instance_loss(np.vstack([z_b, z_a])).value[0, 0]
         assert lhs == rhs
 
     @pytest.mark.parametrize("seed", range(10))
@@ -160,8 +160,8 @@ class TestInstanceLossProperties:
         z_a = rng.normal(size=(7, 4))
         z_b = rng.normal(size=(7, 4))
         perm = rng.permutation(7)
-        base = instance_loss(z_a, z_b).value[0, 0]
-        permuted = instance_loss(z_a[perm], z_b[perm]).value[0, 0]
+        base = instance_loss(np.vstack([z_a, z_b])).value[0, 0]
+        permuted = instance_loss(np.vstack([z_a[perm], z_b[perm]])).value[0, 0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -169,22 +169,23 @@ class TestInstanceLossProperties:
         rng = np.random.default_rng(300 + seed)
         z_a = rng.normal(size=(5, 6))
         z_b = rng.normal(size=(5, 6))
-        base = instance_loss(z_a, z_b).value[0, 0]
+        base = instance_loss(np.vstack([z_a, z_b])).value[0, 0]
         scaled_a = z_a * rng.uniform(0.1, 10.0, size=(5, 1))
         scaled_b = z_b * rng.uniform(0.1, 10.0, size=(5, 1))
-        rescaled = instance_loss(scaled_a, scaled_b).value[0, 0]
+        rescaled = instance_loss(np.vstack([scaled_a, scaled_b])).value[0, 0]
         np.testing.assert_allclose(rescaled, base, rtol=1e-10, atol=1e-10)
 
     def test_aligned_views_score_below_random(self):
         rng = np.random.default_rng(5)
         z = 4.0 * np.eye(4, 8) + 0.05 * rng.normal(size=(4, 8))
-        aligned = instance_loss(z, z.copy()).value[0, 0]
-        shuffled = instance_loss(z, rng.normal(size=(4, 8))).value[0, 0]
+        aligned = instance_loss(np.vstack([z, z])).value[0, 0]
+        shuffled = instance_loss(np.vstack([z, rng.normal(size=(4, 8))])).value[0, 0]
         assert aligned < shuffled
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            instance_loss(np.ones((3, 2)), np.ones((4, 2)))
+        # Views of unequal length stack to an odd row count.
+        with pytest.raises(ShapeError, match="instance_loss: 7 rows"):
+            instance_loss(np.ones((7, 2)))
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
@@ -197,17 +198,11 @@ class TestInstanceLossGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(400 + seed)
-        arrays = [rng.normal(size=(4, 5)), rng.normal(size=(4, 5))]
-
-        def build(z_a, z_b):
-            return instance_loss(z_a, z_b)
-
-        check_gradients(build, arrays)
+        check_gradients(instance_loss, [rng.normal(size=(8, 5))])
 
     def test_gradient_flows_to_both_views(self):
         rng = np.random.default_rng(9)
-        z_a = ad.lift(rng.normal(size=(3, 4)))
-        z_b = ad.lift(rng.normal(size=(3, 4)))
-        ad.backward(instance_loss(z_a, z_b))
-        assert np.any(z_a.grad != 0.0)
-        assert np.any(z_b.grad != 0.0)
+        z = ad.lift(rng.normal(size=(6, 4)))
+        ad.backward(instance_loss(z))
+        assert np.any(z.grad[:3] != 0.0)
+        assert np.any(z.grad[3:] != 0.0)

@@ -1,12 +1,17 @@
 """Optimizer, joint objective, training loop, and evaluation tests."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualclust.autodiff as ad
+import dualclust.trainer
 from dualclust.config import (
+    ABLATION_MODES,
     AugmentationSection,
     DatasetConfig,
     ExperimentConfig,
@@ -16,10 +21,10 @@ from dualclust.config import (
     build_dataset,
 )
 from dualclust.data import Dataset, VectorGeometry
-from dualclust.errors import ConfigError, ContractError, DegenerateInputError
+from dualclust.errors import ConfigError, ContractError, DegenerateInputError, DualclustError
 from dualclust.losses import cluster_loss, instance_loss
 from dualclust.metrics import clustering_accuracy
-from dualclust.model import ModelConfig, init_params
+from dualclust.model import ModelConfig, forward_graph, init_params
 from dualclust.trainer import (
     REPORT_COLUMNS,
     OptimizerState,
@@ -31,7 +36,7 @@ from dualclust.trainer import (
     train,
 )
 
-from helpers import reference_adam_step
+from helpers import reference_adam_step, stacked
 
 TINY_MODEL = ModelConfig(
     input_dim=4, encoder_widths=(8,), cluster_count=3, instance_dim=6, init_seed=0
@@ -186,55 +191,161 @@ class TestAdamStep:
 
 
 def random_views(seed, n=6, dim=5, m=4):
+    """Stacked projections [z_a; z_b] and soft labels [y_a; y_b] of n pairs."""
     rng = np.random.default_rng(seed)
-    z_a = rng.normal(size=(n, dim))
-    z_b = rng.normal(size=(n, dim))
-    logits_a = ad.lift(rng.normal(size=(n, m)))
-    logits_b = ad.lift(rng.normal(size=(n, m)))
-    y_a = ad.softmax_rows(logits_a).value
-    y_b = ad.softmax_rows(logits_b).value
-    return z_a, z_b, y_a, y_b
+    z = rng.normal(size=(2 * n, dim))
+    y = ad.softmax_rows(rng.normal(size=(2 * n, m))).value
+    return z, y
 
 
 class TestTotalLoss:
     def test_both_terms_dropped_gives_zero(self):
-        z_a, z_b, y_a, y_b = random_views(0)
-        total = total_loss(
-            z_a, z_b, y_a, y_b, include_instance=False, include_cluster=False
-        )
+        z, y = random_views(0)
+        total = total_loss(z, y, include_instance=False, include_cluster=False)
         assert total.value[0, 0] == 0.0
 
     def test_cluster_only_equals_cluster_loss_exactly(self):
-        z_a, z_b, y_a, y_b = random_views(1)
-        total = total_loss(z_a, z_b, y_a, y_b, include_instance=False)
-        direct = cluster_loss(y_a, y_b)
+        z, y = random_views(1)
+        total = total_loss(z, y, include_instance=False)
+        direct = cluster_loss(y)
         assert total.value[0, 0] == direct.value[0, 0]
 
     def test_instance_only_equals_instance_loss_exactly(self):
-        z_a, z_b, y_a, y_b = random_views(2)
-        total = total_loss(z_a, z_b, y_a, y_b, include_cluster=False)
-        direct = instance_loss(z_a, z_b)
+        z, y = random_views(2)
+        total = total_loss(z, y, include_cluster=False)
+        direct = instance_loss(z)
         assert total.value[0, 0] == direct.value[0, 0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_sum_of_independently_computed_terms(self, seed):
-        z_a, z_b, y_a, y_b = random_views(seed)
-        total = float(total_loss(z_a, z_b, y_a, y_b).value[0, 0])
-        parts = float(instance_loss(z_a, z_b).value[0, 0]) + float(
-            cluster_loss(y_a, y_b).value[0, 0]
-        )
+        z, y = random_views(seed)
+        total = float(total_loss(z, y).value[0, 0])
+        parts = float(instance_loss(z).value[0, 0]) + float(cluster_loss(y).value[0, 0])
         assert abs(total - parts) < 1e-14
 
     def test_custom_configs_are_honored(self):
-        z_a, z_b, y_a, y_b = random_views(7)
+        z, y = random_views(7)
         config = LossSection(
             instance_temperature=0.25, cluster_temperature=2.0, entropy_weight=0.5
         )
-        total = float(total_loss(z_a, z_b, y_a, y_b, config).value[0, 0])
-        parts = float(instance_loss(z_a, z_b, config).value[0, 0]) + float(
-            cluster_loss(y_a, y_b, config).value[0, 0]
+        total = float(total_loss(z, y, config).value[0, 0])
+        parts = float(instance_loss(z, config).value[0, 0]) + float(
+            cluster_loss(y, config).value[0, 0]
         )
         assert abs(total - parts) < 1e-14
+
+
+class TestOnePassStep:
+    """One forward pass over the 2B stacked views against the two-pass
+    step it replaced, which ran the model once per view."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_two_pass_step(self, seed):
+        rng = np.random.default_rng(seed)
+        batch, dim = int(rng.integers(2, 33)), int(rng.integers(1, 20))
+        params = init_params(
+            ModelConfig(
+                input_dim=dim,
+                encoder_widths=tuple(map(int, rng.integers(8, 40, size=rng.integers(1, 3)))),
+                cluster_count=int(rng.integers(2, 8)),
+                instance_dim=int(rng.integers(2, 20)),
+                init_seed=seed,
+            )
+        )
+        config = LossSection(
+            instance_temperature=float(rng.uniform(0.1, 2.0)),
+            cluster_temperature=float(rng.uniform(0.1, 2.0)),
+            entropy_weight=float(rng.uniform(0.0, 2.0)),
+            exclude_self_similarity=bool(seed % 2),
+        )
+        views_a, views_b = rng.normal(size=(batch, dim)), rng.normal(size=(batch, dim))
+
+        one = params.nodes()
+        _, z, y = forward_graph(one, np.vstack([views_a, views_b]))
+        root_one = total_loss(z, y, config)
+        ad.backward(root_one)
+
+        two = params.nodes()
+        _, z_a, y_a = forward_graph(two, views_a)
+        _, z_b, y_b = forward_graph(two, views_b)
+        root_two = total_loss(stacked(z_a, z_b), stacked(y_a, y_b), config)
+        ad.backward(root_two)
+
+        assert root_one.value[0, 0] == root_two.value[0, 0]
+        for name in one:
+            got, want = one[name].grad, two[name].grad
+            scale = max(float(np.linalg.norm(want)), 1e-300)
+            assert np.linalg.norm(got - want) <= 1e-12 * scale, name
+
+    def test_train_runs_one_forward_pass_per_step(self, monkeypatch):
+        calls = {"forward_graph": 0, "adam_step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            original = getattr(dualclust.trainer, name)
+            monkeypatch.setattr(dualclust.trainer, name, counted(name, original))
+        config = small_config(training={"epochs": 2})
+        train(config, build_dataset(config.dataset))
+        # 128 samples in batches of 32, two epochs.
+        assert calls == {"forward_graph": 8, "adam_step": 8}
+
+
+LOCATED = re.compile(r"epoch \d+, (batch \d+|evaluation): \S")
+
+
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda e: 10.0**e)
+
+
+@st.composite
+def small_runs(draw):
+    k = draw(st.integers(2, 5))
+    n_per = draw(st.integers(-(-16 // k), 32 // k))
+    raw = {
+        "dataset": {**BLOBS, "k": k, "n_per": n_per, "seed": draw(st.integers(0, 3))},
+        "model": {
+            "encoder_widths": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
+            "instance_dim": draw(st.integers(1, 8)),
+        },
+        "training": {
+            "batch_size": draw(st.integers(2, min(16, k * n_per))),
+            "epochs": draw(st.integers(1, 2)),
+            "learning_rate": draw(log_uniform(-6.0, 300.0)),
+        },
+        "losses": {
+            "instance_temperature": draw(log_uniform(-3.0, 3.0)),
+            "cluster_temperature": draw(log_uniform(-3.0, 3.0)),
+            "entropy_weight": draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))),
+            "exclude_self_similarity": draw(st.booleans()),
+            "literal_entropy_sign": draw(st.booleans()),
+        },
+        "ablation": draw(st.sampled_from(ABLATION_MODES)),
+        "seed": draw(st.integers(0, 3)),
+    }
+    return ExperimentConfig.from_dict(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_runs())
+def test_train_ends_in_finite_report_or_located_error(config):
+    # No errstate: every RuntimeWarning is an error under pytest, so a
+    # non-finite value has to be stopped where it enters.
+    dataset = build_dataset(config.dataset)
+    try:
+        _, report = train(config, dataset)
+    except DualclustError as exc:
+        assert LOCATED.match(str(exc)), str(exc)
+        return
+    assert len(report.records) == config.training.epochs
+    for record in report.records:
+        cells = [cell for cell in record.cells() if cell is not None]
+        assert np.isfinite(cells).all(), record
 
 
 class TestTrain:
@@ -306,7 +417,7 @@ class TestTrain:
         [
             (
                 {"ablation": "ich_only", "training": {"learning_rate": 1e300}},
-                "epoch 0, batch 1: loss term l_ins",
+                "epoch 0, batch 1: instance_head.0: output",
             ),
             ({"losses": {"entropy_weight": 1e308}}, "epoch 0, batch 0: loss term l_clu"),
         ],
@@ -319,23 +430,31 @@ class TestTrain:
                 train(config, build_dataset(config.dataset))
 
     def test_overflowing_soft_labels_stopped_with_location(self):
-        # Parameters driven to overflow give NaN soft-label rows, which the
-        # cluster loss names before any entropy is taken.
-        config = small_config(training={"learning_rate": 1e300})
+        # Parameters driven to overflow would give NaN soft-label rows; the
+        # forward pass names the cluster-head layer before the softmax. The
+        # instance head, frozen under cch_only, stays finite.
+        config = small_config(ablation="cch_only", training={"learning_rate": 1e300})
         with np.errstate(all="ignore"):
-            with pytest.raises(ContractError, match=r"epoch 0, batch 1: .* row \d+ sums to nan"):
+            with pytest.raises(
+                DegenerateInputError, match="epoch 0, batch 1: cluster_head.0: output is not"
+            ):
                 train(config, build_dataset(config.dataset))
 
     def test_overflowing_encoder_layer_named_without_warning(self):
-        # No errstate here: a RuntimeWarning from the overflowing matmul
-        # would fail the test.
-        config = small_config(
-            model={"encoder_widths": [32, 32]}, training={"learning_rate": 1e200}
-        )
-        with pytest.raises(
-            DegenerateInputError, match="epoch 0, batch 1: encoder.1: output is not finite"
+        # No errstate here: a RuntimeWarning from an overflowing matmul
+        # would fail the test. The head layers are checked like the
+        # encoder's.
+        for widths, learning_rate, where in (
+            ([32, 32], 1e200, "encoder.1"),
+            ([32], 1e300, "instance_head.0"),
         ):
-            train(config, build_dataset(config.dataset))
+            config = small_config(
+                model={"encoder_widths": widths}, training={"learning_rate": learning_rate}
+            )
+            with pytest.raises(
+                DegenerateInputError, match=f"epoch 0, batch 1: {where}: output is not finite"
+            ):
+                train(config, build_dataset(config.dataset))
 
     def test_section_built_in_python_is_checked(self):
         with pytest.raises(ConfigError, match="training.epochs: must be nonnegative"):
