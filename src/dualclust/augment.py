@@ -282,16 +282,14 @@ def default_vector_pipeline(geometry) -> AugmentationPipeline:
     )
 
 
-def default_image_pipeline(geometry, include_blur=None) -> AugmentationPipeline:
+def default_image_pipeline(geometry) -> AugmentationPipeline:
     """Crop/flip/brightness stack; blur joins only for images with a side
-    of at least BLUR_MIN_SIDE unless overridden."""
-    if include_blur is None:
-        include_blur = max(geometry.height, geometry.width) >= BLUR_MIN_SIDE
+    of at least BLUR_MIN_SIDE."""
     transforms = [
         (TransformSpec.resized_crop(0.5), 1.0),
         (TransformSpec.horizontal_flip(), 0.5),
         (TransformSpec.brightness_jitter(0.6, 1.4), 0.8),
     ]
-    if include_blur:
+    if max(geometry.height, geometry.width) >= BLUR_MIN_SIDE:
         transforms.append((TransformSpec.gaussian_blur(1.0), 0.5))
     return AugmentationPipeline(transforms=tuple(transforms), geometry=geometry)

@@ -41,7 +41,6 @@ from .data import (
     two_moons,
 )
 from .errors import ConfigError
-from .model import ModelConfig
 
 __all__ = [
     "DatasetConfig",
@@ -51,6 +50,8 @@ __all__ = [
     "AugmentationSection",
     "ExperimentConfig",
     "load_config",
+    "parse_section",
+    "check_value",
     "build_dataset",
     "build_pipeline",
     "ABLATION_MODES",
@@ -107,19 +108,19 @@ def _require(condition: bool, path: str, message: str):
         raise ConfigError(f"config: {path}: {message}")
 
 
-def _typed(annotation, value, path: str):
+def check_value(annotation, value, path: str):
     """``value`` checked against a field annotation: a config section is
-    parsed by its ``from_dict`` if it has one and by ``_parse`` if not,
+    parsed by its ``from_dict`` if it has one and by ``parse_section`` if not,
     ``tuple[X, ...]`` takes a list of X and
     returns a tuple, and anything else takes what ``_ACCEPTS`` lists for
     the type or for one member of the union."""
     if is_dataclass(annotation):
         parse = getattr(annotation, "from_dict", None)
-        return parse(value, path) if parse else _parse(annotation, value, path)
+        return parse(value, path) if parse else parse_section(annotation, value, path)
     if typing.get_origin(annotation) is tuple:
         _require(isinstance(value, (list, tuple)), path, f"must be a list, got {value!r}")
         item = typing.get_args(annotation)[0]
-        return tuple(_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(check_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     union = isinstance(annotation, types.UnionType)
     options = typing.get_args(annotation) if union else (annotation,)
     expected = " or ".join(_ACCEPTS[option][0] for option in options)
@@ -128,14 +129,14 @@ def _typed(annotation, value, path: str):
     return value
 
 
-def _parse(cls, raw, path: str):
+def parse_section(cls, raw, path: str):
     """An instance of the dataclass ``cls`` from a JSON object: each key
     must name a field, a field without a default is required, and each
     value must have its field's annotated type."""
     annotations = typing.get_type_hints(cls)
     required = [f.name for f in fields(cls) if f.default is MISSING]
     _check_keys(raw, annotations, required, path)
-    values = {key: _typed(annotations[key], value, _join(path, key)) for key, value in raw.items()}
+    values = {key: check_value(annotations[key], raw[key], _join(path, key)) for key in raw}
     return cls(**values)
 
 
@@ -143,7 +144,7 @@ def _kind(raw, table: dict, path: str, what: str) -> str:
     """The ``kind`` of a JSON object; it must name an entry of ``table``."""
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"config: {path}: needs a 'kind'")
-    kind = _typed(str, raw["kind"], f"{path}.kind")
+    kind = check_value(str, raw["kind"], f"{path}.kind")
     expected = f"expected one of {sorted(table)}"
     _require(kind in table, f"{path}.kind", f"unknown {what} {kind!r}, {expected}")
     return kind
@@ -161,7 +162,7 @@ class DatasetConfig:
         schema = {"standardize": bool | None, **DATASET_PARAMS[kind]}
         required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
         _check_keys(raw, {"kind", *schema}, required, path, f": not a parameter of {kind!r}")
-        params = {k: _typed(schema[k], raw[k], f"{path}.{k}") for k in raw if k != "kind"}
+        params = {k: check_value(schema[k], raw[k], f"{path}.{k}") for k in raw if k != "kind"}
         if "seed" in params:
             _require(params["seed"] >= 0, f"{path}.seed", "must be nonnegative")
         standardize = params.pop("standardize", None)
@@ -178,13 +179,13 @@ class ModelSection:
 
     def __post_init__(self):
         _require(len(self.encoder_widths) >= 1, "model.encoder_widths", "needs one width")
-        seed = self.init_seed
+        for i, width in enumerate(self.encoder_widths):
+            _require(width >= 1, "model.encoder_widths", f"width {i} must be >= 1, got {width}")
+        _require(self.instance_dim >= 1, "model.instance_dim", "must be >= 1")
+        hidden, count, seed = self.head_hidden_dim, self.cluster_count, self.init_seed
+        _require(hidden is None or hidden >= 1, "model.head_hidden_dim", "must be >= 1")
+        _require(count is None or count >= 2, "model.cluster_count", "must be at least 2")
         _require(seed is None or seed >= 0, "model.init_seed", "must be nonnegative")
-
-    def model_config(self, input_dim: int) -> ModelConfig:
-        if self.cluster_count is None or self.init_seed is None:
-            raise ConfigError("model section must be resolved before building the model")
-        return ModelConfig(input_dim=input_dim, **asdict(self))
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ class AugmentationSection:
     @classmethod
     def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
         _check_keys(raw, {"preset", "transforms"}, (), path)
-        preset = _typed(str | None, raw.get("preset"), f"{path}.preset")
+        preset = check_value(str | None, raw.get("preset"), f"{path}.preset")
         transforms = raw.get("transforms")
         if transforms is None:
             _require(preset in (None, "default"), f"{path}.preset", f"unknown preset {preset!r}")
@@ -246,7 +247,7 @@ def _transform(entry, path: str) -> dict:
     schema = {"probability": float, **_TRANSFORM_PARAMS[kind]}
     _check_keys(entry, {"kind", *schema}, schema, path)
     for key, annotation in schema.items():
-        _typed(annotation, entry[key], f"{path}.{key}")
+        check_value(annotation, entry[key], f"{path}.{key}")
     _require(0 <= entry["probability"] <= 1, f"{path}.probability", "must be in [0, 1]")
     try:
         _transform_from_dict(entry)
@@ -277,7 +278,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return _parse(cls, raw, "")
+        return parse_section(cls, raw, "")
 
     def resolve(self, dataset: Dataset) -> "ExperimentConfig":
         """Pin every dataset-dependent or deferred default so the echoed

@@ -328,6 +328,8 @@ def load_csv(path, label_column=None) -> Dataset:
                 raise FormatError(
                     f"{path}: label column {index} out of range for width {width}"
                 )
+        if width == 1:
+            raise FormatError(f"{path}: label column {label_column!r} is the only column")
         raw = matrix[:, index]
         bad = np.zeros(matrix.shape, dtype=bool)
         bad[:, index] = _not_integer(raw)

@@ -25,10 +25,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from .config import ModelSection, check_value, parse_section
 from .errors import ConfigError, DegenerateInputError, FormatError, ShapeError
 
 __all__ = [
-    "ModelConfig",
     "ModelParams",
     "init_params",
     "forward_graph",
@@ -46,69 +46,36 @@ CHECKPOINT_VERSION = 1
 WEIGHT_VARIANCE_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    input_dim: int
-    encoder_widths: tuple
-    cluster_count: int
-    instance_dim: int = 128
-    head_hidden_dim: int | None = None
-    init_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "encoder_widths", tuple(int(w) for w in self.encoder_widths))
-        if self.input_dim < 1:
-            raise ConfigError(f"model: input_dim must be >= 1, got {self.input_dim}")
-        if not self.encoder_widths:
-            raise ConfigError("model: encoder_widths must list at least one layer")
-        for i, w in enumerate(self.encoder_widths):
-            if w < 1:
-                raise ConfigError(f"model: encoder width {i} must be >= 1, got {w}")
-        if self.instance_dim < 1:
-            raise ConfigError(f"model: instance_dim must be >= 1, got {self.instance_dim}")
-        if self.cluster_count < 2:
-            raise ConfigError(f"model: cluster_count must be >= 2, got {self.cluster_count}")
-        if self.head_hidden_dim is not None and self.head_hidden_dim < 1:
-            raise ConfigError(
-                f"model: head_hidden_dim must be >= 1, got {self.head_hidden_dim}"
-            )
-
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder_widths[-1]
-
-    @property
-    def head_hidden(self) -> int:
-        # Hidden width of both two-layer heads; defaults to the encoder
-        # feature width.
-        return self.feature_dim if self.head_hidden_dim is None else self.head_hidden_dim
-
-
 @dataclass
 class ModelParams:
     """Every parameter in one flat float64 buffer, with named views.
 
-    ``arrays`` maps ``encoder.i.weight``/``.bias``, then
-    ``instance_head.i.*``, then ``cluster_head.i.*`` to (in, out) weight
-    matrices and (1, out) bias rows; the views tile ``flat`` in that
-    order. The encoder has ReLU between consecutive layers; both heads
-    are two layers with ReLU after the first. The cluster head's softmax
-    is applied in the forward pass, not stored here.
+    ``config`` is the resolved model section; the input width is read
+    off ``encoder.0.weight``. ``arrays`` maps ``encoder.i.weight``/``.bias``,
+    then ``instance_head.i.*``, then ``cluster_head.i.*`` to (in, out)
+    weight matrices and (1, out) bias rows; the views tile ``flat`` in
+    that order. The encoder has ReLU between consecutive layers; both
+    heads are two layers with ReLU after the first. The cluster head's
+    softmax is applied in the forward pass, not stored here.
     """
 
-    config: ModelConfig
+    config: ModelSection
     flat: np.ndarray
     arrays: dict
 
     @classmethod
-    def zeros(cls, config: ModelConfig) -> "ModelParams":
-        """All-zero parameters in the layout ``config`` implies."""
-        shapes = dict(_array_shapes(config))
+    def zeros(cls, section: ModelSection, input_dim: int) -> "ModelParams":
+        """All-zero parameters in the layout ``section`` implies."""
+        shapes = dict(_array_shapes(section, input_dim))
         sizes = [rows * cols for rows, cols in shapes.values()]
         flat = np.zeros(sum(sizes))
         views = np.split(flat, np.cumsum(sizes)[:-1])
         arrays = {name: view.reshape(shape) for (name, shape), view in zip(shapes.items(), views)}
-        return cls(config=config, flat=flat, arrays=arrays)
+        return cls(config=section, flat=flat, arrays=arrays)
+
+    @property
+    def input_dim(self) -> int:
+        return self.arrays["encoder.0.weight"].shape[0]
 
     def nodes(self) -> dict:
         """Graph leaves over the views, by name. They share storage with
@@ -116,28 +83,33 @@ class ModelParams:
         return {name: ad.lift(view) for name, view in self.arrays.items()}
 
 
-def _array_shapes(config: ModelConfig):
-    """(name, shape) of every parameter array the config implies, in
-    canonical order: the one statement of the parameter layout."""
-    hidden = config.head_hidden
+def _array_shapes(section: ModelSection, input_dim: int):
+    """(name, shape) of every parameter array a resolved section implies
+    for ``input_dim``-wide inputs, in canonical order: the one statement
+    of the parameter layout. Both heads start at the last encoder width."""
+    if None in (section.cluster_count, section.head_hidden_dim, section.init_seed):
+        raise ConfigError("config: model section must be resolved before building the model")
+    if input_dim < 1:
+        raise ConfigError(f"config: model.input_dim: must be >= 1, got {input_dim}")
+    feature, hidden = section.encoder_widths[-1], section.head_hidden_dim
     for group, dims in (
-        ("encoder", (config.input_dim, *config.encoder_widths)),
-        ("instance_head", (config.feature_dim, hidden, config.instance_dim)),
-        ("cluster_head", (config.feature_dim, hidden, config.cluster_count)),
+        ("encoder", (input_dim, *section.encoder_widths)),
+        ("instance_head", (feature, hidden, section.instance_dim)),
+        ("cluster_head", (feature, hidden, section.cluster_count)),
     ):
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             yield f"{group}.{i}.weight", (fan_in, fan_out)
             yield f"{group}.{i}.bias", (1, fan_out)
 
 
-def init_params(config: ModelConfig) -> ModelParams:
+def init_params(section: ModelSection, input_dim: int) -> ModelParams:
     """Fresh parameters: weights ~ Normal(0, 2/fan_in), biases zero.
 
-    Deterministic in ``config.init_seed``; weights are drawn in the
+    Deterministic in ``section.init_seed``; weights are drawn in the
     canonical order (encoder, instance head, cluster head).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.init_seed))
-    params = ModelParams.zeros(config)
+    rng = np.random.default_rng(np.random.SeedSequence(section.init_seed))
+    params = ModelParams.zeros(section, input_dim)
     for name, view in params.arrays.items():
         if name.endswith(".weight"):
             std = np.sqrt(WEIGHT_VARIANCE_FACTOR / view.shape[0])
@@ -175,19 +147,14 @@ def forward_graph(nodes: dict, batch):
     return h, z, y
 
 
-def _check_batch(config: ModelConfig, x) -> ad.Matrix:
-    x = ad.as_matrix(x)
-    if x.shape[1] != config.input_dim:
-        raise ShapeError(
-            f"forward: batch width {x.shape[1]} does not match input_dim {config.input_dim}"
-        )
-    return x
-
-
 def forward(params: ModelParams, batch):
     """Non-differentiable forward: plain arrays (H, Z, Y). Row-separable:
     each output row depends only on its own input row."""
-    x = _check_batch(params.config, batch)
+    x = ad.as_matrix(batch)
+    if x.shape[1] != params.input_dim:
+        raise ShapeError(
+            f"forward: batch width {x.shape[1]} does not match input_dim {params.input_dim}"
+        )
     h, z, y = forward_graph(params.nodes(), x)
     return h.value, z.value, y.value
 
@@ -201,10 +168,11 @@ def predict_assignments(params: ModelParams, x) -> np.ndarray:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Serialize config and parameters; same inputs give identical bytes."""
+    """Serialize the model section, the input width and the parameters;
+    same inputs give identical bytes."""
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": asdict(params.config),
+        "config": {"input_dim": params.input_dim, **asdict(params.config)},
         "arrays": [
             {"name": name, "shape": list(view.shape)} for name, view in params.arrays.items()
         ],
@@ -246,20 +214,25 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(f"checkpoint: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise FormatError("checkpoint: header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"checkpoint: unsupported format_version {header.get('format_version')!r}"
-        )
+    version = header.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise FormatError(f"checkpoint: unsupported format_version {version!r}")
     raw = _header_key(header, "config", "header")
-    values = {f.name: _header_key(raw, f.name, "header config") for f in fields(ModelConfig)}
+    for name in ("input_dim", *(f.name for f in fields(ModelSection))):
+        _header_key(raw, name, "header config")
+    values = dict(raw)
+    # The header config is read like a config file's model section: strict
+    # types, no unknown key, the range checks. Errors name the header's key.
     try:
-        config = ModelConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint: header config is invalid ({exc})") from exc
+        input_dim = check_value(int, values.pop("input_dim"), "model.input_dim")
+        section = parse_section(ModelSection, values, "model")
+        shapes = dict(_array_shapes(section, input_dim))
+    except ConfigError as exc:
+        where = str(exc).removeprefix("config: ").replace("model", "config", 1)
+        raise FormatError(f"checkpoint: header {where}") from None
     # Every entry is checked against the config's layout before the buffer
     # is allocated, so a header cannot make the loader allocate more than
     # the file holds.
-    shapes = dict(_array_shapes(config))
     offsets = {}
     offset = header_end
     entries = _header_key(header, "arrays", "header")
@@ -293,7 +266,7 @@ def load_checkpoint(path) -> ModelParams:
             raise FormatError(
                 f"checkpoint: config implies array {name!r} {shape}, header lists none"
             )
-    params = ModelParams.zeros(config)
+    params = ModelParams.zeros(section, input_dim)
     for name, view in params.arrays.items():
         payload = np.frombuffer(blob, dtype="<f8", count=view.size, offset=offsets[name])
         view[...] = payload.reshape(view.shape)

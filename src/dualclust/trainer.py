@@ -253,7 +253,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
             f"dataset size {dataset.n}"
         )
 
-    params = init_params(config.model.model_config(dataset.dim))
+    params = init_params(config.model, dataset.dim)
     state = OptimizerState.for_params(params, settings)
     pipeline = build_pipeline(config.augmentation, dataset.geometry)
     include_instance, include_cluster = _term_switches(config.ablation)

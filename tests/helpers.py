@@ -1,6 +1,9 @@
 """Shared test utilities: central finite differences, gradient checks and
 reference computations."""
 
+import json
+import struct
+
 import numpy as np
 
 from dualclust import autodiff as ad
@@ -138,3 +141,17 @@ def reference_entropy_chain(views, floor, g):
         dp = gs * logp + ((gs * p) / clipped) * (p > floor)
         grads.append(np.ones((1, n)).T @ (dp * float(1.0 / n)))
     return value, grads
+
+
+def edit_header(blob, edit):
+    """Checkpoint bytes with the JSON header passed through ``edit``."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + struct.pack("<Q", len(encoded)) + encoded + blob[16 + length :]
+
+
+def rewrite_header(src, dst, edit, extra_payload=b""):
+    """Copy a checkpoint, passing its JSON header through ``edit``."""
+    dst.write_bytes(edit_header(src.read_bytes() + extra_payload, edit))

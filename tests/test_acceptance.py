@@ -24,10 +24,16 @@ import pytest
 from dualclust import autodiff as ad
 from dualclust.augment import make_pair, pair_rng
 from dualclust.cli import main
-from dualclust.config import ExperimentConfig, LossSection, build_dataset, build_pipeline
+from dualclust.config import (
+    ExperimentConfig,
+    LossSection,
+    ModelSection,
+    build_dataset,
+    build_pipeline,
+)
 from dualclust.losses import assignment_entropy, cluster_loss, instance_loss, pair_similarity_stats
 from dualclust.metrics import ari, clustering_accuracy, hungarian, nmi
-from dualclust.model import ModelConfig, forward, forward_graph, init_params
+from dualclust.model import forward, forward_graph, init_params
 from dualclust.trainer import instance_space_assignments, total_loss, train
 
 from test_losses_cluster import naive_cluster_loss, random_row_stochastic
@@ -109,14 +115,10 @@ def test_criterion_1_gradient_fidelity():
     started = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        config = ModelConfig(
-            input_dim=4,
-            encoder_widths=(8,),
-            cluster_count=3,
-            instance_dim=6,
-            init_seed=seed,
+        config = ModelSection(
+            encoder_widths=(8,), cluster_count=3, instance_dim=6, head_hidden_dim=8, init_seed=seed
         )
-        params = init_params(config)
+        params = init_params(config, 4)
         rng = np.random.default_rng(1000 + seed)
         # Both views, 5 samples each, stacked as 10 rows.
         batch = rng.normal(size=(10, 4))

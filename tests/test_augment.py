@@ -245,11 +245,6 @@ class TestDefaultPipelines:
         kinds = [spec.kind for spec, _ in pipeline.transforms]
         assert "gaussian_blur" in kinds
 
-    def test_blur_override(self):
-        pipeline = default_image_pipeline(ImageGeometry(8, 8), include_blur=True)
-        kinds = [spec.kind for spec, _ in pipeline.transforms]
-        assert "gaussian_blur" in kinds
-
 
 def _only(spec, geometry):
     return AugmentationPipeline(transforms=((spec, 1.0),), geometry=geometry)

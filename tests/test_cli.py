@@ -11,6 +11,8 @@ from dualclust.data import load_csv, read_label_csv, write_label_csv
 from dualclust.metrics import ari, clustering_accuracy, nmi
 from dualclust.trainer import REPORT_COLUMNS
 
+from helpers import rewrite_header
+
 BASE_CONFIG = {
     "dataset": {
         "kind": "gaussian_blobs",
@@ -194,6 +196,32 @@ class TestRun:
         assert capsys.readouterr().err == "error [ConfigError]: config: seed: must be nonnegative\n"
         assert not (tmp_path / "run" / "metrics.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("instance_dim", 0), ("encoder_widths", [0]), ("cluster_count", 1), ("head_hidden_dim", 0)],
+    )
+    def test_bad_model_setting_fails_before_any_artifact(
+        self, tmp_path, config_path, capsys, field, value
+    ):
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path(out_dir=out, model={field: value})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [ConfigError]: config: model.{field}: "), err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_label_only_csv_fails_before_any_artifact(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n0\n1\n0\n1\n")
+        out = tmp_path / "run"
+        raw = {**BASE_CONFIG, "out_dir": str(out)}
+        raw["dataset"] = {"kind": "csv", "path": str(data), "label_column": "label"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [FormatError]: {data}: label column 'label' "), err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_ich_only_uses_kmeans_pathway(self, tmp_path, config_path):
         out = tmp_path / "run"
         code = main(
@@ -255,6 +283,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error [ContractError]: eval: the csv dataset of {config} ")
         assert "has no ground-truth labels" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("instance_dim", 2.0),
+            ("instance_dim", 8.0),  # the saved width as a float: once numpy's TypeError
+            ("encoder_widths", [3.5]),
+            ("encoder_widths", ["3"]),
+            ("init_seed", -1),
+            ("init_seed", 1.5),
+            ("head_hidden_dim", None),
+        ],
+    )
+    def test_bad_checkpoint_header_fails_with_path(self, tmp_path, config_path, capsys, key, value):
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path(out_dir=out)]) == 0
+        broken = tmp_path / "broken.bin"
+        rewrite_header(out / "checkpoint.bin", broken, lambda h: h["config"].update({key: value}))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path(), "--checkpoint", str(broken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [FormatError]: checkpoint: header config"), err
+        assert err.count("\n") == 1
 
     def test_corrupt_checkpoint_fails(self, tmp_path, config_path, capsys):
         bad = tmp_path / "bad.bin"

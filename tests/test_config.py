@@ -103,6 +103,10 @@ OUT_OF_RANGE = [
     ("losses", "cluster_temperature", -1.0),
     ("model", "init_seed", -1),
     ("model", "encoder_widths", []),
+    ("model", "encoder_widths", [8, 0]),
+    ("model", "instance_dim", 0),
+    ("model", "head_hidden_dim", 0),
+    ("model", "cluster_count", 1),
 ]
 
 
@@ -483,11 +487,13 @@ def _defaulted_names(obj):
 
 
 class TestOneHomeForSettings:
-    def test_no_second_default_for_a_loss_or_training_setting(self):
-        # Each loss and Adam setting has its default in config.py only; the
-        # losses and Adam read the section itself. A per-head copy would
-        # drop the head from the name, as in ``temperature``.
-        settings = {f.name for section in (LossSection, TrainingSection) for f in fields(section)}
+    def test_no_second_default_for_a_model_loss_or_training_setting(self):
+        # Each model, loss and Adam setting has its default in config.py
+        # only; the model, the losses and Adam read the section itself. A
+        # per-head copy would drop the head from the name, as in
+        # ``temperature``.
+        sections = (ModelSection, LossSection, TrainingSection)
+        settings = {f.name for section in sections for f in fields(section)}
         settings |= {name.split("_", 1)[1] for name in settings if name.endswith("_temperature")}
         copies = []
         for info in pkgutil.iter_modules(dualclust.__path__):

@@ -253,6 +253,14 @@ class TestCsv:
         ds = load_csv(path, label_column="target")
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
+    @pytest.mark.parametrize("text, column", [("label\n1\n0\n", "label"), ("1\n0\n", 0)])
+    def test_label_only_csv_rejected(self, tmp_path, text, column):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        message = f"data.csv: label column {column!r} is the only column"
+        with pytest.raises(FormatError, match=message):
+            load_csv(path, label_column=column)
+
     @pytest.mark.parametrize(
         "text, header_width, width",
         [("x,y,label\n1,2\n3,4\n", 3, 2), ("x,label\n1,2,7\n3,4,7\n", 2, 3)],

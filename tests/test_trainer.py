@@ -24,7 +24,7 @@ from dualclust.data import Dataset, VectorGeometry
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError, DualclustError
 from dualclust.losses import cluster_loss, instance_loss
 from dualclust.metrics import clustering_accuracy
-from dualclust.model import ModelConfig, forward_graph, init_params
+from dualclust.model import forward_graph, init_params
 from dualclust.trainer import (
     REPORT_COLUMNS,
     OptimizerState,
@@ -38,8 +38,8 @@ from dualclust.trainer import (
 
 from helpers import reference_adam_step, stacked
 
-TINY_MODEL = ModelConfig(
-    input_dim=4, encoder_widths=(8,), cluster_count=3, instance_dim=6, init_seed=0
+TINY_MODEL = ModelSection(
+    encoder_widths=(8,), cluster_count=3, instance_dim=6, head_hidden_dim=8, init_seed=0
 )
 
 BLOBS = {
@@ -80,7 +80,7 @@ def assert_params_equal(params, snapshot):
 
 class TestOptimizerState:
     def test_defaults(self):
-        state = OptimizerState.for_params(init_params(TINY_MODEL))
+        state = OptimizerState.for_params(init_params(TINY_MODEL, 4))
         assert state.settings == TrainingSection()
         assert state.settings.learning_rate == 0.0003
         assert state.settings.beta1 == 0.9
@@ -89,7 +89,7 @@ class TestOptimizerState:
         assert state.step == 0
 
     def test_accumulators_match_parameter_shapes(self):
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         for moment in (state.m, state.v):
             assert moment.shape == params.flat.shape
@@ -99,7 +99,7 @@ class TestOptimizerState:
 
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         before = param_snapshot(params)
         grads = [np.zeros_like(array) for _, array in params.arrays.items()]
@@ -111,7 +111,7 @@ class TestAdamStep:
     def test_first_step_matches_scalar_oracle(self):
         # Bias-corrected moments at step 1 reduce to m=g, v=g*g, so the
         # update is -lr * g / (|g| + eps) elementwise for any gradient.
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         rng = np.random.default_rng(11)
         grads = [rng.normal(size=array.shape) for _, array in params.arrays.items()]
@@ -124,7 +124,7 @@ class TestAdamStep:
     def test_hundred_steps_deterministic(self):
         results = []
         for _ in range(2):
-            params = init_params(TINY_MODEL)
+            params = init_params(TINY_MODEL, 4)
             state = OptimizerState.for_params(params)
             rng = np.random.default_rng(5)
             for _ in range(100):
@@ -138,7 +138,7 @@ class TestAdamStep:
         # Random gradients with exact zeros (whole arrays and single
         # entries) and both signs of zero; the in-place step must give the
         # allocating expression's parameters and moments exactly.
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params, TrainingSection(learning_rate=0.01))
         flat, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
         rng = np.random.default_rng(21)
@@ -164,7 +164,7 @@ class TestAdamStep:
             assert not np.shares_memory(state.grad, state.scratch)
 
     def test_overflowing_square_stops_step_before_any_write(self):
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         grads = [np.zeros_like(a) for a in params.arrays.values()]
         grads[3][0, 1] = 1e160  # finite, but (1 - beta2) g^2 is not
@@ -176,13 +176,13 @@ class TestAdamStep:
             np.testing.assert_array_equal(array, ref)
 
     def test_gradient_count_mismatch_rejected(self):
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         with pytest.raises(ContractError, match="gradients"):
             adam_step(params, [np.zeros((4, 8))], state)
 
     def test_gradient_shape_mismatch_rejected(self):
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         grads = [np.zeros_like(a) for _, a in params.arrays.items()]
         grads[0] = np.zeros((2, 2))
@@ -243,14 +243,16 @@ class TestOnePassStep:
     def test_matches_two_pass_step(self, seed):
         rng = np.random.default_rng(seed)
         batch, dim = int(rng.integers(2, 33)), int(rng.integers(1, 20))
+        widths = tuple(map(int, rng.integers(8, 40, size=rng.integers(1, 3))))
         params = init_params(
-            ModelConfig(
-                input_dim=dim,
-                encoder_widths=tuple(map(int, rng.integers(8, 40, size=rng.integers(1, 3)))),
+            ModelSection(
+                encoder_widths=widths,
                 cluster_count=int(rng.integers(2, 8)),
                 instance_dim=int(rng.integers(2, 20)),
+                head_hidden_dim=widths[-1],
                 init_seed=seed,
-            )
+            ),
+            dim,
         )
         config = LossSection(
             instance_temperature=float(rng.uniform(0.1, 2.0)),
@@ -353,7 +355,7 @@ class TestTrain:
         config = small_config(training={"epochs": 0})
         dataset = build_dataset(config.dataset)
         params, report = train(config, dataset)
-        reference = init_params(config.resolve(dataset).model.model_config(dataset.dim))
+        reference = init_params(config.resolve(dataset).model, dataset.dim)
         assert_params_equal(params, param_snapshot(reference))
         assert report.records == []
 
@@ -462,7 +464,7 @@ class TestTrain:
             train(config, build_dataset(config.dataset))
 
     def test_non_finite_gradient_named(self):
-        params = init_params(TINY_MODEL)
+        params = init_params(TINY_MODEL, 4)
         state = OptimizerState.for_params(params)
         grads = [np.zeros_like(a) for a in params.arrays.values()]
         grads[1][0, 2] = np.nan
@@ -504,7 +506,7 @@ class TestTrain:
         config = small_config(training={"epochs": 2}, ablation="ich_only")
         dataset = build_dataset(config.dataset)
         params, report = train(config, dataset)
-        reference = init_params(config.resolve(dataset).model.model_config(dataset.dim))
+        reference = init_params(config.resolve(dataset).model, dataset.dim)
         for (name, array), (_, ref) in zip(params.arrays.items(), param_snapshot(reference)):
             if name.startswith("cluster_head"):
                 np.testing.assert_array_equal(array, ref, err_msg=name)
@@ -518,7 +520,7 @@ class TestTrain:
         config = small_config(training={"epochs": 2}, ablation="cch_only")
         dataset = build_dataset(config.dataset)
         params, report = train(config, dataset)
-        reference = init_params(config.resolve(dataset).model.model_config(dataset.dim))
+        reference = init_params(config.resolve(dataset).model, dataset.dim)
         for (name, array), (_, ref) in zip(params.arrays.items(), param_snapshot(reference)):
             if name.startswith("instance_head"):
                 np.testing.assert_array_equal(array, ref, err_msg=name)
@@ -557,15 +559,10 @@ class TestTrain:
 def identity_routing_params(permutation):
     """A hand-built model on 4-dim one-hot inputs whose predicted cluster
     is permutation[argmax coordinate]."""
-    config = ModelConfig(
-        input_dim=4,
-        encoder_widths=(4,),
-        cluster_count=4,
-        instance_dim=4,
-        head_hidden_dim=4,
-        init_seed=0,
+    config = ModelSection(
+        encoder_widths=(4,), cluster_count=4, instance_dim=4, head_hidden_dim=4, init_seed=0
     )
-    params = init_params(config)
+    params = init_params(config, 4)
     eye = np.eye(4)
     perm_matrix = eye[:, permutation]
     arrays = params.arrays
