@@ -13,6 +13,7 @@ Label CSVs pair a sample_id column with an integer label column.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -245,9 +246,26 @@ MAX_EXACT_INTEGER = 2.0**53
 
 def _read_rows(path):
     """All CSV records, blank ones included so that record i is file line
-    i + 1, and the non-empty ones."""
-    with open(path, newline="") as fh:
-        records = list(csv.reader(fh))
+    i + 1, and the non-empty ones. A record whose quoted cell spans
+    lines is followed by a blank one for each line it continues onto."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte ends the last line counted, as it does for csv.
+        line = len((blob[: exc.start] + b"?").splitlines())
+        raise FormatError(
+            f"{path}: line {line}: byte {blob[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records = []
+    try:
+        for row in reader:
+            records.append(row)
+            records.extend([] for _ in range(reader.line_num - len(records)))
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return records, [row for row in records if row]
 
 
@@ -336,7 +354,10 @@ def load_csv(path, label_column=None) -> Dataset:
         _reject_cells(bad, records, rows, path, "non-integral label {!r}")
         labels = raw.astype(np.int64)
         matrix = np.delete(matrix, index, axis=1)
-    return Dataset(matrix, VectorGeometry(matrix.shape[1]), labels, name="csv")
+    try:
+        return Dataset(matrix, VectorGeometry(matrix.shape[1]), labels, name="csv")
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _is_number(text) -> bool:

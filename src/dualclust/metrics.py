@@ -5,7 +5,7 @@ contingency table, and all are invariant to relabeling either side.
 NMI normalizes mutual information by the arithmetic mean of the two
 label entropies (natural logs). Accuracy maximizes the matched fraction
 over one-to-one cluster-to-class assignments, solved exactly on the
-(zero-padded square) contingency table. ARI keeps its pair-counting
+contingency table with its shorter side as rows. ARI keeps its pair-counting
 combinatorics in exact integers until the final division.
 """
 
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError
 
@@ -113,17 +112,16 @@ def nmi(pred, truth) -> float:
 def clustering_accuracy(pred, truth) -> float:
     """Fraction matched under the best one-to-one cluster-to-class map.
 
-    The contingency table is zero-padded to square when the cluster
-    counts differ, then the match count is maximized by optimal
-    assignment.
+    The match count is maximized by optimal assignment on the
+    contingency table, transposed so that its shorter side is the rows;
+    a padded square table would match the same count at far more cost.
     """
     table = ContingencyTable.from_labels(pred, truth)
     counts = table.counts
-    size = max(counts.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: counts.shape[0], : counts.shape[1]] = counts
-    assignment = hungarian(-padded.astype(np.float64))
-    matched = padded[np.arange(size), assignment].sum()
+    if counts.shape[0] > counts.shape[1]:
+        counts = counts.T
+    assignment = hungarian(-counts.astype(np.float64))
+    matched = counts[np.arange(counts.shape[0]), assignment].sum()
     return float(matched / table.total)
 
 
@@ -146,15 +144,65 @@ def ari(pred, truth) -> float:
     return numerator / denominator
 
 
+# Costs are shifted into [0, R]; the potentials then stay in [-R, 0]
+# (columns) and [0, R] (rows), and every reduced cost in [-R, 2R]. Costs
+# whose magnitude exceeds this are scaled by a power of two, which keeps
+# every normal float exact, so that 2R cannot overflow.
+MAX_COST_MAGNITUDE = 2.0**1020
+
+
 def hungarian(cost) -> np.ndarray:
-    """Minimal-cost one-to-one assignment on a square cost matrix;
-    returns the column assigned to each row."""
+    """Minimal-cost assignment of every row to a distinct column; returns
+    the column assigned to each row. Needs a finite cost matrix with no
+    more rows than columns.
+
+    Shortest augmenting paths with row and column potentials (Jonker and
+    Volgenant 1987), O(rows^2 * columns): each row joins the matching
+    along the cheapest reduced-cost path, grown one column at a time by
+    vector operations over one row. Index 0 of the column arrays is a
+    virtual column holding the row being added.
+    """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ContractError(f"hungarian: cost matrix must be square, got {cost.shape}")
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ContractError(
+            f"hungarian: cost matrix must be 2-D with rows <= columns, got {cost.shape}"
+        )
     if not np.all(np.isfinite(cost)):
         raise ContractError("hungarian: cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    assignment = np.empty(cost.shape[0], dtype=np.int64)
-    assignment[rows] = cols
+    n, m = cost.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    if np.abs(cost).max() > MAX_COST_MAGNITUDE:
+        cost = cost * 2.0**-4
+    reduced = np.zeros((n + 1, m + 1))
+    reduced[1:, 1:] = cost - cost.min()
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=np.int64)  # 1-based row matched to each column; 0: free
+    way = np.zeros(m + 1, dtype=np.int64)  # previous column on the shortest path
+    for row in range(1, n + 1):
+        row_of[0] = row
+        col = 0
+        dist = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[col] != 0:
+            used[col] = True
+            r = row_of[col]
+            step = reduced[r] - u[r] - v
+            closer = ~used & (step < dist)
+            dist[closer] = step[closer]
+            way[closer] = col
+            free_dist = np.where(used, np.inf, dist)
+            col = int(np.argmin(free_dist))
+            delta = free_dist[col]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+        while col != 0:
+            prev = way[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    assignment = np.empty(n, dtype=np.int64)
+    matched = np.flatnonzero(row_of[1:])
+    assignment[row_of[1:][matched] - 1] = matched
     return assignment

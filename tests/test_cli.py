@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualclust
 from dualclust.cli import main
 from dualclust.data import load_csv, read_label_csv, write_label_csv
 from dualclust.metrics import ari, clustering_accuracy, nmi
@@ -337,6 +342,18 @@ class TestMetricsCommand:
         )
         assert bundle["ari"] == pytest.approx(ari(truth, predicted), abs=1e-15)
 
+    def test_all_distinct_predicted_labels_scored_without_padding(self, tmp_path, capsys):
+        """2,000 singleton clusters against 10 classes: a one-to-one map
+        matches at most one sample per class, and one of each class is
+        always reachable, so ACC is 10 / 2,000. Padding the 2,000 x 10
+        table to square would make this call take hours."""
+        rng = np.random.default_rng(4)
+        pred_path, truth_path = tmp_path / "p.csv", tmp_path / "t.csv"
+        write_label_csv(pred_path, rng.permutation(2000))
+        write_label_csv(truth_path, rng.permutation(np.arange(2000) % 10))
+        assert main(["metrics", str(pred_path), str(truth_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["acc"] == 10 / 2000
+
     def test_length_mismatch_fails(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_label_csv(a, [0, 1, 0])
@@ -351,6 +368,29 @@ class TestMetricsCommand:
         write_label_csv(truth, [0, 1])
         assert main(["metrics", str(empty), str(truth)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_scipy_stays_unloaded_through_run_and_metrics(tmp_path, config_path):
+    """The package needs only numpy at run time; scipy is a test oracle."""
+    config = config_path(out_dir=tmp_path / "out")
+    labels = str(tmp_path / "out" / "assignments.csv")
+    script = f"""
+import sys
+from dualclust import cli
+loaded = ["scipy" in sys.modules]
+assert cli.main(["run", "--config", {config!r}]) == 0
+loaded.append("scipy" in sys.modules)
+assert cli.main(["metrics", {labels!r}, {labels!r}]) == 0
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+    src = str(Path(dualclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[False, False, False]"
 
 
 class TestGenerate:

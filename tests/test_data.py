@@ -2,9 +2,13 @@
 
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualclust.data import (
     Dataset,
@@ -25,6 +29,7 @@ from dualclust.errors import (
     ConfigError,
     ContractError,
     DegenerateInputError,
+    DualclustError,
     FormatError,
     GenerationError,
 )
@@ -298,6 +303,12 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"line 3, column 2: non-integral label '1.7'"):
             load_csv(path, label_column=1)
 
+    def test_single_label_value_reported_with_path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,label\n1,3\n2,3\n")
+        with pytest.raises(FormatError, match="data.csv: .*at least 2 distinct values"):
+            load_csv(path, label_column="label")
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(6, 4)) * np.logspace(-3, 3, 4)
@@ -338,6 +349,140 @@ class TestLabelCsv:
         path.write_text("0,1\n2,0\n")
         with pytest.raises(FormatError, match="sample ids"):
             read_label_csv(path)
+
+
+class TestCsvRecords:
+    """Faults below the cell level, shared by both CSV readers."""
+
+    @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
+    def test_non_utf8_byte_reports_line(self, tmp_path, reader):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"0,1\r\n1,0\r\n2,\xff\r\n")
+        with pytest.raises(FormatError, match=r"data.csv: line 3: byte 0xff at offset 12 is not UTF-8"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
+    def test_oversized_cell_reports_line(self, tmp_path, reader):
+        path = tmp_path / "data.csv"
+        path.write_text("0,1\n1," + "1" * 200_000 + "\n")
+        with pytest.raises(FormatError, match="data.csv: line 2: field larger than field limit"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
+    def test_quoted_cell_spanning_lines_keeps_later_lines(self, tmp_path, reader):
+        path = tmp_path / "data.csv"
+        path.write_text('0,1\n"1\n\n",0\n2,x\n')
+        with pytest.raises(FormatError, match="data.csv: line 5, column 2"):
+            reader(path)
+
+
+VALID_DATA_CSV = b"x,y,label\n0.5,-1.25,0\n3,4e-3,1\n-2.5,7,1\n1e2,0,0\n"
+VALID_LABEL_CSV = b"sample_id,cluster\n2,1\n0,0\n1,3\n3,1\n"
+# Cells that are huge, non-integral, non-finite, empty, quoted, NUL,
+# not UTF-8, or longer than the csv module's field limit.
+ODD_CELLS = [
+    b"1e400", b"1" * 400, b"-1e308", b"0.5", b"9007199254740993", b"nan", b"", b" ",
+    b"1_0", b'"', b"x", b"\x00", b"\xff", b"1" * 140_000,
+]
+# Problems of a whole file rather than of one line.
+FILE_LEVEL_PROBLEMS = re.compile(
+    "no data rows|header but no data rows|sample ids must cover|no header column named"
+    "|out of range for width|is the only column|at least 2 distinct values"
+)
+
+
+@st.composite
+def mutated_csv(draw, valid):
+    """``valid`` once or twice truncated, with bytes flipped, with a cell
+    added, removed or replaced by an odd one, or with its header
+    dropped or rewritten at another width."""
+    blob = valid
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["truncate", "flip", "add", "remove", "replace", "header"]))
+        if not blob:
+            break
+        if kind == "truncate":
+            blob = blob[: draw(st.integers(0, len(blob) - 1))]
+            continue
+        if kind == "flip":
+            flipped = bytearray(blob)
+            for _ in range(draw(st.integers(1, 4))):
+                flipped[draw(st.integers(0, len(flipped) - 1))] ^= draw(st.integers(1, 255))
+            blob = bytes(flipped)
+            continue
+        lines = blob.split(b"\n")
+        if kind == "header":
+            lines[0] = b",".join([b"h"] * draw(st.integers(0, 4)))
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+            cells = lines[i].split(b",")
+            j = draw(st.integers(0, len(cells) - 1))
+            if kind == "add":
+                cells.insert(j, draw(st.sampled_from(ODD_CELLS)))
+            elif kind == "remove":
+                del cells[j]
+            else:
+                cells[j] = draw(st.sampled_from(ODD_CELLS))
+            lines[i] = b",".join(cells)
+        blob = b"\n".join(lines)
+    return blob
+
+
+def _load_or_located_error(blob, reader):
+    """``reader``'s result for a file holding ``blob``, or None after a
+    DualclustError that names the file and either a line of it or a
+    problem of the whole file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.csv"
+        path.write_bytes(blob)
+        try:
+            return reader(path)
+        except DualclustError as exc:
+            message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        line = re.match(r"line (\d+)\b", message[len(f"{path}: "):])
+        if line is None:
+            assert FILE_LEVEL_PROBLEMS.search(message), message
+        else:
+            assert 1 <= int(line.group(1)) <= len(blob.splitlines()), message
+        return None
+
+
+class TestReaderFuzz:
+    @given(blob=mutated_csv(VALID_DATA_CSV), label_column=st.sampled_from(["label", 2, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_data_csv_loads_checked_or_fails_located(self, blob, label_column):
+        """A loaded dataset is finite and, written back, reads the same."""
+        dataset = _load_or_located_error(blob, lambda p: load_csv(p, label_column))
+        if dataset is None:
+            return
+        assert np.isfinite(dataset.samples).all()
+        assert dataset.samples.shape[1] == dataset.geometry.dim >= 1
+        assert (dataset.labels is None) == (label_column is None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "again.csv"
+            if dataset.labels is None:
+                save_csv(path, dataset.samples)
+                np.testing.assert_array_equal(load_csv(path).samples, dataset.samples)
+                return
+            save_csv(path, np.column_stack([dataset.samples, dataset.labels]))
+            again = load_csv(path, label_column=dataset.dim)
+        np.testing.assert_array_equal(again.samples, dataset.samples)
+        np.testing.assert_array_equal(again.labels, dataset.labels)
+
+    @given(blob=mutated_csv(VALID_LABEL_CSV))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_label_csv_loads_checked_or_fails_located(self, blob):
+        """Loaded labels are one integer per sample id and, written back,
+        read the same."""
+        labels = _load_or_located_error(blob, read_label_csv)
+        if labels is None:
+            return
+        assert labels.dtype == np.int64 and labels.ndim == 1 and labels.size >= 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "again.csv"
+            write_label_csv(path, labels)
+            np.testing.assert_array_equal(read_label_csv(path), labels)
 
 
 class TestStandardize:

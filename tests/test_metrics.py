@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from dualclust.errors import ContractError
 from dualclust.metrics import (
@@ -27,6 +31,28 @@ def brute_force_accuracy(pred, truth):
         for perm in itertools.permutations(range(size))
     )
     return best / len(pred)
+
+
+def padded_square_accuracy(pred, truth):
+    """The accuracy formula of earlier versions: the contingency table
+    zero-padded to square and solved by scipy."""
+    table = ContingencyTable.from_labels(pred, truth).counts
+    size = max(table.shape)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[: table.shape[0], : table.shape[1]] = table
+    rows, cols = linear_sum_assignment(-padded)
+    return float(padded[rows, cols].sum() / len(pred))
+
+
+@st.composite
+def tied_costs(draw):
+    """Integer costs, rows <= columns <= 30, drawn from a few values so
+    that most optima are tied."""
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(rows, 30))
+    levels = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(-levels, levels, size=(rows, cols))
 
 
 def brute_force_assignment_cost(cost):
@@ -128,6 +154,18 @@ class TestClusteringAccuracy:
         truth = rng.integers(0, kt, size=50)
         assert clustering_accuracy(pred, truth) == brute_force_accuracy(pred, truth)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 120),
+        ks=st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda k: k[0] != k[1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unequal_cluster_counts_match_padded_square_formula(self, seed, n, ks):
+        """Either side may have more clusters; every label occurs."""
+        rng = np.random.default_rng(seed)
+        pred, truth = (rng.permutation(np.arange(n) % k) for k in ks)
+        assert clustering_accuracy(pred, truth) == padded_square_accuracy(pred, truth)
+
     def test_relabeling_invariance_is_exact(self):
         rng = np.random.default_rng(3)
         pred = rng.integers(0, 4, size=30)
@@ -203,11 +241,45 @@ class TestHungarian:
         np.testing.assert_array_equal(hungarian(cost), hungarian(shifted))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ContractError, match="square"):
-            hungarian(np.ones((3, 4)))
+        with pytest.raises(ContractError, match="rows <= columns"):
+            hungarian(np.ones((4, 3)))
 
     def test_non_finite_rejected(self):
         cost = np.ones((3, 3))
         cost[1, 1] = np.inf
         with pytest.raises(ContractError, match="finite"):
             hungarian(cost)
+
+    @given(cost=tied_costs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_optimum(self, cost):
+        assignment = hungarian(cost.astype(float))
+        assert assignment.shape == (cost.shape[0],)
+        assert np.unique(assignment).size == cost.shape[0]
+        assert ((0 <= assignment) & (assignment < cost.shape[1])).all()
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[np.arange(cost.shape[0]), assignment].sum() == cost[rows, cols].sum()
+
+    @given(
+        cost=tied_costs(),
+        exponent=st.one_of(st.integers(-1022, 1021), st.integers(1015, 1021)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scaling_keeps_the_optimum(self, cost, exponent):
+        """Costs up to 6 * 2**1021 in size, all exact: near the top the
+        spread overflows float64 unless the solver scales it down."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assignment = hungarian(np.ldexp(cost.astype(float), exponent))
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[np.arange(cost.shape[0]), assignment].sum() == cost[rows, cols].sum()
+
+    def test_spread_beyond_float_range_is_solved(self):
+        cost = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(hungarian(cost), [1, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_no_rows_give_an_empty_assignment(self, shape):
+        assert hungarian(np.zeros(shape)).shape == (0,)
