@@ -258,7 +258,8 @@ def _read_rows(path):
         raise FormatError(
             f"{path}: line {line}: byte {blob[exc.start]:#04x} at offset {exc.start} is not UTF-8"
         ) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # A byte-order mark would make the first cell non-numeric: a header.
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     records = []
     try:
         for row in reader:

@@ -361,6 +361,13 @@ class TestCsvRecords:
         with pytest.raises(FormatError, match=r"data.csv: line 3: byte 0xff at offset 12 is not UTF-8"):
             reader(path)
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        np.testing.assert_array_equal(load_csv(path).samples, [[1, 2], [3, 4]])
+        path.write_bytes(b"\xef\xbb\xbf1,0\n0,1\n")
+        np.testing.assert_array_equal(read_label_csv(path), [1, 0])
+
     @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
     def test_oversized_cell_reports_line(self, tmp_path, reader):
         path = tmp_path / "data.csv"
