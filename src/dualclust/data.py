@@ -253,7 +253,7 @@ def _read_rows(path):
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bad byte ends the last line counted, as it does for csv.
+        # Lines up to and including the one that holds the bad byte.
         line = len((blob[: exc.start] + b"?").splitlines())
         raise FormatError(
             f"{path}: line {line}: byte {blob[exc.start]:#04x} at offset {exc.start} is not UTF-8"
