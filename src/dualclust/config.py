@@ -303,6 +303,12 @@ class ExperimentConfig:
         if transforms is None:
             pipeline = _default_pipeline_for(dataset.geometry)
             transforms = tuple(_transform_to_dict(s, p) for s, p in pipeline.transforms)
+        # The pipeline's geometry check, one transform at a time to name its path.
+        for i, entry in enumerate(transforms):
+            try:
+                AugmentationPipeline((_transform_from_dict(entry),), dataset.geometry)
+            except ConfigError as exc:
+                raise ConfigError(f"config: augmentation.transforms[{i}]: {exc}") from None
         return replace(
             self,
             dataset=replace(self.dataset, standardize=standardized),

@@ -206,7 +206,10 @@ def load_idx(images_path, labels_path=None) -> Dataset:
                 f"{labels_path}: {labels.shape[0]} labels for {n} images"
             )
         labels = labels.astype(np.int64)
-    return Dataset(samples, ImageGeometry(height, width), labels, name="idx")
+    try:
+        return Dataset(samples, ImageGeometry(height, width), labels, name="idx")
+    except ContractError as exc:  # only the labels can break the dataset's invariants
+        raise FormatError(f"{labels_path}: {exc}") from None
 
 
 def save_idx(images_path, dataset: Dataset, labels_path=None) -> None:
@@ -244,10 +247,14 @@ def save_idx(images_path, dataset: Dataset, labels_path=None) -> None:
 MAX_EXACT_INTEGER = 2.0**53
 
 
-def _read_rows(path):
-    """All CSV records, blank ones included so that record i is file line
-    i + 1, and the non-empty ones. A record whose quoted cell spans
-    lines is followed by a blank one for each line it continues onto."""
+def _read_table(path):
+    """Read a numeric CSV: (header cells or None, float matrix, data rows,
+    the file line each data row starts on).
+
+    Blank records are skipped. A first row with any non-numeric cell is
+    the header. Every row must have the first row's width, and so must
+    the header. Every cell goes through float() and finiteness is checked
+    in one vectorised pass; only a failure looks up the offending cell."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -260,44 +267,47 @@ def _read_rows(path):
         ) from None
     # A byte-order mark would make the first cell non-numeric: a header.
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
-    records = []
+    rows, lines, start = [], [], 1
     try:
         for row in reader:
-            records.append(row)
-            records.extend([] for _ in range(reader.line_num - len(records)))
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records, [row for row in records if row]
-
-
-def _line_of(records, row):
-    """File line of a non-empty record; only error paths look it up."""
-    return next(line for line, record in enumerate(records, start=1) if record is row)
-
-
-def _parse_table(records, rows, path):
-    """Parse equal-width rows into a float matrix. Every cell goes through
-    float() and finiteness is checked in one vectorised pass; only a
-    failure looks up the offending cell's line."""
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    header = None
+    if not all(map(_is_number, rows[0])):
+        header, header_line = [cell.strip() for cell in rows.pop(0)], lines.pop(0)
+        if not rows:
+            raise FormatError(f"{path}: header but no data rows")
+    width = len(rows[0])
+    for row, line in zip(rows, lines):
+        if len(row) != width:
+            raise FormatError(f"{path}: line {line}: expected {width} columns, got {len(row)}")
+    if header is not None and len(header) != width:
+        raise FormatError(
+            f"{path}: line {header_line}: header has {len(header)} columns, data rows have {width}"
+        )
     try:
         matrix = np.array([[float(cell) for cell in row] for row in rows])
     except ValueError:
         bad = np.array([[not _is_number(cell) for cell in row] for row in rows])
-        _reject_cells(bad, records, rows, path, "could not parse {!r} as a number")
+        _reject_cells(bad, rows, lines, path, "could not parse {!r} as a number")
         raise
-    _reject_cells(~np.isfinite(matrix), records, rows, path, "non-finite value {!r}")
-    return matrix
+    _reject_cells(~np.isfinite(matrix), rows, lines, path, "non-finite value {!r}")
+    return header, matrix, rows, lines
 
 
-def _reject_cells(bad, records, rows, path, problem):
+def _reject_cells(bad, rows, lines, path, problem):
     """Raise a FormatError at the first flagged cell of the boolean matrix
     ``bad``, in row-major order; ``problem`` is formatted with the cell."""
     if bad.any():
         index, col = np.argwhere(bad)[0]
-        row = rows[index]
         raise FormatError(
-            f"{path}: line {_line_of(records, row)}, column {col + 1}: "
-            + problem.format(row[col])
+            f"{path}: line {lines[index]}, column {col + 1}: " + problem.format(rows[index][col])
         )
 
 
@@ -312,47 +322,24 @@ def load_csv(path, label_column=None) -> Dataset:
     skipped. ``label_column`` selects a column (by index, or by name
     when a header is present) to extract as integer labels.
     """
-    records, rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    header = None
-    if any(not _is_number(cell) for cell in rows[0]):
-        header = [cell.strip() for cell in rows[0]]
-        header_row, rows = rows[0], rows[1:]
-        if not rows:
-            raise FormatError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: line {_line_of(records, row)}: expected {width} columns, got {len(row)}"
-            )
-    if header is not None and len(header) != width:
-        raise FormatError(
-            f"{path}: line {_line_of(records, header_row)}: header has {len(header)} "
-            f"columns, data rows have {width}"
-        )
-    matrix = _parse_table(records, rows, path)
+    header, matrix, rows, lines = _read_table(path)
+    width = matrix.shape[1]
     labels = None
     if label_column is not None:
         if isinstance(label_column, str):
             if header is None or label_column not in header:
-                raise FormatError(
-                    f"{path}: no header column named {label_column!r}"
-                )
+                raise FormatError(f"{path}: no header column named {label_column!r}")
             index = header.index(label_column)
         else:
             index = int(label_column)
             if not 0 <= index < width:
-                raise FormatError(
-                    f"{path}: label column {index} out of range for width {width}"
-                )
+                raise FormatError(f"{path}: label column {index} out of range for width {width}")
         if width == 1:
             raise FormatError(f"{path}: label column {label_column!r} is the only column")
         raw = matrix[:, index]
         bad = np.zeros(matrix.shape, dtype=bool)
         bad[:, index] = _not_integer(raw)
-        _reject_cells(bad, records, rows, path, "non-integral label {!r}")
+        _reject_cells(bad, rows, lines, path, "non-integral label {!r}")
         labels = raw.astype(np.int64)
         matrix = np.delete(matrix, index, axis=1)
     try:
@@ -385,21 +372,12 @@ def read_label_csv(path) -> np.ndarray:
     Accepts an optional header. Sample ids must be the integers
     0..n-1 in any order, each exactly once.
     """
-    records, rows = _read_rows(path)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    if any(not _is_number(cell) for cell in rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise FormatError(f"{path}: header but no data rows")
-    for row in rows:
-        if len(row) != 2:
-            raise FormatError(
-                f"{path}: line {_line_of(records, row)}: expected 2 columns "
-                f"(sample_id, label), got {len(row)}"
-            )
-    table = _parse_table(records, rows, path)
-    _reject_cells(_not_integer(table), records, rows, path, "non-integral value {!r}")
+    _, table, rows, lines = _read_table(path)
+    if table.shape[1] != 2:
+        raise FormatError(
+            f"{path}: line {lines[0]}: expected 2 columns (sample_id, label), got {table.shape[1]}"
+        )
+    _reject_cells(_not_integer(table), rows, lines, path, "non-integral value {!r}")
     ids, labels = table.astype(np.int64).T
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(len(ids))):

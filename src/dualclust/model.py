@@ -12,7 +12,9 @@ pass, and the optimizer updates the whole buffer at once.
 
 Checkpoints use a small self-describing binary format: an 8-byte magic,
 a length-prefixed JSON header (sorted keys), then the flat buffer as raw
-float64 little-endian values. Writing the same parameters twice produces
+float64 little-endian values. The header's ``arrays`` list must equal
+the layout its config implies, in canonical order, so the payload is
+read back as one buffer. Writing the same parameters twice produces
 byte-identical files, and a round trip is bit-exact.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -194,7 +197,8 @@ def _header_key(mapping, key, where):
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Inverse of save_checkpoint; round trip is bit-exact."""
+    """Inverse of save_checkpoint; round trip is bit-exact. The header's
+    array list must be the config's layout in canonical order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 8:
@@ -226,48 +230,30 @@ def load_checkpoint(path) -> ModelParams:
     try:
         input_dim = check_value(int, values.pop("input_dim"), "model.input_dim")
         section = parse_section(ModelSection, values, "model")
-        shapes = dict(_array_shapes(section, input_dim))
+        shapes = list(_array_shapes(section, input_dim))
     except ConfigError as exc:
         where = str(exc).removeprefix("config: ").replace("model", "config", 1)
         raise FormatError(f"checkpoint: header {where}") from None
-    # Every entry is checked against the config's layout before the buffer
-    # is allocated, so a header cannot make the loader allocate more than
-    # the file holds.
-    offsets = {}
-    offset = header_end
+    # The array list must be the config's layout, entry for entry; it is
+    # compared as JSON text, so 6.0 or true never passes for the dimension 6 or 1.
     entries = _header_key(header, "arrays", "header")
     if not isinstance(entries, list):
         raise FormatError(f"checkpoint: header 'arrays' is not a list: {entries!r}")
-    for i, entry in enumerate(entries):
-        name = _header_key(entry, "name", f"array entry {i}")
-        if not isinstance(name, str):
-            raise FormatError(f"checkpoint: array entry {i} has a non-string name {name!r}")
-        shape = _header_key(entry, "shape", f"array entry {name!r}")
-        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-            raise FormatError(f"checkpoint: array {name!r} has invalid shape {shape!r}")
-        if name not in shapes:
-            raise FormatError(f"checkpoint: array {name!r} is not part of the config's model")
-        if name in offsets:
-            raise FormatError(f"checkpoint: array entry {i} lists {name!r} a second time")
-        if tuple(shape) != shapes[name]:
-            raise FormatError(
-                f"checkpoint: array {name!r} has shape {tuple(shape)}, "
-                f"config implies {shapes[name]}"
-            )
-        nbytes = 8 * shape[0] * shape[1]
-        if len(blob) < offset + nbytes:
-            raise FormatError(f"checkpoint: truncated payload for {name} at offset {offset}")
-        offsets[name] = offset
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"checkpoint: {len(blob) - offset} trailing bytes after payload")
-    for name, shape in shapes.items():
-        if name not in offsets:
-            raise FormatError(
-                f"checkpoint: config implies array {name!r} {shape}, header lists none"
-            )
+    implied = [{"name": name, "shape": list(shape)} for name, shape in shapes]
+    got = [json.dumps(entry, sort_keys=True) for entry in entries]
+    want = [json.dumps(entry, sort_keys=True) for entry in implied]
+    for i, (text, expected) in enumerate(zip_longest(got, want, fillvalue="none")):
+        if text != expected:
+            raise FormatError(f"checkpoint: array entry {i} is {text}, config implies {expected}")
+    # The payload size is checked before the buffer is allocated, so a
+    # header cannot make the loader allocate more than the file holds.
+    size, need = len(blob) - header_end, 8 * sum(rows * cols for _, (rows, cols) in shapes)
+    if size != need:
+        problem = "truncated" if size < need else f"{size - need} trailing bytes"
+        raise FormatError(
+            f"checkpoint: payload at offset {header_end} has {size} bytes, "
+            f"config implies {need}: {problem}"
+        )
     params = ModelParams.zeros(section, input_dim)
-    for name, view in params.arrays.items():
-        payload = np.frombuffer(blob, dtype="<f8", count=view.size, offset=offsets[name])
-        view[...] = payload.reshape(view.shape)
+    params.flat[:] = np.frombuffer(blob, dtype="<f8", offset=header_end)
     return params

@@ -10,7 +10,7 @@ configs reproduce byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,23 +40,6 @@ __all__ = [
 # Distinct stream family for batch shuffles, so epoch ordering can never
 # collide with augmentation substreams.
 SHUFFLE_STREAM_TAG = 0x53465631
-
-REPORT_COLUMNS = (
-    "epoch",
-    "l_ins",
-    "l_clu",
-    "l_total",
-    "nmi",
-    "acc",
-    "ari",
-    "pos_sim_inst",
-    "neg_sim_inst",
-    "pos_sim_clu",
-    "neg_sim_clu",
-)
-# The columns that average a value over the epoch's steps.
-STEP_COLUMNS = REPORT_COLUMNS[1:4] + REPORT_COLUMNS[7:]
-
 
 @dataclass
 class OptimizerState:
@@ -207,6 +190,12 @@ class EpochRecord:
 
     def cells(self) -> list:
         return [getattr(self, column) for column in REPORT_COLUMNS]
+
+
+# The report's columns are the record's fields, in order.
+REPORT_COLUMNS = tuple(f.name for f in fields(EpochRecord))
+# The columns that average a value over the epoch's steps.
+STEP_COLUMNS = REPORT_COLUMNS[1:4] + REPORT_COLUMNS[7:]
 
 
 @dataclass

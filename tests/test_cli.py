@@ -214,6 +214,17 @@ class TestRun:
         assert err.startswith(f"error [ConfigError]: config: model.{field}: "), err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_image_transform_on_vector_data_fails_before_any_artifact(
+        self, tmp_path, config_path, capsys
+    ):
+        out = tmp_path / "run"
+        flip = {"kind": "horizontal_flip", "probability": 0.5}
+        path = config_path(out_dir=out, augmentation={"transforms": [flip]})
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ConfigError]: config: augmentation.transforms[0]: "), err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_label_only_csv_fails_before_any_artifact(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("label\n0\n1\n0\n1\n")

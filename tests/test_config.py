@@ -7,6 +7,7 @@ import json
 import pkgutil
 import re
 from dataclasses import MISSING, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,11 +317,31 @@ class TestResolve:
         )
         assert reparsed == resolved
 
+    def test_image_transform_on_vector_data_rejected_with_path(self):
+        transforms = [
+            {"kind": "gaussian_jitter", "probability": 1.0, "sigma": 0.1},
+            {"kind": "horizontal_flip", "probability": 0.5},
+        ]
+        config = ExperimentConfig.from_dict(minimal(augmentation={"transforms": transforms}))
+        message = r"^config: augmentation.transforms\[1\]: transform horizontal_flip needs image"
+        with pytest.raises(ConfigError, match=message):
+            config.resolve(build_dataset(config.dataset))
+
     def test_resolve_is_idempotent(self):
         config = ExperimentConfig.from_dict(minimal(out_dir="runs/x"))
         dataset = build_dataset(config.dataset)
         once = config.resolve(dataset)
         assert once.resolve(dataset) == once
+
+
+def test_readme_complete_example_parses_and_resolves():
+    """The README's complete config example is read by the schema as it stands."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"A complete example:\n\n```json\n(.*?)```", readme, re.DOTALL)
+    assert block is not None, "README has no complete JSON config example"
+    config = ExperimentConfig.from_dict(json.loads(block.group(1)))
+    resolved = config.resolve(build_dataset(config.dataset))
+    assert ExperimentConfig.from_dict(resolved.to_dict()) == resolved
 
 
 class TestAugmentationSection:

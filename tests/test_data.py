@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualclust.data import (
@@ -195,6 +195,15 @@ class TestIdx:
         write_idx_images(img_path, np.zeros((4, 2, 2), dtype=np.uint8))
         write_idx_labels(lab_path, [0, 1])
         with pytest.raises(FormatError, match="labels"):
+            load_idx(img_path, lab_path)
+
+    def test_single_label_value_reported_with_labels_path(self, tmp_path):
+        img_path = tmp_path / "images.idx"
+        lab_path = tmp_path / "labels.idx"
+        write_idx_images(img_path, np.zeros((2, 2, 2), dtype=np.uint8))
+        write_idx_labels(lab_path, [0, 0])
+        message = f"{re.escape(str(lab_path))}: .*at least 2 distinct values"
+        with pytest.raises(FormatError, match=message):
             load_idx(img_path, lab_path)
 
     def test_round_trip_is_exact(self, tmp_path):
@@ -490,6 +499,88 @@ class TestReaderFuzz:
             path = Path(tmp) / "again.csv"
             write_label_csv(path, labels)
             np.testing.assert_array_equal(read_label_csv(path), labels)
+
+
+def _idx_pair(n, height, width, seed):
+    """Image and label IDX bytes of ``n`` random images and labels 0..2."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=n * height * width, dtype=np.uint8).tobytes()
+    labels = bytes(i % 3 for i in range(n))
+    return (
+        b"\x00\x00\x08\x03" + struct.pack(">3I", n, height, width) + images,
+        b"\x00\x00\x08\x01" + struct.pack(">I", n) + labels,
+    )
+
+
+VALID_IDX = _idx_pair(4, 3, 2, seed=0)
+# Same magic, another size of payload: a donor for splices.
+DONOR_IDX = _idx_pair(6, 2, 2, seed=1)
+IDX_DIMS = (3, 1)  # dimensions in the image file, then in the label file
+# Problems of a whole IDX file rather than of one offset.
+IDX_FILE_LEVEL_PROBLEMS = re.compile(
+    "file too short for IDX magic|IDX file holds|labels for \\d+ images|at least 2 distinct values"
+)
+
+
+@st.composite
+def mutated_idx(draw, which):
+    """File ``which`` (0 images, 1 labels) of VALID_IDX truncated, with
+    bytes flipped, with one dimension rewritten, or with its payload
+    spliced from DONOR_IDX."""
+    blob, ndim = VALID_IDX[which], IDX_DIMS[which]
+    kind = draw(st.sampled_from(["keep", "truncate", "flip", "dims", "splice"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        flipped = bytearray(blob)
+        for _ in range(draw(st.integers(1, 4))):
+            flipped[draw(st.integers(0, len(flipped) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(flipped)
+    if kind == "dims":
+        at = 4 + 4 * draw(st.integers(0, ndim - 1))
+        value = draw(st.one_of(st.integers(0, 8), st.sampled_from([2**31, 2**32 - 1])))
+        return blob[:at] + struct.pack(">I", value) + blob[at + 4 :]
+    if kind == "splice":
+        donor = DONOR_IDX[which][4 + 4 * ndim :]
+        start = draw(st.integers(0, len(donor)))
+        return blob[: 4 + 4 * ndim] + donor[start : start + draw(st.integers(0, len(donor)))]
+    return blob
+
+
+class TestIdxFuzz:
+    @given(images=mutated_idx(0), labels=mutated_idx(1), with_labels=st.booleans())
+    # One label value throughout once came through without the file's name.
+    @example(images=VALID_IDX[0], labels=VALID_IDX[1][:8] + bytes(4), with_labels=True)
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_idx_loads_checked_or_fails_located(self, images, labels, with_labels):
+        """A damaged IDX pair raises a DualclustError that names a file and
+        an offset in it or a problem of the whole file, or it loads as a
+        finite dataset in [0, 1] that writes back and reads the same."""
+        with tempfile.TemporaryDirectory() as tmp:
+            img_path, lab_path = Path(tmp) / "images.idx", Path(tmp) / "labels.idx"
+            img_path.write_bytes(images)
+            lab_path.write_bytes(labels)
+            try:
+                dataset = load_idx(img_path, lab_path if with_labels else None)
+            except DualclustError as exc:
+                message = str(exc)
+                named = [p for p in (img_path, lab_path) if message.startswith(f"{p}: ")]
+                assert named, message
+                offset = re.search(r"offset (\d+)", message)
+                if offset is None:
+                    assert IDX_FILE_LEVEL_PROBLEMS.search(message), message
+                else:
+                    assert int(offset.group(1)) <= named[0].stat().st_size, message
+                return
+            assert np.isfinite(dataset.samples).all()
+            assert dataset.samples.min() >= 0.0 and dataset.samples.max() <= 1.0
+            assert (dataset.labels is None) == (not with_labels)
+            again = (Path(tmp) / "again_images.idx", Path(tmp) / "again_labels.idx")
+            save_idx(again[0], dataset, again[1] if with_labels else None)
+            loaded = load_idx(again[0], again[1] if with_labels else None)
+        assert loaded.geometry == dataset.geometry
+        np.testing.assert_array_equal(loaded.samples, dataset.samples)
+        np.testing.assert_array_equal(loaded.labels, dataset.labels)
 
 
 class TestStandardize:

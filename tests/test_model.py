@@ -1,6 +1,7 @@
 """Encoder/head forward passes, initialization, and checkpoint round trips."""
 
 import json
+import re
 import struct
 import tempfile
 from dataclasses import fields
@@ -298,7 +299,7 @@ class TestCheckpointHeader:
             (lambda h: h.pop("config"), "header has no 'config' key"),
             (lambda h: h.pop("arrays"), "header has no 'arrays' key"),
             (lambda h: h["config"].pop("cluster_count"), "header config has no 'cluster_count' key"),
-            (lambda h: h["arrays"][0].pop("shape"), "has no 'shape' key"),
+            (lambda h: h["arrays"][0].pop("shape"), 'entry 0 is {"name": "encoder.0.weight"}, '),
         ],
         ids=["config", "arrays", "config_key", "array_shape"],
     )
@@ -311,8 +312,8 @@ class TestCheckpointHeader:
     @pytest.mark.parametrize(
         "key, value, array, actual, implied",
         [
-            ("input_dim", 7, "encoder.0.weight", (6, 10), (7, 10)),
-            ("cluster_count", 4, "cluster_head.1.weight", (8, 3), (8, 4)),
+            ("input_dim", 7, "encoder.0.weight", [6, 10], [7, 10]),
+            ("cluster_count", 4, "cluster_head.1.weight", [8, 3], [8, 4]),
         ],
     )
     def test_config_disagreeing_with_shapes_rejected(
@@ -320,25 +321,27 @@ class TestCheckpointHeader:
     ):
         broken = tmp_path / "broken.ckpt"
         rewrite_header(saved, broken, lambda h: h["config"].update({key: value}))
-        message = f"array '{array}' has shape {actual}, config implies {implied}"
-        with pytest.raises(FormatError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        entry = '{{"name": "{}", "shape": {}}}'
+        message = f"is {entry.format(array, actual)}, config implies {entry.format(array, implied)}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_checkpoint(broken)
 
-    @pytest.mark.parametrize("shape", [[-1, 10], [6.0, 10], "6x10"])
+    @pytest.mark.parametrize("shape", [[-1, 10], [6.0, 10], [True, 10], "6x10"])
     def test_invalid_array_shape_rejected(self, saved, tmp_path, shape):
         broken = tmp_path / "broken.ckpt"
         rewrite_header(saved, broken, lambda h: h["arrays"][0].update(shape=shape))
-        with pytest.raises(FormatError, match="'encoder.0.weight' has invalid shape"):
+        message = f'entry 0 is {{"name": "encoder.0.weight", "shape": {json.dumps(shape)}}}, '
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_checkpoint(broken)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda h: h.update(arrays=5), "header 'arrays' is not a list"),
-            (lambda h: h["arrays"].__setitem__(0, 5), "array entry 0 is not an object"),
+            (lambda h: h["arrays"].__setitem__(0, 5), "array entry 0 is 5, config implies"),
             (
                 lambda h: h["arrays"][1].update(name=["encoder.0.bias"]),
-                "array entry 1 has a non-string name",
+                re.escape('array entry 1 is {"name": ["encoder.0.bias"], "shape": [1, 10]}'),
             ),
         ],
         ids=["arrays_not_list", "entry_not_object", "name_not_string"],
@@ -354,14 +357,34 @@ class TestCheckpointHeader:
         extra = {"name": "encoder.0.bias", "shape": [1, 10]}
         payload = np.full(10, 7.0).tobytes()
         rewrite_header(saved, broken, lambda h: h["arrays"].append(extra), payload)
-        with pytest.raises(FormatError, match="entry 12 lists 'encoder.0.bias' a second time"):
+        message = 'entry 12 is {"name": "encoder.0.bias", "shape": [1, 10]}, config implies none'
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_checkpoint(broken)
 
     def test_array_the_config_does_not_imply_rejected(self, saved, tmp_path):
         broken = tmp_path / "broken.ckpt"
         extra = {"name": "encoder.2.weight", "shape": [1]}
         rewrite_header(saved, broken, lambda h: h["arrays"].append(extra), bytes(8))
-        with pytest.raises(FormatError, match="'encoder.2.weight' is not part of"):
+        with pytest.raises(FormatError, match=re.escape('entry 12 is {"name": "encoder.2.weight"')):
+            load_checkpoint(broken)
+
+    def test_array_the_header_leaves_out_rejected(self, saved, tmp_path):
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(edit_header(saved.read_bytes()[:-8 * 3], lambda h: h["arrays"].pop()))
+        message = 'entry 11 is none, config implies {"name": "cluster_head.1.bias", "shape": [1, 3]}'
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(broken)
+
+    def test_arrays_listed_in_another_order_rejected(self, saved, tmp_path):
+        """A header that lists the arrays in reverse, over a payload
+        permuted to match, is not the layout the config implies."""
+        arrays = load_checkpoint(saved).arrays.values()
+        payload = b"".join(view.tobytes() for view in reversed(arrays))
+        blob = saved.read_bytes()[: -len(payload)] + payload
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(edit_header(blob, lambda h: h["arrays"].reverse()))
+        message = 'entry 0 is {"name": "cluster_head.1.bias", "shape": [1, 3]}, config implies'
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_checkpoint(broken)
 
     @pytest.mark.parametrize(
