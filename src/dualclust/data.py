@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,66 +249,68 @@ MAX_EXACT_INTEGER = 2.0**53
 
 
 def _read_table(path):
-    """Read a numeric CSV: (header cells or None, float matrix, data rows,
-    the file line each data row starts on).
-
-    Blank records are skipped. A first row with any non-numeric cell is
-    the header. Every row must have the first row's width, and so must
-    the header. Every cell goes through float() and finiteness is checked
-    in one vectorised pass; only a failure looks up the offending cell."""
+    """(header cells or None, float matrix, the line each data row starts
+    on, the text) of a numeric CSV. Blank records are skipped; a first row
+    with a non-numeric cell is the header. Rows go through float() as they
+    are read, so their cells never all live at once; the first fault in
+    the file is reported, and finiteness is checked in one vectorised pass."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        text = blob.decode("utf-8")
+        # A byte-order mark would make the first cell non-numeric: a header.
+        text = blob.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # Lines up to and including the one that holds the bad byte.
         line = len((blob[: exc.start] + b"?").splitlines())
         raise FormatError(
             f"{path}: line {line}: byte {blob[exc.start]:#04x} at offset {exc.start} is not UTF-8"
         ) from None
-    # A byte-order mark would make the first cell non-numeric: a header.
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
-    rows, lines, start = [], [], 1
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, values, lines, start = None, array("d"), [], 1
     try:
         for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(start)
-            start = reader.line_num + 1
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if header is None and not lines and not all(map(_is_number, row)):
+                header, header_line = [cell.strip() for cell in row], line
+                continue
+            if lines and len(row) != width:
+                raise FormatError(f"{path}: line {line}: expected {width} columns, got {len(row)}")
+            width = len(row)
+            if not lines and header is not None and len(header) != width:
+                raise FormatError(
+                    f"{path}: line {header_line}: header has {len(header)} columns, "
+                    f"data rows have {width}"
+                )
+            try:
+                values.extend(map(float, row))
+            except ValueError:
+                col = next(j for j, cell in enumerate(row) if not _is_number(cell))
+                raise FormatError(
+                    f"{path}: line {line}, column {col + 1}: "
+                    f"could not parse {row[col]!r} as a number"
+                ) from None
+            lines.append(line)
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    header = None
-    if not all(map(_is_number, rows[0])):
-        header, header_line = [cell.strip() for cell in rows.pop(0)], lines.pop(0)
-        if not rows:
-            raise FormatError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    for row, line in zip(rows, lines):
-        if len(row) != width:
-            raise FormatError(f"{path}: line {line}: expected {width} columns, got {len(row)}")
-    if header is not None and len(header) != width:
-        raise FormatError(
-            f"{path}: line {header_line}: header has {len(header)} columns, data rows have {width}"
-        )
-    try:
-        matrix = np.array([[float(cell) for cell in row] for row in rows])
-    except ValueError:
-        bad = np.array([[not _is_number(cell) for cell in row] for row in rows])
-        _reject_cells(bad, rows, lines, path, "could not parse {!r} as a number")
-        raise
-    _reject_cells(~np.isfinite(matrix), rows, lines, path, "non-finite value {!r}")
-    return header, matrix, rows, lines
+    if not lines:
+        raise FormatError(f"{path}: {'no' if header is None else 'header but no'} data rows")
+    matrix = np.array(values).reshape(len(lines), width)
+    _reject_cells(~np.isfinite(matrix), lines, text, path, "non-finite value {!r}")
+    return header, matrix, lines, text
 
 
-def _reject_cells(bad, rows, lines, path, problem):
+def _reject_cells(bad, lines, text, path, problem):
     """Raise a FormatError at the first flagged cell of the boolean matrix
-    ``bad``, in row-major order; ``problem`` is formatted with the cell."""
+    ``bad``, in row-major order; ``problem`` is formatted with the cell,
+    read back from the first record of ``text`` that reaches its line."""
     if bad.any():
         index, col = np.argwhere(bad)[0]
+        reader = csv.reader(io.StringIO(text, newline=""))
+        row = next(row for row in reader if row and reader.line_num >= lines[index])
         raise FormatError(
-            f"{path}: line {lines[index]}, column {col + 1}: " + problem.format(rows[index][col])
+            f"{path}: line {lines[index]}, column {col + 1}: " + problem.format(row[col])
         )
 
 
@@ -322,7 +325,7 @@ def load_csv(path, label_column=None) -> Dataset:
     skipped. ``label_column`` selects a column (by index, or by name
     when a header is present) to extract as integer labels.
     """
-    header, matrix, rows, lines = _read_table(path)
+    header, matrix, lines, text = _read_table(path)
     width = matrix.shape[1]
     labels = None
     if label_column is not None:
@@ -336,11 +339,9 @@ def load_csv(path, label_column=None) -> Dataset:
                 raise FormatError(f"{path}: label column {index} out of range for width {width}")
         if width == 1:
             raise FormatError(f"{path}: label column {label_column!r} is the only column")
-        raw = matrix[:, index]
-        bad = np.zeros(matrix.shape, dtype=bool)
-        bad[:, index] = _not_integer(raw)
-        _reject_cells(bad, rows, lines, path, "non-integral label {!r}")
-        labels = raw.astype(np.int64)
+        bad = _not_integer(matrix) & (np.arange(width) == index)
+        _reject_cells(bad, lines, text, path, "non-integral label {!r}")
+        labels = matrix[:, index].astype(np.int64)
         matrix = np.delete(matrix, index, axis=1)
     try:
         return Dataset(matrix, VectorGeometry(matrix.shape[1]), labels, name="csv")
@@ -372,12 +373,12 @@ def read_label_csv(path) -> np.ndarray:
     Accepts an optional header. Sample ids must be the integers
     0..n-1 in any order, each exactly once.
     """
-    _, table, rows, lines = _read_table(path)
+    _, table, lines, text = _read_table(path)
     if table.shape[1] != 2:
         raise FormatError(
             f"{path}: line {lines[0]}: expected 2 columns (sample_id, label), got {table.shape[1]}"
         )
-    _reject_cells(_not_integer(table), rows, lines, path, "non-integral value {!r}")
+    _reject_cells(_not_integer(table), lines, text, path, "non-integral value {!r}")
     ids, labels = table.astype(np.int64).T
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(len(ids))):

@@ -312,6 +312,18 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"line 3, column 2: non-integral label '1.7'"):
             load_csv(path, label_column=1)
 
+    def test_first_fault_in_the_file_reported(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n3,x\n5\n")
+        with pytest.raises(FormatError, match=r"line 2, column 2: could not parse 'x'"):
+            load_csv(path)
+
+    def test_cell_read_back_past_a_quoted_multiline_cell(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('1,"2\n\n"\n3,4\n5,inf\n')
+        with pytest.raises(FormatError, match=r"line 5, column 2: non-finite value 'inf'"):
+            load_csv(path)
+
     def test_single_label_value_reported_with_path(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,label\n1,3\n2,3\n")
