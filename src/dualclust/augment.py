@@ -7,10 +7,13 @@ data gets crop-resize, flip, brightness, and optional blur. Every
 transform preserves dimensionality, so the model never sees a width
 change.
 
-Determinism contract: identical (pipeline, input, generator state)
-produce byte-identical views. `pair_rng` derives an independent
-substream per (seed, epoch, sample), making augmentation results
-independent of batch order.
+Determinism contract: every random value of an epoch's views comes
+from one Philox stream keyed by (seed, epoch). `epoch_draws` draws it
+in whole arrays, transform by transform in pipeline order, with rows in
+sample-index order; `pair_rng` takes one sample's share of it and
+`make_pair` applies that share with no further draw. Identical
+(pipeline, input, share) produce byte-identical views, and a sample's
+views do not depend on batch order.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import ConfigError, ContractError, ShapeError
 __all__ = [
     "TransformSpec",
     "AugmentationPipeline",
-    "sample_view",
-    "make_pair",
+    "epoch_draws",
     "pair_rng",
+    "make_pair",
     "default_vector_pipeline",
     "default_image_pipeline",
 ]
@@ -194,28 +197,22 @@ def _blur_plan(height, width, sigma):
     return tuple(_frozen(a) for a in (kernel, row_pad, col_pad, unpad))
 
 
-def _apply(spec: TransformSpec, x, geometry, rng):
+def _apply(spec: TransformSpec, x, geometry, params):
+    """``spec`` on one view ``x`` with that view's drawn ``params``."""
     if spec.kind == "identity":
         return x
     if spec.kind == "gaussian_jitter":
-        return x + rng.normal(0.0, spec.sigma, size=x.shape)
-    if spec.kind == "coordinate_mask":
-        return x * (rng.random(x.shape) >= spec.fraction)
-    if spec.kind == "scale_jitter":
-        return x * rng.uniform(spec.low, spec.high)
+        return x + params
+    if spec.kind in ("coordinate_mask", "scale_jitter"):
+        return x * params
     if spec.kind == "brightness_jitter":
-        out = x * rng.uniform(spec.low, spec.high)
+        out = x * params
         return np.clip(out, 0.0, 1.0, out=out)
     img = x.reshape(geometry.height, geometry.width)
     if spec.kind == "horizontal_flip":
         return img[:, ::-1].ravel()
     if spec.kind == "resized_crop":
-        area = rng.uniform(spec.min_area_fraction, 1.0)
-        side = np.sqrt(area)
-        crop_h = max(1, int(round(geometry.height * side)))
-        crop_w = max(1, int(round(geometry.width * side)))
-        top = rng.integers(0, geometry.height - crop_h + 1)
-        left = rng.integers(0, geometry.width - crop_w + 1)
+        top, left, crop_h, crop_w = params
         crop = img[top : top + crop_h, left : left + crop_w]
         return _bilinear_resize(crop, geometry.height, geometry.width).ravel()
     if spec.kind == "gaussian_blur":
@@ -226,48 +223,87 @@ def _apply(spec: TransformSpec, x, geometry, rng):
     raise ConfigError(f"unknown transform kind {spec.kind!r}")
 
 
-def sample_view(pipeline: AugmentationPipeline, x, rng) -> np.ndarray:
-    """One stochastic view of a single instance vector: transforms fire
-    independently with their probabilities, in pipeline order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != pipeline.geometry.size:
-        raise ShapeError(
-            f"sample_view: expected a flat vector of length {pipeline.geometry.size}, "
-            f"got shape {x.shape}"
-        )
-    out = x.copy()
+def _draw_parameters(spec: TransformSpec, geometry, rng, n):
+    """``spec``'s parameters for n samples x 2 views, indexed [sample][view]:
+    jitter is the noise itself, a mask the boolean keep-mask, a crop its
+    (top, left, height, width), and a kind that draws none has None."""
+    if spec.kind == "gaussian_jitter":
+        noise = rng.standard_normal((n, 2, geometry.size))
+        noise *= spec.sigma
+        return noise
+    if spec.kind == "coordinate_mask":
+        return rng.random((n, 2, geometry.size)) >= spec.fraction
+    if spec.kind in ("scale_jitter", "brightness_jitter"):
+        return rng.uniform(spec.low, spec.high, (n, 2)).tolist()
+    if spec.kind == "resized_crop":
+        side = np.sqrt(rng.uniform(spec.min_area_fraction, 1.0, (n, 2)))
+        crop_h = np.maximum(1, np.rint(geometry.height * side).astype(np.int64))
+        crop_w = np.maximum(1, np.rint(geometry.width * side).astype(np.int64))
+        top = rng.integers(0, geometry.height - crop_h + 1)
+        left = rng.integers(0, geometry.width - crop_w + 1)
+        return np.stack([top, left, crop_h, crop_w], axis=-1).tolist()
+    return [(None, None)] * n
+
+
+def epoch_draws(pipeline: AugmentationPipeline, seed, epoch, n) -> list:
+    """Every random value of one epoch's views of ``n`` samples, drawn in
+    whole arrays from one Philox stream keyed by (seed, epoch).
+
+    Per transform, in pipeline order: the gates of all n samples x 2
+    views as one (n, 2) uniform array compared with the probability, then
+    the kind's parameters. Rows are in sample-index order, so a sample's
+    share does not depend on which batch takes it.
+    """
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((AUGMENT_STREAM_TAG, seed, epoch)))
+    )
+    draws = []
     for spec, probability in pipeline.transforms:
-        if rng.random() < probability:
-            out = _apply(spec, out, pipeline.geometry, rng)
-    if not np.all(np.isfinite(out)):
-        raise ContractError("sample_view: transform produced non-finite values")
+        gates = (rng.random((n, 2)) < probability).tolist()
+        draws.append((gates, _draw_parameters(spec, pipeline.geometry, rng, n)))
+    return draws
+
+
+def pair_rng(draws, sample_index) -> list:
+    """Sample ``sample_index``'s share of ``epoch_draws``: per transform,
+    its two gates and its parameters for the two views."""
+    return [(gates[sample_index], params[sample_index]) for gates, params in draws]
+
+
+def _view(pipeline: AugmentationPipeline, x, share, view):
+    """View ``view`` (0 or 1) of ``x``: each transform whose gate fired,
+    in pipeline order, with that view's parameters."""
+    out = x.copy()
+    for (spec, _), (gates, params) in zip(pipeline.transforms, share):
+        if gates[view]:
+            out = _apply(spec, out, pipeline.geometry, params[view])
+    if not np.isfinite(out).all():
+        raise ContractError("make_pair: transform produced non-finite values")
     return out
 
 
-def make_pair(pipeline: AugmentationPipeline, x, rng, mode: str = "two_views"):
-    """Two correlated views of one instance.
+def make_pair(pipeline: AugmentationPipeline, x, share, mode: str = "two_views"):
+    """Two correlated views of one instance vector, from its ``pair_rng``
+    share of the epoch's draws.
 
-    "two_views" draws both views independently; "raw_second" pairs one
-    drawn view with the untouched input; "raw_both" returns the input
-    twice (the no-augmentation control).
+    "two_views" applies both views' draws; "raw_second" pairs the first
+    view with the untouched input; "raw_both" returns the input twice
+    (the no-augmentation control).
     """
     if mode not in PAIR_MODES:
         raise ConfigError(f"make_pair: unknown mode {mode!r}, expected one of {PAIR_MODES}")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] != pipeline.geometry.size:
+        raise ShapeError(
+            f"make_pair: expected a flat vector of length {pipeline.geometry.size}, "
+            f"got shape {x.shape}"
+        )
     if mode == "raw_both":
         return x.copy(), x.copy()
-    view_a = sample_view(pipeline, x, rng)
+    view_a = _view(pipeline, x, share, 0)
     if mode == "raw_second":
         return view_a, x.copy()
-    return view_a, sample_view(pipeline, x, rng)
-
-
-def pair_rng(seed, epoch, sample_index) -> np.random.Generator:
-    """Independent substream for one sample's augmentation pair; derived
-    from (seed, epoch, index) so results do not depend on batch order."""
-    return np.random.default_rng(
-        np.random.SeedSequence((AUGMENT_STREAM_TAG, seed, epoch, sample_index))
-    )
+    return view_a, _view(pipeline, x, share, 1)
 
 
 def default_vector_pipeline(geometry) -> AugmentationPipeline:

@@ -129,9 +129,24 @@ def cmd_eval(args) -> int:
         )
     config = config.resolve(dataset)
     params = load_checkpoint(args.checkpoint)
+    _check_checkpoint(config, dataset, params, args)
     assignments = _final_assignments(config, params, dataset)
     print(_json_text(metric_bundle(dataset.labels, assignments)), end="")
     return 0
+
+
+def _check_checkpoint(config: ExperimentConfig, dataset: Dataset, params, args) -> None:
+    """The checkpoint must hold the model that the resolved config gives
+    for its dataset: same input width, same layout, same cluster count."""
+    fields = [("model.input_dim", dataset.dim, params.input_dim)]
+    for name in ("encoder_widths", "instance_dim", "head_hidden_dim", "cluster_count"):
+        fields.append((f"model.{name}", getattr(config.model, name), getattr(params.config, name)))
+    for field, ours, theirs in fields:
+        if ours != theirs:
+            raise ConfigError(
+                f"eval: {field} is {ours} for {args.config} and its dataset, "
+                f"but {theirs} in the checkpoint {args.checkpoint}"
+            )
 
 
 def cmd_metrics(args) -> int:

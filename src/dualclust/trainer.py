@@ -4,8 +4,10 @@ One step is one forward pass over both augmented views as 2N stacked
 rows [views_a; views_b] -> joint loss -> backward -> parameter update.
 The joint objective is the plain sum of the instance and cluster terms;
 ablation switches drop either one. Everything is seeded: batch order,
-per-sample augmentation streams, and the parameter init, so identical
-configs reproduce byte-identical reports.
+the parameter init and augmentation, whose random values for an epoch
+are drawn at its start in whole arrays from one (seed, epoch) stream;
+each sample's pair is then made from its share of them (``pair_rng``,
+``make_pair``). Identical configs reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .augment import make_pair, pair_rng
+from .augment import epoch_draws, make_pair, pair_rng
 from .config import ExperimentConfig, LossSection, TrainingSection, build_pipeline
 from .data import Dataset
 from .errors import ConfigError, ContractError, DegenerateInputError
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 # Distinct stream family for batch shuffles, so epoch ordering can never
-# collide with augmentation substreams.
+# collide with the augmentation stream.
 SHUFFLE_STREAM_TAG = 0x53465631
 
 @dataclass
@@ -255,18 +257,18 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     batch = settings.batch_size
     for epoch in range(settings.epochs):
         order = _epoch_order(config.seed, epoch, dataset.n)
+        draws = epoch_draws(pipeline, config.seed, epoch, dataset.n)
         sums = dict.fromkeys(STEP_COLUMNS, 0.0)
         batch_count = 0
         for start in range(0, dataset.n - batch + 1, batch):
-            indices = order[start : start + batch]
-            views_a, views_b = [], []
-            for i in indices:
-                rng = pair_rng(config.seed, epoch, int(i))
-                xa, xb = make_pair(pipeline, dataset.samples[i], rng, mode=pair_mode)
-                views_a.append(xa)
-                views_b.append(xb)
+            # Row j and row j + batch are the two views of sample j.
+            views = np.empty((2, batch, dataset.dim))
+            for j, i in enumerate(order[start : start + batch].tolist()):
+                views[0, j], views[1, j] = make_pair(
+                    pipeline, dataset.samples[i], pair_rng(draws, i), mode=pair_mode
+                )
             try:
-                _, z, y = forward_graph(param_nodes, np.stack(views_a + views_b))
+                _, z, y = forward_graph(param_nodes, views.reshape(2 * batch, dataset.dim))
                 term_ins, term_clu, total = _loss_terms(
                     z, y, config.losses, include_instance, include_cluster
                 )
@@ -294,6 +296,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 sums[key] += value
             batch_count += 1
 
+        del draws
         means = {key: value / batch_count for key, value in sums.items()}
         means["l_ins"] = means["l_ins"] if include_instance else None
         means["l_clu"] = means["l_clu"] if include_cluster else None

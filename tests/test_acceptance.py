@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from dualclust import autodiff as ad
-from dualclust.augment import make_pair, pair_rng
+from dualclust.augment import epoch_draws, make_pair, pair_rng
 from dualclust.cli import main
 from dualclust.config import (
     ExperimentConfig,
@@ -63,12 +63,10 @@ def gate(number, ok, details):
 
 def heldout_alignment(params, dataset, pipeline, seed, epoch):
     """Mean positive-pair cosine of ``z`` over one ``pipeline`` pair per
-    sample, drawn from ``pair_rng(seed, epoch, i)``. Passing ``epoch`` =
-    the run's epoch count gives views that training never drew."""
-    pairs = [
-        make_pair(pipeline, dataset.samples[i], pair_rng(seed, epoch, i))
-        for i in range(dataset.n)
-    ]
+    sample, made from the ``(seed, epoch)`` augmentation stream. Passing
+    ``epoch`` = the run's epoch count gives views that training never drew."""
+    draws = epoch_draws(pipeline, seed, epoch, dataset.n)
+    pairs = [make_pair(pipeline, dataset.samples[i], pair_rng(draws, i)) for i in range(dataset.n)]
     _, z, _ = forward(params, np.stack([a for a, _ in pairs] + [b for _, b in pairs]))
     return pair_similarity_stats(z)[0]
 

@@ -11,12 +11,23 @@ from dualclust.augment import (
     TransformSpec,
     default_image_pipeline,
     default_vector_pipeline,
+    epoch_draws,
     make_pair,
     pair_rng,
-    sample_view,
 )
 from dualclust.data import ImageGeometry, VectorGeometry
-from dualclust.errors import ConfigError, ShapeError
+from dualclust.errors import ConfigError, ContractError, ShapeError
+
+
+def share(pipeline, seed=0, epoch=0, index=0):
+    """Sample ``index``'s share of the (seed, epoch) draws of an epoch of
+    ``index + 1`` samples."""
+    return pair_rng(epoch_draws(pipeline, seed, epoch, index + 1), index)
+
+
+def one_view(pipeline, x, seed=0, epoch=0, index=0):
+    """The first view of sample ``index``'s pair."""
+    return make_pair(pipeline, x, share(pipeline, seed, epoch, index), mode="raw_second")[0]
 
 
 def jitter_pipeline(dim, sigma=0.1, probability=1.0):
@@ -62,6 +73,8 @@ class TestTransformSpecValidation:
 
 
 class TestSampleView:
+    """One view of one sample: the first view of its pair."""
+
     def test_zero_probabilities_return_input_exactly(self):
         pipeline = AugmentationPipeline(
             transforms=(
@@ -71,7 +84,7 @@ class TestSampleView:
             geometry=VectorGeometry(5),
         )
         x = np.arange(5.0)
-        out = sample_view(pipeline, x, np.random.default_rng(0))
+        out = one_view(pipeline, x, seed=0)
         np.testing.assert_array_equal(out, x)
 
     def test_flip_twice_restores_input(self):
@@ -80,22 +93,22 @@ class TestSampleView:
             geometry=ImageGeometry(3, 4),
         )
         x = np.arange(12.0)
-        once = sample_view(pipeline, x, np.random.default_rng(0))
+        once = one_view(pipeline, x, seed=0)
         assert not np.array_equal(once, x)
-        twice = sample_view(pipeline, once, np.random.default_rng(1))
+        twice = one_view(pipeline, once, seed=1)
         np.testing.assert_array_equal(twice, x)
 
     def test_jitter_standard_deviation_matches_parameter(self):
         pipeline = jitter_pipeline(10_000, sigma=0.1)
         x = np.zeros(10_000)
-        out = sample_view(pipeline, x, np.random.default_rng(3))
+        out = one_view(pipeline, x, seed=3)
         assert abs((out - x).std() - 0.1) <= 0.02
 
     def test_deterministic_given_seed(self):
         pipeline = default_vector_pipeline(VectorGeometry(8))
         x = np.linspace(-1, 1, 8)
-        a = sample_view(pipeline, x, np.random.default_rng(99))
-        b = sample_view(pipeline, x, np.random.default_rng(99))
+        a = one_view(pipeline, x, seed=99)
+        b = one_view(pipeline, x, seed=99)
         assert a.tobytes() == b.tobytes()
 
     def test_application_count_is_binomial(self):
@@ -108,8 +121,10 @@ class TestSampleView:
             geometry=VectorGeometry(3),
         )
         x = np.ones(3)
+        draws = epoch_draws(pipeline, 0, 0, n)
         applied = sum(
-            sample_view(pipeline, x, pair_rng(0, 0, i))[0] == 2.0 for i in range(n)
+            make_pair(pipeline, x, pair_rng(draws, i), mode="raw_second")[0][0] == 2.0
+            for i in range(n)
         )
         margin = 4.0 * np.sqrt(n * p * (1 - p))
         assert abs(applied - n * p) <= margin
@@ -127,7 +142,7 @@ class TestSampleView:
         pipeline = AugmentationPipeline(
             transforms=((spec, 1.0),), geometry=VectorGeometry(7)
         )
-        out = sample_view(pipeline, np.ones(7), np.random.default_rng(0))
+        out = one_view(pipeline, np.ones(7), seed=0)
         assert out.shape == (7,)
 
     @pytest.mark.parametrize(
@@ -143,7 +158,7 @@ class TestSampleView:
         geometry = ImageGeometry(6, 5)
         pipeline = AugmentationPipeline(transforms=((spec, 1.0),), geometry=geometry)
         x = np.random.default_rng(1).uniform(size=30)
-        out = sample_view(pipeline, x, np.random.default_rng(2))
+        out = one_view(pipeline, x, seed=2)
         assert out.shape == (30,)
         assert np.all(np.isfinite(out))
 
@@ -152,7 +167,7 @@ class TestSampleView:
             transforms=((TransformSpec.coordinate_mask(0.5), 1.0),),
             geometry=VectorGeometry(1000),
         )
-        out = sample_view(pipeline, np.ones(1000), np.random.default_rng(4))
+        out = one_view(pipeline, np.ones(1000), seed=4)
         zeroed = int((out == 0.0).sum())
         assert 350 <= zeroed <= 650
         assert set(np.unique(out)) <= {0.0, 1.0}
@@ -163,16 +178,17 @@ class TestSampleView:
             geometry=ImageGeometry(4, 4),
         )
         x = np.random.default_rng(5).uniform(size=16)
+        draws = epoch_draws(pipeline, 1, 0, 20)
         for i in range(20):
-            out = sample_view(pipeline, x, pair_rng(1, 0, i))
-            assert out.min() >= 0.0 and out.max() <= 1.0
+            for out in make_pair(pipeline, x, pair_rng(draws, i)):
+                assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_blur_preserves_constant_image(self):
         pipeline = AugmentationPipeline(
             transforms=((TransformSpec.gaussian_blur(1.0), 1.0),),
             geometry=ImageGeometry(5, 6),
         )
-        out = sample_view(pipeline, np.full(30, 0.7), np.random.default_rng(6))
+        out = one_view(pipeline, np.full(30, 0.7), seed=6)
         np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-12)
 
     def test_resized_crop_stays_within_value_range(self):
@@ -181,58 +197,112 @@ class TestSampleView:
             geometry=ImageGeometry(8, 8),
         )
         x = np.random.default_rng(7).uniform(size=64)
+        draws = epoch_draws(pipeline, 2, 0, 10)
         for i in range(10):
-            out = sample_view(pipeline, x, pair_rng(2, 0, i))
-            assert out.min() >= x.min() - 1e-12
-            assert out.max() <= x.max() + 1e-12
+            for out in make_pair(pipeline, x, pair_rng(draws, i)):
+                assert out.min() >= x.min() - 1e-12
+                assert out.max() <= x.max() + 1e-12
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_view_rejected(self, value):
+        pipeline = _only(TransformSpec.scale_jitter(2.0, 2.0), VectorGeometry(3))
+        with pytest.raises(ContractError, match="non-finite"):
+            one_view(pipeline, np.array([1.0, value, 2.0]))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeError):
-            sample_view(jitter_pipeline(5), np.ones(4), np.random.default_rng(0))
+            one_view(jitter_pipeline(5), np.ones(4), seed=0)
 
 
 class TestMakePair:
     def test_raw_both_returns_input_twice(self):
         pipeline = jitter_pipeline(6)
         x = np.arange(6.0)
-        a, b = make_pair(pipeline, x, np.random.default_rng(0), mode="raw_both")
+        a, b = make_pair(pipeline, x, share(pipeline), mode="raw_both")
         np.testing.assert_array_equal(a, x)
         np.testing.assert_array_equal(b, x)
 
     def test_raw_second_keeps_second_view_untouched(self):
         pipeline = jitter_pipeline(6)
         x = np.arange(6.0)
-        a, b = make_pair(pipeline, x, np.random.default_rng(1), mode="raw_second")
+        a, b = make_pair(pipeline, x, share(pipeline, seed=1), mode="raw_second")
         np.testing.assert_array_equal(b, x)
         assert not np.array_equal(a, x)
 
     def test_two_views_differ_and_reproduce(self):
         pipeline = jitter_pipeline(6)
         x = np.arange(6.0)
-        a1, b1 = make_pair(pipeline, x, pair_rng(7, 0, 0))
-        a2, b2 = make_pair(pipeline, x, pair_rng(7, 0, 0))
+        a1, b1 = make_pair(pipeline, x, share(pipeline, seed=7))
+        a2, b2 = make_pair(pipeline, x, share(pipeline, seed=7))
         assert a1.tobytes() == a2.tobytes()
         assert b1.tobytes() == b2.tobytes()
         assert not np.array_equal(a1, b1)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
-            make_pair(jitter_pipeline(3), np.ones(3), np.random.default_rng(0), mode="no")
+            make_pair(jitter_pipeline(3), np.ones(3), share(jitter_pipeline(3)), mode="no")
 
     def test_substreams_are_order_independent(self):
+        # A sample's share is the same whichever order the samples are
+        # taken in, and the next sample's differs.
         pipeline = jitter_pipeline(4)
         x = np.ones(4)
-        late = make_pair(pipeline, x, pair_rng(3, 2, 17))
-        early = make_pair(pipeline, x, pair_rng(3, 2, 17))
+        draws = epoch_draws(pipeline, 3, 2, 32)
+        late = make_pair(pipeline, x, pair_rng(draws, 17))
+        early = make_pair(pipeline, x, pair_rng(draws, 17))
         np.testing.assert_array_equal(late[0], early[0])
-        distinct = make_pair(pipeline, x, pair_rng(3, 2, 18))
+        distinct = make_pair(pipeline, x, pair_rng(draws, 18))
         assert not np.array_equal(late[0], distinct[0])
+
+
+class TestEpochDraws:
+    def views(self, pipeline, samples, draws, order):
+        return {int(i): make_pair(pipeline, samples[i], pair_rng(draws, int(i))) for i in order}
+
+    @pytest.mark.parametrize(
+        "build, geometry",
+        [
+            (default_vector_pipeline, VectorGeometry(16)),
+            (default_image_pipeline, ImageGeometry(8, 8)),
+        ],
+    )
+    def test_views_do_not_depend_on_batch_order(self, build, geometry):
+        pipeline = build(geometry)
+        n = 24
+        samples = np.random.default_rng(11).uniform(size=(n, geometry.size))
+        draws = epoch_draws(pipeline, 4, 1, n)
+        in_order = self.views(pipeline, samples, draws, range(n))
+        permuted = self.views(pipeline, samples, draws, np.random.default_rng(12).permutation(n))
+        # Batches of 8 taken in a shuffled order, as train() takes them.
+        batched = {}
+        for start in (16, 0, 8):
+            batched.update(self.views(pipeline, samples, draws, range(start + 7, start - 1, -1)))
+        for i in range(n):
+            for other in (permuted, batched):
+                assert in_order[i][0].tobytes() == other[i][0].tobytes()
+                assert in_order[i][1].tobytes() == other[i][1].tobytes()
+
+    def test_epochs_and_sample_indices_give_different_views(self):
+        pipeline = default_vector_pipeline(VectorGeometry(16))
+        x = np.linspace(-1.0, 1.0, 16)
+        pairs = [
+            make_pair(pipeline, x, pair_rng(epoch_draws(pipeline, seed, epoch, 8), index))
+            for seed, epoch, index in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
+        ]
+        views = {view.tobytes() for pair in pairs for view in pair}
+        assert len(views) == 2 * len(pairs)
+
+    def test_masks_are_boolean_and_sized_per_view(self):
+        pipeline = _only(TransformSpec.coordinate_mask(0.5), VectorGeometry(5))
+        ((gates, keep),) = epoch_draws(pipeline, 0, 0, 7)
+        assert np.shape(gates) == (7, 2)
+        assert keep.dtype == np.bool_ and keep.shape == (7, 2, 5)
 
 
 class TestDefaultPipelines:
     def test_vector_defaults_fit_geometry(self):
         pipeline = default_vector_pipeline(VectorGeometry(12))
-        out = sample_view(pipeline, np.zeros(12), np.random.default_rng(0))
+        out = one_view(pipeline, np.zeros(12), seed=0)
         assert out.shape == (12,)
 
     def test_small_images_skip_blur(self):
@@ -250,37 +320,38 @@ def _only(spec, geometry):
     return AugmentationPipeline(transforms=((spec, 1.0),), geometry=geometry)
 
 
-# sha256 over every make_pair view and the generator state after each pair,
-# for the (seed, epoch, index) grid below. Recorded before the image kernels
-# became whole-array operations; any change to a view's bytes or to the
-# draw sequence changes the digest. The blur kernel goes through np.exp and
-# np.convolve's dot, so a platform whose libm or BLAS rounds differently in
-# the last bit gives other blur digests.
+# sha256 over every make_pair view and every pair's share of the epoch's
+# draws, for the (seed, epoch, index) grid below; each (seed, epoch) is one
+# epoch of 64 samples. Recorded when the draws became whole arrays from one
+# Philox stream per epoch; any change to a view's bytes or to the draws
+# changes the digest. The blur kernel goes through np.exp and np.convolve's
+# dot, so a platform whose libm or BLAS rounds differently in the last bit
+# gives other blur digests.
 PINNED_GRID = [(s, e, i) for s in (0, 5) for e in (0, 3) for i in (0, 1, 2, 63)]
 PINNED_CASES = {
     "vector_default": (
         lambda: default_vector_pipeline(VectorGeometry(16)),
-        "1c668bb65c4f62fb741c7afc76b70455a1df4ecb8e8fee22a4f7650a2f1c1ef9",
+        "44d101d327a6c67d1d3b0f0706813c11fa5f31d3d7e5397a6565ce25d1d98089",
     ),
     "image_default_64_blur": (
         lambda: default_image_pipeline(ImageGeometry(64, 64)),
-        "934b8bf3339f7154ec8cb7ce2d37cb3411ab43fccd92373d55acae091d7c50cd",
+        "0499773af6b068fe7ecb52e8c4144d8d0f3fffd50e835cb8c538b510c4ec4719",
     ),
     "image_default_28_no_blur": (
         lambda: default_image_pipeline(ImageGeometry(28, 28)),
-        "8a3e3452f5b790733c7e35d44c25825669d0c799c5c30727fce01ec7cb10897c",
+        "0a5d15dc32fe83370978eef94bf2327e9b106950a4383c6de5aaf50e53fc553d",
     ),
     "blur_sigma_2_5": (
         lambda: _only(TransformSpec.gaussian_blur(2.5), ImageGeometry(20, 23)),
-        "ab8e63c2909e6fb329864edfcae3ec749d5b736e6def719252c4b5e50d43a503",
+        "28fdce6929e8f0dd20c34f37a8389f5028a77f6bb1fc9342eb68437a882811d3",
     ),
     "blur_radius_over_side": (
         lambda: _only(TransformSpec.gaussian_blur(1.0), ImageGeometry(2, 3)),
-        "cfa4576f740ad1323c2527624f8a7aa7fcc6466c7a1c4b5e112666bc1c655124",
+        "aa6eb4e38bc30008f4eb1319a5c56e5d893eede45038c76ae2ac400544e5cdef",
     ),
     "resized_crop_0_2": (
         lambda: _only(TransformSpec.resized_crop(0.2), ImageGeometry(17, 24)),
-        "6363de56b9c159fa31a93a936c49229c04886bcb8f90e6fed779eb4e4ecc86ad",
+        "a41f07eed775e510e6d29a7433f00ae2ac8582fa299843addeec7f92e12cdb72",
     ),
 }
 
@@ -293,9 +364,14 @@ def test_views_and_generator_states_match_pinned_digest(case):
     x = np.random.default_rng(size).uniform(size=size)
     digest = hashlib.sha256()
     for seed, epoch, index in PINNED_GRID:
-        rng = pair_rng(seed, epoch, index)
-        view_a, view_b = make_pair(pipeline, x, rng)
+        pair_share = pair_rng(epoch_draws(pipeline, seed, epoch, 64), index)
+        view_a, view_b = make_pair(pipeline, x, pair_share)
         digest.update(view_a.tobytes())
         digest.update(view_b.tobytes())
-        digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        for gates, params in pair_share:
+            digest.update(json.dumps(gates).encode())
+            if isinstance(params, np.ndarray):
+                digest.update(params.tobytes())
+            else:
+                digest.update(json.dumps(params).encode())
     assert digest.hexdigest() == expected

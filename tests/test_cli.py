@@ -38,19 +38,17 @@ BASE_CONFIG = {
 # other branch of both loss options. A change that alters any trained value,
 # report cell or checkpoint byte changes them, so a refactor that must keep
 # runs byte-identical is checked here. All four digests were re-recorded
-# when a step began to run the model once over both views stacked as 2B
-# rows: each weight gradient X^T G is then one product over 2B rows instead
-# of the sum of two B-row products, so it rounds differently. Losses and
-# their input gradients kept their bits; the report cells moved by at most
-# 4.4e-16 over the 10 epochs. Training goes through BLAS matmuls and libm
-# exp/log, so a platform that rounds differently in the last bit gives
-# other digests.
+# when augmentation began to draw each epoch's random values in whole
+# arrays from one Philox stream per (seed, epoch), in place of one PCG64
+# generator per sample: every view, and so every trained value, changed.
+# Training goes through BLAS matmuls and libm exp/log, so a platform that
+# rounds differently in the last bit gives other digests.
 PINNED_RUNS = [
     (
         {},
         {
-            "report.csv": "5f436eb4aef5be5e5518e1c53bc02cb5acac8099267dc00d9fbc15d29a240e9d",
-            "checkpoint.bin": "a4da3628df36d4e0e1598e0522113210093d97548913539aa4f38e0454708c86",
+            "report.csv": "aeb9247076035c177bdc7d0ccca884ee2258fc1b19249dab822e283a37218905",
+            "checkpoint.bin": "b40dcee8a44ede9a895038f6d4caebd231325141e190a6a26aacbca0e5d14171",
         },
     ),
     (
@@ -59,8 +57,8 @@ PINNED_RUNS = [
             "losses": {"exclude_self_similarity": False, "literal_entropy_sign": True},
         },
         {
-            "report.csv": "9b680d76d19eda35bffc1a99b5f17a574f13f82478ac6f74c649f7feeb5ad49a",
-            "checkpoint.bin": "ae96fe13bce986b83bf5f2feaec9c9e670f62ad46b4c5b33184ef716112081a8",
+            "report.csv": "dc8a12d07ef9f096b759d75c01b372b0bc34788e40b6fcfc5c77bcfbb30037d4",
+            "checkpoint.bin": "6de1c23f5db5e140ac28198ef59c8f975cbf8576d86adc3354dbf2a00f59ac3d",
         },
     ),
 ]
@@ -322,6 +320,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error [FormatError]: checkpoint: header config"), err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides, field, ours, theirs",
+        [
+            # Four blobs infer cluster_count 4; the checkpoint's run had three.
+            ({"dataset": {"k": 4}}, "model.cluster_count", 4, 3),
+            # Blobs 4 wide, where the checkpoint's encoder takes 6 inputs.
+            ({"dataset": {"dim": 4}}, "model.input_dim", 4, 6),
+        ],
+    )
+    def test_checkpoint_that_does_not_fit_the_config_fails_naming_both_files(
+        self, tmp_path, config_path, capsys, overrides, field, ours, theirs
+    ):
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path(out_dir=out)]) == 0
+        checkpoint = str(out / "checkpoint.bin")
+        config = config_path(**overrides)
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", checkpoint]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [ConfigError]: eval: {field} is {ours} for {config} and its dataset, "
+            f"but {theirs} in the checkpoint {checkpoint}\n"
+        )
 
     def test_corrupt_checkpoint_fails(self, tmp_path, config_path, capsys):
         bad = tmp_path / "bad.bin"
