@@ -296,6 +296,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 sums[key] += value
             batch_count += 1
 
+        # Free the epoch's draws before evaluation runs over all n rows.
         del draws
         means = {key: value / batch_count for key, value in sums.items()}
         means["l_ins"] = means["l_ins"] if include_instance else None
