@@ -7,6 +7,10 @@ data gets crop-resize, flip, brightness, and optional blur. Every
 transform preserves dimensionality, so the model never sees a width
 change.
 
+The resized crop is ``R_h @ crop @ R_w^T`` and the blur
+``K_h @ img @ K_w^T``, with one cached matrix per axis size (see
+``_resize_matrix`` and ``_blur_matrix``).
+
 Determinism contract: every random value of an epoch's views comes
 from one Philox stream keyed by (seed, epoch). `epoch_draws` draws it
 in whole arrays, transform by transform in pipeline order, with rows in
@@ -139,62 +143,33 @@ def _frozen(array):
 
 
 @functools.lru_cache(maxsize=256)
-def _resize_axis(in_size, out_size):
-    """Bilinear resize along one axis: the lower then the upper source
-    index of every output position, and their weights 1 - t then t."""
+def _resize_matrix(in_size, out_size):
+    """Bilinear resize along one axis as a dense (out_size, in_size)
+    matrix: row o holds 1 - t at the lower source index of output o and
+    t at the upper one, so each row is nonnegative and sums to 1."""
     pos = np.clip((np.arange(out_size) + 0.5) * in_size / out_size - 0.5, 0.0, in_size - 1.0)
     lower = np.floor(pos).astype(int)
     upper = np.minimum(lower + 1, in_size - 1)
-    t = pos - lower
-    return _frozen(np.concatenate([lower, upper])), _frozen(np.concatenate([1 - t, t]))
-
-
-def _bilinear_resize(img, out_h, out_w):
-    """Two gathers, rows then columns, each followed by its weight, leave
-    the four corner terms as quadrants; they are summed in the order
-    g00 * (1 - wy) * (1 - wx) + g10 * wy * (1 - wx) + g01 * (1 - wy) * wx
-    + g11 * wy * wx."""
-    in_h, in_w = img.shape
-    if (in_h, in_w) == (out_h, out_w):
-        return img.copy()
-    rows, wy = _resize_axis(in_h, out_h)
-    cols, wx = _resize_axis(in_w, out_w)
-    g = img[rows]
-    g *= wy[:, None]
-    g = g[:, cols]
-    g *= wx
-    top, bottom = g[:out_h], g[out_h:]
-    out = top[:, :out_w] + bottom[:, :out_w]
-    out += top[:, out_w:]
-    out += bottom[:, out_w:]
-    return out
+    t = pos[:, None] - lower[:, None]
+    cols = np.arange(in_size)
+    return _frozen((1 - t) * (cols == lower[:, None]) + t * (cols == upper[:, None]))
 
 
 @functools.lru_cache(maxsize=16)
-def _blur_plan(height, width, sigma):
-    """Kernel and flat gather maps of a separable blur with symmetric edges.
-
-    Each pass is one np.convolve ("valid") over padded lines laid end to
-    end. An output inside a line is the same dot over the same 2r+1 values
-    that a separate per-line call takes, so the result is bit-exact with
-    line-by-line convolution; the outputs that straddle two lines are
-    never gathered. ``row_pad`` lays out the rows of the image with
-    padded columns, ``col_pad`` the columns of the first pass's output
-    with padded rows, and ``unpad`` reads the second pass back in row
-    order. Symmetric index maps also cover a radius larger than a side.
-    """
+def _blur_matrix(side, sigma):
+    """A Gaussian blur with symmetric edges along one axis of length
+    ``side``, folded into one (side, side) matrix: entry (i, j) sums the
+    kernel taps of output i that read input j after symmetric padding.
+    The padding map also covers a radius larger than the side."""
     radius = max(1, int(np.ceil(3.0 * sigma)))
     t = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel = kernel / kernel.sum()
-    padded_w = width + 2 * radius
-    padded_h = height + 2 * radius
-    cols = np.pad(np.arange(width), radius, mode="symmetric")
-    rows = np.pad(np.arange(height), radius, mode="symmetric")
-    row_pad = np.arange(height)[:, None] * width + cols
-    col_pad = rows * padded_w + np.arange(width)[:, None]
-    unpad = np.arange(width) * padded_h + np.arange(height)[:, None]
-    return tuple(_frozen(a) for a in (kernel, row_pad, col_pad, unpad))
+    padded = np.pad(np.arange(side), radius, mode="symmetric")
+    rows = np.arange(side)[:, None]
+    matrix = np.zeros((side, side))
+    np.add.at(matrix, (rows, padded[rows + np.arange(2 * radius + 1)]), kernel)
+    return _frozen(matrix)
 
 
 def _apply(spec: TransformSpec, x, geometry, params):
@@ -207,19 +182,23 @@ def _apply(spec: TransformSpec, x, geometry, params):
         return x * params
     if spec.kind == "brightness_jitter":
         out = x * params
-        return np.clip(out, 0.0, 1.0, out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.minimum(out, 1.0, out=out)
     img = x.reshape(geometry.height, geometry.width)
     if spec.kind == "horizontal_flip":
         return img[:, ::-1].ravel()
     if spec.kind == "resized_crop":
         top, left, crop_h, crop_w = params
+        if (crop_h, crop_w) == img.shape:
+            return x.copy()
         crop = img[top : top + crop_h, left : left + crop_w]
-        return _bilinear_resize(crop, geometry.height, geometry.width).ravel()
+        rows = _resize_matrix(crop_h, geometry.height)
+        cols = _resize_matrix(crop_w, geometry.width)
+        return (rows @ crop @ cols.T).ravel()
     if spec.kind == "gaussian_blur":
-        kernel, row_pad, col_pad, unpad = _blur_plan(geometry.height, geometry.width, spec.sigma)
-        horizontal = np.convolve(x[row_pad].ravel(), kernel, mode="valid")
-        vertical = np.convolve(horizontal[col_pad].ravel(), kernel, mode="valid")
-        return vertical[unpad].ravel()
+        rows = _blur_matrix(geometry.height, spec.sigma)
+        cols = _blur_matrix(geometry.width, spec.sigma)
+        return (rows @ img @ cols.T).ravel()
     raise ConfigError(f"unknown transform kind {spec.kind!r}")
 
 
@@ -278,8 +257,22 @@ def _view(pipeline: AugmentationPipeline, x, share, view):
         if gates[view]:
             out = _apply(spec, out, pipeline.geometry, params[view])
     if not np.isfinite(out).all():
-        raise ContractError("make_pair: transform produced non-finite values")
+        raise ContractError(f"make_pair: view {view}: {_non_finite_step(pipeline, x, share, view)}")
     return out
+
+
+def _non_finite_step(pipeline: AugmentationPipeline, x, share, view) -> str:
+    """The first step of view ``view`` whose output is not finite: the
+    input or a transform. Makes the view again, so only the error path
+    pays for a check per transform."""
+    if not np.isfinite(x).all():
+        return "input has non-finite values"
+    for (spec, _), (gates, params) in zip(pipeline.transforms, share):
+        if gates[view]:
+            x = _apply(spec, x, pipeline.geometry, params[view])
+            if not np.isfinite(x).all():
+                break
+    return f"transform {spec.kind} produced non-finite values"
 
 
 def make_pair(pipeline: AugmentationPipeline, x, share, mode: str = "two_views"):

@@ -64,10 +64,12 @@ class Node:
     parent references). ``backward`` fills the slot of every node
     reachable from its root, summing when a node is consumed more than
     once. The slot is read-only: it may share storage with other slots.
-    Leaves have no parents.
+    Leaves have no parents. ``unit`` is None except on a contrastive
+    loss node, where it holds the unit rows that its ``ntxent`` formed,
+    in input order, for readers that need them again.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_vjp")
+    __slots__ = ("value", "grad", "op", "parents", "_vjp", "unit")
 
     def __init__(
         self,
@@ -81,6 +83,7 @@ class Node:
         self.op = op
         self.parents = tuple(parents)
         self._vjp = vjp
+        self.unit = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -239,11 +242,13 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     and its denominator sums over every row, minus the self term when
     ``exclude_self``. It is evaluated with the view whose bytes sort
     first on top, so swapping the views gives the same value bit for bit.
-    A row whose norm is zero or overflows is reported by index.
+    The node's ``unit`` keeps the unit rows in input order, before that
+    swap. A row whose norm is zero or overflows is reported by index.
     """
     x = lift(x)
     n = view_rows("ntxent", x)
     u, norms = unit_rows("ntxent", x.value)
+    unit = u
     swapped = x.value[n:].tobytes() < x.value[:n].tobytes()
     if swapped:
         u, norms = np.concatenate((u[n:], u[:n])), np.concatenate((norms[n:], norms[:n]))
@@ -280,7 +285,9 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
         du /= norms
         return (np.concatenate((du[n:], du[:n])) if swapped else du,)
 
-    return Node([[per_row.sum() * inv_rows]], "ntxent", (x,), vjp)
+    node = Node([[per_row.sum() * inv_rows]], "ntxent", (x,), vjp)
+    node.unit = unit
+    return node
 
 
 def mass_entropy(y, floor: float) -> Node:

@@ -110,7 +110,8 @@ def cluster_loss(y, config: LossSection = LossSection()) -> ad.Node:
     positive pair; the remaining 2M - 2 columns are negatives. The
     entropy of column masses is subtracted (scaled by ``entropy_weight``)
     so that minimizing the loss spreads mass across clusters;
-    ``literal_entropy_sign`` flips that term.
+    ``literal_entropy_sign`` flips that term. The returned node's
+    ``unit`` holds the unit-scaled stacked columns that its NT-Xent formed.
     """
     y = ad.lift(y)
     if y.shape[1] < 2:
@@ -125,7 +126,9 @@ def cluster_loss(y, config: LossSection = LossSection()) -> ad.Node:
     )
     entropy = assignment_entropy(y)
     sign = 1.0 if config.literal_entropy_sign else -1.0
-    return ad.add(contrastive, ad.scale(entropy, sign * config.entropy_weight))
+    loss = ad.add(contrastive, ad.scale(entropy, sign * config.entropy_weight))
+    loss.unit = contrastive.unit
+    return loss
 
 
 def pair_similarity_stats(x) -> tuple[float, float]:
@@ -138,10 +141,18 @@ def pair_similarity_stats(x) -> tuple[float, float]:
     ordered pairs of unit rows u_i sum to |sum_i u_i|^2, so the negatives
     sum to that less the self terms and twice the positives. A row whose
     norm is zero or overflows is reported by its index among the 2n rows.
+
+    ``x`` may also be a node. The node of a contrastive loss carries the
+    unit rows that its NT-Xent formed (``unit``), and they are read from
+    it, not formed again; any other node gives its value.
     """
-    x = ad.as_matrix(x)
-    n = ad.view_rows("pair_similarity_stats", x)
-    u, _ = ad.unit_rows("pair_similarity_stats", x)
+    if isinstance(x, ad.Node) and x.unit is not None:
+        u = x.unit
+    else:
+        x = ad.as_matrix(x.value if isinstance(x, ad.Node) else x)
+        ad.view_rows("pair_similarity_stats", x)
+        u, _ = ad.unit_rows("pair_similarity_stats", x)
+    n = u.shape[0] // 2
     pos = np.einsum("ij,ij->i", u[:n], u[n:])
     total = u.sum(axis=0)
     neg_sum = total @ total - np.einsum("ij,ij->", u, u) - 2.0 * pos.sum()

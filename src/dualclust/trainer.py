@@ -225,6 +225,22 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _batch_views(pipeline, samples, draws, indices, pair_mode):
+    """The 2B stacked view rows [views_a; views_b] of the samples at
+    ``indices``. An overflow in a transform raises no warning: the view's
+    finiteness check stops it, and the error names the sample."""
+    views = np.empty((2, len(indices), samples.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, i in enumerate(indices.tolist()):
+            try:
+                views[0, j], views[1, j] = make_pair(
+                    pipeline, samples[i], pair_rng(draws, i), mode=pair_mode
+                )
+            except ContractError as exc:
+                raise ContractError(f"sample {i}: {exc}") from exc
+    return views.reshape(2 * len(indices), samples.shape[1])
+
+
 def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, TrainReport]:
     """Run the training loop and return final parameters plus the
     per-epoch report.
@@ -261,14 +277,11 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         sums = dict.fromkeys(STEP_COLUMNS, 0.0)
         batch_count = 0
         for start in range(0, dataset.n - batch + 1, batch):
-            # Row j and row j + batch are the two views of sample j.
-            views = np.empty((2, batch, dataset.dim))
-            for j, i in enumerate(order[start : start + batch].tolist()):
-                views[0, j], views[1, j] = make_pair(
-                    pipeline, dataset.samples[i], pair_rng(draws, i), mode=pair_mode
-                )
             try:
-                _, z, y = forward_graph(param_nodes, views.reshape(2 * batch, dataset.dim))
+                views = _batch_views(
+                    pipeline, dataset.samples, draws, order[start : start + batch], pair_mode
+                )
+                _, z, y = forward_graph(param_nodes, views)
                 term_ins, term_clu, total = _loss_terms(
                     z, y, config.losses, include_instance, include_cluster
                 )
@@ -284,8 +297,10 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                     np.zeros_like(node.value) if node.grad is None else node.grad
                     for node in param_nodes.values()
                 ]
-                pos_i, neg_i = pair_similarity_stats(z.value)
-                pos_c, neg_c = pair_similarity_stats(ad.transpose_halves(y.value).value)
+                # An active loss term's node carries the unit rows its
+                # NT-Xent formed; the stats read them instead of a new pass.
+                pos_i, neg_i = pair_similarity_stats(term_ins or z)
+                pos_c, neg_c = pair_similarity_stats(term_clu or ad.transpose_halves(y.value))
                 adam_step(params, gradients, state)
             except (ContractError, DegenerateInputError) as exc:
                 raise type(exc)(f"epoch {epoch}, batch {batch_count}: {exc}") from exc

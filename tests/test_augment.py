@@ -9,6 +9,8 @@ import pytest
 from dualclust.augment import (
     AugmentationPipeline,
     TransformSpec,
+    _apply,
+    _resize_matrix,
     default_image_pipeline,
     default_vector_pipeline,
     epoch_draws,
@@ -209,6 +211,25 @@ class TestSampleView:
         with pytest.raises(ContractError, match="non-finite"):
             one_view(pipeline, np.array([1.0, value, 2.0]))
 
+    def test_non_finite_view_names_the_first_transform_that_made_it(self):
+        # The scale overflows to inf and the mask then turns some of it
+        # into NaN; the error names the view and the scale, not the mask.
+        pipeline = AugmentationPipeline(
+            transforms=(
+                (TransformSpec.gaussian_jitter(0.1), 1.0),
+                (TransformSpec.scale_jitter(1.7e308, 1.7e308), 1.0),
+                (TransformSpec.coordinate_mask(0.5), 1.0),
+            ),
+            geometry=VectorGeometry(64),
+        )
+        x = np.full(64, 4.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                ContractError,
+                match=r"^make_pair: view 0: transform scale_jitter produced non-finite values$",
+            ):
+                make_pair(pipeline, x, share(pipeline))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeError):
             one_view(jitter_pipeline(5), np.ones(4), seed=0)
@@ -299,6 +320,92 @@ class TestEpochDraws:
         assert keep.dtype == np.bool_ and keep.shape == (7, 2, 5)
 
 
+def reference_bilinear_crop(img, top, left, crop_h, crop_w):
+    """The crop at (top, left) resized back to the image's shape, one
+    output pixel at a time: half-pixel centres, source positions clamped
+    to the crop, and the four neighbours weighted by their distances."""
+    out_h, out_w = img.shape
+    crop = img[top : top + crop_h, left : left + crop_w]
+
+    def source(o, out_size, in_size):
+        pos = min(max((o + 0.5) * in_size / out_size - 0.5, 0.0), in_size - 1.0)
+        lower = int(np.floor(pos))
+        return lower, min(lower + 1, in_size - 1), pos - lower
+
+    out = np.empty((out_h, out_w))
+    for r in range(out_h):
+        r0, r1, ty = source(r, out_h, crop_h)
+        for c in range(out_w):
+            c0, c1, tx = source(c, out_w, crop_w)
+            out[r, c] = (
+                (1 - ty) * (1 - tx) * crop[r0, c0]
+                + ty * (1 - tx) * crop[r1, c0]
+                + (1 - ty) * tx * crop[r0, c1]
+                + ty * tx * crop[r1, c1]
+            )
+    return out
+
+
+def reference_blur(img, sigma):
+    """Gaussian blur of radius max(1, ceil(3 sigma)) with symmetric edges,
+    as a direct weighted sum over each output's window of the padded image."""
+    radius = max(1, int(np.ceil(3.0 * sigma)))
+    t = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (t / sigma) ** 2)
+    kernel /= kernel.sum()
+    padded = np.pad(img, radius, mode="symmetric")
+    width = 2 * radius + 1
+    out = np.empty(img.shape)
+    for r in range(img.shape[0]):
+        for c in range(img.shape[1]):
+            out[r, c] = kernel @ padded[r : r + width, c : c + width] @ kernel
+    return out
+
+
+class TestMatrixKernels:
+    """The resized crop and the blur are products with small dense
+    matrices; each is checked against a direct per-pixel reference."""
+
+    @pytest.mark.parametrize("in_size", [1, 2, 7, 17, 24, 64])
+    @pytest.mark.parametrize("out_size", [1, 5, 17, 24, 64])
+    def test_resize_rows_are_nonnegative_and_sum_to_one(self, in_size, out_size):
+        matrix = _resize_matrix(in_size, out_size)
+        assert matrix.shape == (out_size, in_size)
+        assert (matrix >= 0.0).all()
+        np.testing.assert_array_equal(matrix.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize(
+        "crop",
+        [(2, 3, 9, 13), (0, 0, 17, 24), (3, 5, 1, 1), (4, 0, 13, 1), (16, 23, 1, 1)],
+        ids=["inner", "full_size", "one_pixel", "one_column", "corner_pixel"],
+    )
+    def test_crop_matches_direct_bilinear_reference(self, crop):
+        geometry = ImageGeometry(17, 24)
+        img = np.random.default_rng(3).uniform(size=(17, 24))
+        out = _apply(TransformSpec.resized_crop(0.2), img.ravel(), geometry, crop)
+        assert out.shape == (17 * 24,)
+        np.testing.assert_allclose(
+            out.reshape(17, 24), reference_bilinear_crop(img, *crop), rtol=0, atol=1e-12
+        )
+
+    def test_full_size_crop_is_a_copy(self):
+        geometry = ImageGeometry(17, 24)
+        x = np.random.default_rng(4).uniform(size=17 * 24)
+        out = _apply(TransformSpec.resized_crop(0.2), x, geometry, (0, 0, 17, 24))
+        assert out.tobytes() == x.tobytes() and not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize(
+        "height, width, sigma", [(20, 23, 2.5), (2, 3, 1.0), (64, 64, 1.0)],
+        ids=["20x23_sigma_2_5", "radius_over_side", "64x64_sigma_1"],
+    )
+    def test_blur_matches_direct_symmetric_convolution(self, height, width, sigma):
+        img = np.random.default_rng(5).uniform(size=(height, width))
+        out = _apply(TransformSpec.gaussian_blur(sigma), img.ravel(), ImageGeometry(height, width), None)
+        np.testing.assert_allclose(
+            out.reshape(height, width), reference_blur(img, sigma), rtol=0, atol=1e-12
+        )
+
+
 class TestDefaultPipelines:
     def test_vector_defaults_fit_geometry(self):
         pipeline = default_vector_pipeline(VectorGeometry(12))
@@ -324,9 +431,11 @@ def _only(spec, geometry):
 # draws, for the (seed, epoch, index) grid below; each (seed, epoch) is one
 # epoch of 64 samples. Recorded when the draws became whole arrays from one
 # Philox stream per epoch; any change to a view's bytes or to the draws
-# changes the digest. The blur kernel goes through np.exp and np.convolve's
-# dot, so a platform whose libm or BLAS rounds differently in the last bit
-# gives other blur digests.
+# changes the digest. The five image digests were re-recorded when the
+# resized crop and the blur became products with small dense matrices. The
+# blur matrix goes through np.exp, and the crop and blur through BLAS
+# matrix products, so a platform whose libm or BLAS rounds differently in
+# the last bit gives other image digests.
 PINNED_GRID = [(s, e, i) for s in (0, 5) for e in (0, 3) for i in (0, 1, 2, 63)]
 PINNED_CASES = {
     "vector_default": (
@@ -335,23 +444,23 @@ PINNED_CASES = {
     ),
     "image_default_64_blur": (
         lambda: default_image_pipeline(ImageGeometry(64, 64)),
-        "0499773af6b068fe7ecb52e8c4144d8d0f3fffd50e835cb8c538b510c4ec4719",
+        "6c49e78225ea915f3d1ac86567758e3e81c8ed3c5a43b4659c59af4c6c8d3b57",
     ),
     "image_default_28_no_blur": (
         lambda: default_image_pipeline(ImageGeometry(28, 28)),
-        "0a5d15dc32fe83370978eef94bf2327e9b106950a4383c6de5aaf50e53fc553d",
+        "e6a83d4f4e79466f4bb2f5e1c057a620654f111345d95f632f8c84950a2b0c5b",
     ),
     "blur_sigma_2_5": (
         lambda: _only(TransformSpec.gaussian_blur(2.5), ImageGeometry(20, 23)),
-        "28fdce6929e8f0dd20c34f37a8389f5028a77f6bb1fc9342eb68437a882811d3",
+        "26ef5e91eac48bb63af8f768efb6c0a6f1368f40ef8be261d2affb2f0024a33d",
     ),
     "blur_radius_over_side": (
         lambda: _only(TransformSpec.gaussian_blur(1.0), ImageGeometry(2, 3)),
-        "aa6eb4e38bc30008f4eb1319a5c56e5d893eede45038c76ae2ac400544e5cdef",
+        "d3c269e63a1e73896e5cb396a6c7111d2d7dee3ba7fefa216e06b951e9e4bea4",
     ),
     "resized_crop_0_2": (
         lambda: _only(TransformSpec.resized_crop(0.2), ImageGeometry(17, 24)),
-        "a41f07eed775e510e6d29a7433f00ae2ac8582fa299843addeec7f92e12cdb72",
+        "eabca5467c3f7baeb62b22f2731197ece2197c66c05cca53e7c24cc071146222",
     ),
 }
 

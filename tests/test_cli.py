@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error [ConfigError]: config: augmentation.transforms[0]: "), err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_view_fails_with_its_location(self, tmp_path, config_path, capsys):
+        # No errstate: under pytest a RuntimeWarning is an error, so the
+        # overflow must stay silent and end in the located ContractError.
+        scale = {"kind": "scale_jitter", "probability": 1.0, "low": 1.7e308, "high": 1.7e308}
+        path = config_path(
+            out_dir=tmp_path / "run",
+            dataset={"k": 2, "n_per": 8},
+            augmentation={"transforms": [scale]},
+        )
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error \[ContractError\]: epoch 0, batch 0: sample (\d+): make_pair: view 0: "
+            r"transform scale_jitter produced non-finite values\n",
+            err,
+        ), err
 
     def test_label_only_csv_fails_before_any_artifact(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
