@@ -232,6 +232,12 @@ def transpose_halves(m) -> Node:
     return Node(out, "transpose_halves", (m,), lambda g: (np.vstack([g[:cols].T, g[cols:].T]),))
 
 
+# Above this 1/temperature, exp(-2/temperature) is no longer a normal
+# float, so a row sum of logits shifted by 1/temperature could underflow;
+# ``ntxent`` then shifts each row by its own max.
+SYMMETRIC_SHIFT_LIMIT = 350.0
+
+
 def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     """Mean normalized temperature-scaled cross-entropy over the 2N stacked
     rows [A; B] of two n-row views, the shared core of both contrastive
@@ -244,6 +250,14 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     first on top, so swapping the views gives the same value bit for bit.
     The node's ``unit`` keeps the unit rows in input order, before that
     swap. A row whose norm is zero or overflows is reported by index.
+
+    Every logit is shifted by 1/temperature, the largest a cosine allows,
+    before the exp, so the 2n x 2n exp matrix E is symmetric and its row
+    sums s cannot overflow. The softmax P = E / s then has
+    P + P^T = E * (1/s_i + 1/s_j), and the VJP is one (2n x 2n)(2n x d)
+    product. Above 1/temperature = ``SYMMETRIC_SHIFT_LIMIT`` a row sum
+    could underflow, so each row is shifted by its own max and P + P^T
+    is formed explicitly.
     """
     x = lift(x)
     n = view_rows("ntxent", x)
@@ -252,35 +266,43 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     swapped = x.value[n:].tobytes() < x.value[:n].tobytes()
     if swapped:
         u, norms = np.concatenate((u[n:], u[:n])), np.concatenate((norms[n:], norms[:n]))
-    ut = np.ascontiguousarray(u.T)
     inv_temperature = float(1.0 / temperature)
     inv_rows = float(1.0 / (2 * n))
-    # One 2n x 2n buffer goes from logits to exp(logits - row max) in
-    # place; the positive logits are read off before the diagonal is masked.
-    e = u @ ut
-    e *= inv_temperature
+    symmetric = inv_temperature <= SYMMETRIC_SHIFT_LIMIT
+    v = u * np.sqrt(inv_temperature)
+    # One 2n x 2n buffer goes from logits to exp(logits - shift) in place;
+    # the positive logits are read off before the diagonal is masked.
+    e = v @ np.ascontiguousarray(v.T)  # a general product: numpy's A @ A.T is slower here
     rows = np.arange(2 * n)
     positives = (rows + n) % (2 * n)
-    positive_logits = e[rows, positives].reshape(2 * n, 1)
+    positive_logits = e[rows, positives]
     if exclude_self:
         np.fill_diagonal(e, -np.inf)
-    mx = e.max(axis=1, keepdims=True)
-    e -= mx
+    if symmetric:
+        shift = inv_temperature
+        e -= shift
+    else:
+        shift = e.max(axis=1)
+        e -= shift[:, None]
     np.exp(e, out=e)  # exactly 0 on an excluded diagonal
-    s = e.sum(axis=1, keepdims=True)
-    per_row = mx + np.log(s) - positive_logits
+    s = e.sum(axis=1)
+    r = 1.0 / s
+    per_row = shift + np.log(s) - positive_logits
 
     def vjp(g):
-        # d/d logits = (softmax - one-hot positive) / 2n; then tau, U U^T, norms.
-        # Only fresh arrays are written: e, s, u and norms serve every call.
-        g_row = g[0, 0] * inv_rows
-        dlogits = e / s
-        dlogits *= g_row
-        dlogits[rows, positives] -= g_row
-        dlogits *= inv_temperature
-        # Two products rather than (G + G^T) U: this rounds as the unfused chain did.
-        du = dlogits @ ut.T
-        du += (u.T @ dlogits).T
+        # d/d logits = (P - positive one-hot) g / 2n and the logits are
+        # U U^T / tau, so dU = ((P + P^T) U - 2 U[positives]) g / (2n tau):
+        # the positive map is its own inverse. Then the unit-norm Jacobian.
+        # Only fresh arrays are written: e, r, u and norms serve every call.
+        if symmetric:
+            m = np.add.outer(r, r)
+            m *= e
+        else:
+            p = e * r[:, None]
+            m = p + p.T
+        du = m @ u
+        du -= 2.0 * u[positives]
+        du *= g[0, 0] * inv_rows * inv_temperature
         du -= (du * u).sum(axis=1, keepdims=True) * u
         du /= norms
         return (np.concatenate((du[n:], du[:n])) if swapped else du,)

@@ -352,7 +352,11 @@ def instance_space_assignments(params: ModelParams, samples, k: int, seed: int =
     """Seeded k-means over unit-normalized instance-head features: the
     evaluation pathway for models trained with the instance term only."""
     _, z, _ = forward(params, samples)
+    # Each nonzero row is divided by its largest |entry| first, so its norm
+    # lies in [1, sqrt(d)] and cannot overflow; a zero row stays zero.
+    peak = np.abs(z).max(axis=1, keepdims=True)
+    peak[peak == 0.0] = 1.0
+    z = z / peak
     norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    labels, _, _ = kmeans(z / norms, k, seed=seed)
+    labels, _, _ = kmeans(z / np.maximum(norms, 1.0), k, seed=seed)
     return labels

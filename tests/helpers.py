@@ -94,6 +94,47 @@ def reference_pair_similarity_stats(a, b):
     return pos_mean, neg_mean
 
 
+def reference_ntxent(x, temperature, exclude_self, g=1.0):
+    """The row-max, two-product NT-Xent that ``autodiff.ntxent`` replaced,
+    in plain NumPy: (value, gradient of ``g`` times the value) for the 2n
+    stacked rows ``x``. Each row's logits are shifted by their own max
+    before the exp, and the gradient forms dlogits and takes
+    dlogits U + (U^T dlogits)^T as two products. Same view swap, unit
+    rows and unit-norm Jacobian as ``ntxent``."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0] // 2
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    u = x / norms
+    swapped = x[n:].tobytes() < x[:n].tobytes()
+    if swapped:
+        u, norms = np.concatenate((u[n:], u[:n])), np.concatenate((norms[n:], norms[:n]))
+    ut = np.ascontiguousarray(u.T)
+    inv_temperature = float(1.0 / temperature)
+    inv_rows = float(1.0 / (2 * n))
+    e = u @ ut
+    e *= inv_temperature
+    rows = np.arange(2 * n)
+    positives = (rows + n) % (2 * n)
+    positive_logits = e[rows, positives].reshape(2 * n, 1)
+    if exclude_self:
+        np.fill_diagonal(e, -np.inf)
+    mx = e.max(axis=1, keepdims=True)
+    e -= mx
+    np.exp(e, out=e)
+    s = e.sum(axis=1, keepdims=True)
+    value = (mx + np.log(s) - positive_logits).sum() * inv_rows
+    g_row = g * inv_rows
+    dlogits = e / s
+    dlogits *= g_row
+    dlogits[rows, positives] -= g_row
+    dlogits *= inv_temperature
+    du = dlogits @ ut.T
+    du += (u.T @ dlogits).T
+    du -= (du * u).sum(axis=1, keepdims=True) * u
+    du /= norms
+    return value, (np.concatenate((du[n:], du[:n])) if swapped else du)
+
+
 def reference_adam_step(flat, m, v, gradients, step, lr, beta1, beta2, epsilon):
     """The allocating Adam expression that ``trainer.adam_step`` computes in
     place, step ``step`` >= 1; updates ``flat``, ``m`` and ``v`` in place."""

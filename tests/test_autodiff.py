@@ -14,6 +14,7 @@ from dualclust.losses import ENTROPY_LOG_FLOOR
 from helpers import (
     check_gradients,
     reference_entropy_chain,
+    reference_ntxent,
     soft_labels_with_empty_columns,
     transposed,
     weighted_sum,
@@ -98,6 +99,24 @@ class TestNtxent:
             ad.backward(root)
         np.testing.assert_array_equal(roots[0].value, roots[1].value)
         np.testing.assert_array_equal(ab.grad, np.roll(ba.grad, 5, axis=0))
+
+    @pytest.mark.parametrize("shape", [(1024, 128), (12, 4)])
+    @pytest.mark.parametrize("temperature", [1e-300, 1 / 400, 1 / 300, 0.07, 0.5, 5.0])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_matches_row_max_reference(self, shape, temperature, exclude_self):
+        # The 1/tau shift with one symmetric product below the limit, and
+        # the row-max shift above it, give the row-max, two-product value
+        # and gradient to rounding.
+        assert 1 / 400 < 1 / ad.SYMMETRIC_SHIFT_LIMIT < 1 / 300
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(size=shape)
+        weight = 1.7
+        leaf = ad.lift(x)
+        node = ad.ntxent(leaf, temperature, exclude_self)
+        ad.backward(ad.scale(node, weight))
+        value, grad = reference_ntxent(x, temperature, exclude_self, weight)
+        np.testing.assert_allclose(node.value[0, 0], value, rtol=1e-12)
+        np.testing.assert_allclose(leaf.grad, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     def test_repeated_backward_is_bit_identical(self, exclude_self):

@@ -1,6 +1,7 @@
 """Optimizer, joint objective, training loop, and evaluation tests."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -619,6 +620,24 @@ class TestInstanceSpaceAssignments:
         params, _ = train(config, dataset)
         labels = instance_space_assignments(params, dataset.samples, 4, seed=0)
         assert clustering_accuracy(dataset.labels, labels) >= 0.9
+
+    def test_overflowing_norms_keep_their_directions(self):
+        # Scaling the last instance-head layer by 2**520 scales z exactly,
+        # and its squared norms past the float range: the labels must not
+        # change, and no overflow warning may be printed.
+        config = small_config(ablation="ich_only")
+        dataset = build_dataset(config.dataset)
+        params = init_params(config.resolve(dataset).model, dataset.samples.shape[1])
+        want = instance_space_assignments(params, dataset.samples, 4, seed=0)
+        last = max(name for name in params.arrays if name.startswith("instance_head."))
+        layer = last.rsplit(".", 1)[0]
+        for name in (f"{layer}.weight", f"{layer}.bias"):
+            params.arrays[name] *= 2.0**520
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = instance_space_assignments(params, dataset.samples, 4, seed=0)
+        assert len(np.unique(want)) == 4
+        np.testing.assert_array_equal(got, want)
 
     def test_deterministic_in_seed(self):
         config = small_config(training={"epochs": 5})
