@@ -95,12 +95,12 @@ def reference_pair_similarity_stats(a, b):
 
 
 def reference_ntxent(x, temperature, exclude_self, g=1.0):
-    """The row-max, two-product NT-Xent that ``autodiff.ntxent`` replaced,
-    in plain NumPy: (value, gradient of ``g`` times the value) for the 2n
-    stacked rows ``x``. Each row's logits are shifted by their own max
-    before the exp, and the gradient forms dlogits and takes
-    dlogits U + (U^T dlogits)^T as two products. Same view swap, unit
-    rows and unit-norm Jacobian as ``ntxent``."""
+    """NT-Xent in plain NumPy, the reference for ``autodiff.ntxent``:
+    (value, gradient of ``g`` times the value) for the 2n stacked rows
+    ``x``. Each row's logits are shifted by their own max before the exp,
+    and the gradient forms dlogits and takes dlogits U + (U^T dlogits)^T
+    as two products, so no step relies on a symmetric exp matrix. Same
+    view swap, unit rows and unit-norm Jacobian as ``ntxent``."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0] // 2
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))

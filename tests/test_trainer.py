@@ -627,7 +627,7 @@ class TestInstanceSpaceAssignments:
         # change, and no overflow warning may be printed.
         config = small_config(ablation="ich_only")
         dataset = build_dataset(config.dataset)
-        params = init_params(config.resolve(dataset).model, dataset.samples.shape[1])
+        params = init_params(config.resolve(dataset).model, dataset.dim)
         want = instance_space_assignments(params, dataset.samples, 4, seed=0)
         last = max(name for name in params.arrays if name.startswith("instance_head."))
         layer = last.rsplit(".", 1)[0]
