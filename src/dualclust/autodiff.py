@@ -237,6 +237,65 @@ def transpose_halves(m) -> Node:
 # ``ntxent`` then shifts each row by its own max.
 SYMMETRIC_SHIFT_LIMIT = 350.0
 
+# Rows per band of the upper triangle that ``ntxent`` stores below the
+# limit; 2n rows up to this many are one band, the whole matrix.
+BAND_ROWS = 128
+
+
+def _exp_bands(v, vt, positives, shift, exclude_self):
+    """The upper triangle of E = exp(V V^T - shift), its row sums and the
+    positive logits, for ``ntxent``'s symmetric path.
+
+    Band [i0, i1) is the (i1 - i0) x (2n - i0) block V[i0:i1] V^T[:, i0:]
+    of logits, which is exp'd in place after its positives are read off
+    and its diagonal is masked. Its row sums go to s[i0:i1] and its column
+    sums right of the diagonal block to s[i1:], whose rows E mirrors. A row
+    whose positive lies left of its band takes the logit that the earlier
+    band read for that positive's own row.
+    """
+    rows = v.shape[0]
+    start = np.arange(rows) // BAND_ROWS * BAND_ROWS
+    column = np.maximum(positives - start, 0)
+    s = np.zeros(rows)
+    positive_logits = np.empty(rows)
+    bands = []
+    for i0 in range(0, rows, BAND_ROWS):
+        i1 = min(i0 + BAND_ROWS, rows)
+        band = v[i0:i1] @ vt[:, i0:]
+        positive_logits[i0:i1] = band[np.arange(i1 - i0), column[i0:i1]]
+        if exclude_self:
+            np.fill_diagonal(band, -np.inf)
+        band -= shift
+        np.exp(band, out=band)  # exactly 0 on an excluded diagonal
+        s[i0:i1] += band.sum(axis=1)
+        if i1 < rows:
+            s[i1:] += band[:, i1 - i0 :].sum(axis=0)
+        bands.append(band)
+    left = positives < start
+    positive_logits[left] = positive_logits[positives[left]]
+    return bands, s, positive_logits
+
+
+def _band_product(bands, r, u):
+    """(P + P^T) U from the stored bands of E, with r = 1/s: one band-sized
+    M = E_band * (r_rows + r_cols) at a time, whose part right of the
+    diagonal block also stands for its mirror below it. The bands are only
+    read. The first band writes every row of the result, so one band gives
+    exactly M U."""
+    i0 = 0
+    for band in bands:
+        i1 = i0 + band.shape[0]
+        m = np.add.outer(r[i0:i1], r[i0:])
+        m *= band
+        own = m @ u[i0:]
+        if i0 == 0:
+            du = np.concatenate((own, m[:, i1:].T @ u[:i1])) if i1 < len(u) else own
+        else:
+            du[i0:i1] += own
+            du[i1:] += m[:, i1 - i0 :].T @ u[i0:i1]
+        i0 = i1
+    return du
+
 
 def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     """Mean normalized temperature-scaled cross-entropy over the 2N stacked
@@ -253,11 +312,16 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
 
     Every logit is shifted by 1/temperature, the largest a cosine allows,
     before the exp, so the 2n x 2n exp matrix E is symmetric and its row
-    sums s cannot overflow. The softmax P = E / s then has
-    P + P^T = E * (1/s_i + 1/s_j), and the VJP is one (2n x 2n)(2n x d)
-    product. Above 1/temperature = ``SYMMETRIC_SHIFT_LIMIT`` a row sum
-    could underflow, so each row is shifted by its own max and P + P^T
-    is formed explicitly.
+    sums s cannot overflow. Only its upper triangle is formed and kept,
+    in bands of ``BAND_ROWS`` rows: band [i0, i1) holds columns i0 onward,
+    so the bands hold about half of E, (2n)^2 * 4 bytes plus the diagonal
+    blocks. The softmax P = E / s has P + P^T = E * (1/s_i + 1/s_j), and
+    the VJP forms it one band at a time, with two products of at most
+    (band x 2n)(2n x d) per band: it holds one band-sized temporary, never
+    a 2n x 2n one. With 2n <= ``BAND_ROWS`` the one band is all of E.
+    Above 1/temperature = ``SYMMETRIC_SHIFT_LIMIT`` a row sum could
+    underflow, so each row is shifted by its own max, the whole of E is
+    formed, and P + P^T with a transpose.
     """
     x = lift(x)
     n = view_rows("ntxent", x)
@@ -270,22 +334,24 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     inv_rows = float(1.0 / (2 * n))
     symmetric = inv_temperature <= SYMMETRIC_SHIFT_LIMIT
     v = u * np.sqrt(inv_temperature)
-    # One 2n x 2n buffer goes from logits to exp(logits - shift) in place;
-    # the positive logits are read off before the diagonal is masked.
-    e = v @ np.ascontiguousarray(v.T)  # a general product: numpy's A @ A.T is slower here
+    # General products on a contiguous V^T: numpy's A @ A.T is slower here.
+    vt = np.ascontiguousarray(v.T)
     rows = np.arange(2 * n)
     positives = (rows + n) % (2 * n)
-    positive_logits = e[rows, positives]
-    if exclude_self:
-        np.fill_diagonal(e, -np.inf)
     if symmetric:
         shift = inv_temperature
-        e -= shift
+        bands, s, positive_logits = _exp_bands(v, vt, positives, shift, exclude_self)
     else:
+        # One 2n x 2n buffer goes from logits to exp(logits - row max) in
+        # place; the positive logits are read off before the diagonal is masked.
+        e = v @ vt
+        positive_logits = e[rows, positives]
+        if exclude_self:
+            np.fill_diagonal(e, -np.inf)
         shift = e.max(axis=1)
         e -= shift[:, None]
-    np.exp(e, out=e)  # exactly 0 on an excluded diagonal
-    s = e.sum(axis=1)
+        np.exp(e, out=e)  # exactly 0 on an excluded diagonal
+        s = e.sum(axis=1)
     r = 1.0 / s
     per_row = shift + np.log(s) - positive_logits
 
@@ -293,14 +359,12 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
         # d/d logits = (P - positive one-hot) g / 2n and the logits are
         # U U^T / tau, so dU = ((P + P^T) U - 2 U[positives]) g / (2n tau):
         # the positive map is its own inverse. Then the unit-norm Jacobian.
-        # Only fresh arrays are written: e, r, u and norms serve every call.
+        # Only fresh arrays are written: E, r, u and norms serve every call.
         if symmetric:
-            m = np.add.outer(r, r)
-            m *= e
+            du = _band_product(bands, r, u)
         else:
             p = e * r[:, None]
-            m = p + p.T
-        du = m @ u
+            du = (p + p.T) @ u
         du -= 2.0 * u[positives]
         du *= g[0, 0] * inv_rows * inv_temperature
         du -= (du * u).sum(axis=1, keepdims=True) * u

@@ -29,8 +29,12 @@ from .data import (
     write_label_csv,
 )
 from .errors import ConfigError, ContractError, DualclustError
-from .model import load_checkpoint, predict_assignments, save_checkpoint
-from .trainer import instance_space_assignments, metric_bundle, train
+from .model import load_checkpoint, save_checkpoint
+from .trainer import assign, evaluate, metric_bundle, train
+
+# Importable from here for perfbench/spans.py, which wraps them by name.
+from .model import predict_assignments  # noqa: F401
+from .trainer import instance_space_assignments  # noqa: F401
 
 LOCK_NAME = ".lock"
 
@@ -81,17 +85,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
-def _final_assignments(config: ExperimentConfig, params, dataset: Dataset):
-    """Assignments for the artifacts: the cluster head's argmax, except
-    in instance-only ablation where that head was never trained and the
-    seeded k-means pathway over instance features applies."""
-    if config.ablation == "ich_only":
-        return instance_space_assignments(
-            params, dataset.samples, config.model.cluster_count, seed=config.seed
-        )
-    return predict_assignments(params, dataset.samples)
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -108,7 +101,11 @@ def cmd_run(args) -> int:
         echo = _json_text(config.to_dict())
         _atomic_write(lambda p: p.write_text(echo), out / "config.resolved.json")
         params, report = train(config, dataset)
-        assignments = _final_assignments(config, params, dataset)
+        # The last epoch's evaluation assigned the final model; a run that
+        # evaluated nothing (no labels, or no epochs) assigns it here.
+        assignments = report.assignments
+        if assignments is None:
+            assignments = assign(params, dataset.samples, config.ablation, config.seed)
         _atomic_write(lambda p: p.write_text(report.csv_text()), out / "report.csv")
         _atomic_write(lambda p: write_label_csv(p, assignments), out / "assignments.csv")
         _atomic_write(lambda p: save_checkpoint(p, params), out / "checkpoint.bin")
@@ -130,8 +127,8 @@ def cmd_eval(args) -> int:
     config = config.resolve(dataset)
     params = load_checkpoint(args.checkpoint)
     _check_checkpoint(config, dataset, params, args)
-    assignments = _final_assignments(config, params, dataset)
-    print(_json_text(metric_bundle(dataset.labels, assignments)), end="")
+    bundle, _ = evaluate(params, dataset, config.ablation, config.seed)
+    print(_json_text(bundle), end="")
     return 0
 
 

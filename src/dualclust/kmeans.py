@@ -9,7 +9,7 @@ Each restart draws from its own ``(seed, restart)`` stream, so the
 restarts run side by side on a thread pool (BLAS and numpy ufuncs
 release the GIL) and give the same bits as a serial loop; the best is
 picked in restart order, the first one winning a tie. Squared row norms
-of the data are computed once per seeding and once per Lloyd run.
+of the data are computed once per call and shared by every restart.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ def _squared_distances(x, x_sq, centers):
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _plus_plus_init(x, k, rng):
+def _plus_plus_init(x, x_sq, k, rng):
     n = x.shape[0]
-    x_sq = _row_sq_norms(x)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
     closest = _squared_distances(x, x_sq, centers[:1]).ravel()
@@ -60,8 +59,8 @@ def _plus_plus_init(x, k, rng):
     return centers
 
 
-def _lloyd(x, centers, max_iter):
-    x_sq = _row_sq_norms(x)
+def _lloyd(x, x_sq, centers, max_iter):
+    settled = False
     for _ in range(max_iter):
         distances = _squared_distances(x, x_sq, centers)
         labels = distances.argmin(axis=1)
@@ -76,16 +75,19 @@ def _lloyd(x, centers, max_iter):
         shift = np.linalg.norm(new_centers - centers)
         centers = new_centers
         if shift <= CONVERGENCE_TOL:
+            # Centers that did not move keep these distances and labels.
+            settled = shift == 0.0
             break
-    distances = _squared_distances(x, x_sq, centers)
-    labels = distances.argmin(axis=1)
+    if not settled:
+        distances = _squared_distances(x, x_sq, centers)
+        labels = distances.argmin(axis=1)
     inertia = float(distances[np.arange(x.shape[0]), labels].sum())
     return labels, centers, inertia
 
 
-def _restart(x, k, seed, restart, max_iter):
+def _restart(x, x_sq, k, seed, restart, max_iter):
     rng = np.random.default_rng(np.random.SeedSequence((seed, restart)))
-    return _lloyd(x, _plus_plus_init(x, k, rng), max_iter)
+    return _lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng), max_iter)
 
 
 def _cores() -> int:
@@ -105,7 +107,10 @@ def kmeans(x, k, seed, n_restarts: int = DEFAULT_RESTARTS, max_iter: int = DEFAU
         raise ConfigError(f"kmeans: n_restarts must be >= 1, got {n_restarts}")
     if x.shape[0] < k:
         raise ContractError(f"kmeans: {x.shape[0]} samples cannot form {k} clusters")
+    x_sq = _row_sq_norms(x)
     with ThreadPoolExecutor(max_workers=min(n_restarts, _cores())) as pool:
-        results = list(pool.map(lambda r: _restart(x, k, seed, r, max_iter), range(n_restarts)))
+        results = list(
+            pool.map(lambda r: _restart(x, x_sq, k, seed, r, max_iter), range(n_restarts))
+        )
     # min keeps the first of equal keys: the serial loop's tie rule.
     return min(results, key=lambda result: result[2])

@@ -124,7 +124,9 @@ def cluster_loss(y, config: LossSection = LossSection()) -> ad.Node:
     contrastive = ad.ntxent(
         ad.transpose_halves(y), config.cluster_temperature, config.exclude_self_similarity
     )
-    entropy = assignment_entropy(y)
+    # The rows were checked above: the fused term, not assignment_entropy,
+    # which would check them again.
+    entropy = ad.mass_entropy(y, ENTROPY_LOG_FLOOR)
     sign = 1.0 if config.literal_entropy_sign else -1.0
     loss = ad.add(contrastive, ad.scale(entropy, sign * config.entropy_weight))
     loss.unit = contrastive.unit

@@ -35,6 +35,7 @@ __all__ = [
     "total_loss",
     "train",
     "evaluate",
+    "assign",
     "metric_bundle",
     "instance_space_assignments",
 ]
@@ -202,7 +203,12 @@ STEP_COLUMNS = REPORT_COLUMNS[1:4] + REPORT_COLUMNS[7:]
 
 @dataclass
 class TrainReport:
+    """The per-epoch records, and the assignments of the last evaluation:
+    the final model's, which the run's artifacts reuse. ``assignments`` is
+    None when no epoch was evaluated (no labels, or no epochs)."""
+
     records: list = field(default_factory=list)
+    assignments: np.ndarray | None = None
 
     def csv_text(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
@@ -248,7 +254,9 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     Mini-batches are seeded shuffles with partial trailing batches
     dropped, so every loss is computed at the same batch size. Metrics
     columns are filled per epoch when the dataset has labels, always on
-    raw (un-augmented) inputs.
+    raw (un-augmented) inputs, from the mode's assignments (``assign``).
+    ``ich_only`` never trains the cluster head and assigns by k-means, so
+    it fills them on the last epoch only.
     """
     if dataset.n == 0:
         raise ContractError("train: dataset is empty")
@@ -281,7 +289,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 views = _batch_views(
                     pipeline, dataset.samples, draws, order[start : start + batch], pair_mode
                 )
-                _, z, y = forward_graph(param_nodes, views)
+                z, y = forward_graph(param_nodes, views)[1:]
                 term_ins, term_clu, total = _loss_terms(
                     z, y, config.losses, include_instance, include_cluster
                 )
@@ -311,29 +319,45 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 sums[key] += value
             batch_count += 1
 
-        # Free the epoch's draws before evaluation runs over all n rows.
-        del draws
+        # Free the epoch's draws and the last step's graph before
+        # evaluation runs over all n rows.
+        del draws, views, z, y, term_ins, term_clu, total, gradients
         means = {key: value / batch_count for key, value in sums.items()}
         means["l_ins"] = means["l_ins"] if include_instance else None
         means["l_clu"] = means["l_clu"] if include_cluster else None
         metrics = metric_bundle(None, None)
-        if dataset.labels is not None:
+        if dataset.labels is not None and (include_cluster or epoch == settings.epochs - 1):
             try:
-                metrics = evaluate(params, dataset)
+                metrics, report.assignments = evaluate(
+                    params, dataset, config.ablation, config.seed
+                )
             except DegenerateInputError as exc:
                 raise DegenerateInputError(f"epoch {epoch}, evaluation: {exc}") from exc
         report.records.append(EpochRecord(epoch=epoch, **means, **metrics))
     return params, report
 
 
-def evaluate(params: ModelParams, dataset: Dataset) -> dict:
-    """Metric bundle of the argmax assignments against ground truth.
+def evaluate(
+    params: ModelParams, dataset: Dataset, ablation: str = "full", seed: int = 0
+) -> tuple[dict, np.ndarray]:
+    """The metric bundle of the mode's assignments (``assign``) against
+    ground truth, and those assignments.
 
     Always runs on raw inputs; augmentation never touches evaluation.
     """
     if dataset.labels is None:
         raise ContractError("evaluate: dataset has no ground-truth labels")
-    return metric_bundle(dataset.labels, predict_assignments(params, dataset.samples))
+    assignments = assign(params, dataset.samples, ablation, seed)
+    return metric_bundle(dataset.labels, assignments), assignments
+
+
+def assign(params: ModelParams, samples, ablation: str = "full", seed: int = 0) -> np.ndarray:
+    """Cluster index per sample under an ablation mode: the cluster head's
+    argmax, except in ``ich_only``, which never trains that head and
+    assigns by seeded k-means over the instance projections."""
+    if ablation == "ich_only":
+        return instance_space_assignments(params, samples, params.config.cluster_count, seed)
+    return predict_assignments(params, samples)
 
 
 def metric_bundle(labels, assignments) -> dict:

@@ -2,6 +2,7 @@
 checks for every primitive on many seeds."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,23 +91,31 @@ class TestNtxent:
     @pytest.mark.parametrize("seed", range(10))
     def test_view_swap_rolls_value_and_gradient(self, seed):
         # The halves are evaluated in byte order, so a swap gives the same
-        # value and the same gradient rows, swapped, bit for bit.
+        # value and the same gradient rows, swapped, bit for bit: on one
+        # band, and on three bands with a ragged last one.
         rng = np.random.default_rng(seed)
-        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        ab, ba = ad.lift(np.vstack([a, b])), ad.lift(np.vstack([b, a]))
-        roots = [ad.ntxent(x, 0.4, exclude_self=bool(seed % 2)) for x in (ab, ba)]
-        for root in roots:
-            ad.backward(root)
-        np.testing.assert_array_equal(roots[0].value, roots[1].value)
-        np.testing.assert_array_equal(ab.grad, np.roll(ba.grad, 5, axis=0))
+        for n in (5, ad.BAND_ROWS + 3):
+            a, b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+            ab, ba = ad.lift(np.vstack([a, b])), ad.lift(np.vstack([b, a]))
+            roots = [ad.ntxent(x, 0.4, exclude_self=bool(seed % 2)) for x in (ab, ba)]
+            for root in roots:
+                ad.backward(root)
+            np.testing.assert_array_equal(roots[0].value, roots[1].value)
+            np.testing.assert_array_equal(ab.grad, np.roll(ba.grad, n, axis=0))
 
-    @pytest.mark.parametrize("shape", [(1024, 128), (12, 4)])
+    # One band, the band boundaries, and several bands with a ragged last one.
+    @pytest.mark.parametrize(
+        "shape",
+        [(1024, 128), (12, 4)]
+        + [(rows, 8) for rows in (ad.BAND_ROWS - 2, ad.BAND_ROWS, ad.BAND_ROWS + 2)]
+        + [(3 * ad.BAND_ROWS + 2, 8)],
+    )
     @pytest.mark.parametrize("temperature", [1e-300, 1 / 400, 1 / 300, 0.07, 0.5, 5.0])
     @pytest.mark.parametrize("exclude_self", [True, False])
     def test_matches_row_max_reference(self, shape, temperature, exclude_self):
-        # The 1/tau shift with one symmetric product below the limit, and
-        # the row-max shift above it, give the row-max, two-product value
-        # and gradient to rounding.
+        # The 1/tau shift over the banded upper triangle below the limit,
+        # and the row-max shift above it, give the row-max, two-product
+        # value and gradient to rounding.
         assert 1 / 400 < 1 / ad.SYMMETRIC_SHIFT_LIMIT < 1 / 300
         rng = np.random.default_rng(shape[0])
         x = rng.normal(size=shape)
@@ -121,18 +130,40 @@ class TestNtxent:
     @pytest.mark.parametrize("exclude_self", [True, False])
     def test_repeated_backward_is_bit_identical(self, exclude_self):
         # The forward and the VJP work in place on their own temporaries;
-        # a VJP that wrote into the arrays it shares across calls would
-        # change the second call's gradients.
+        # a VJP that wrote into the arrays it shares across calls, such as
+        # the stored bands, would change the second call's gradients.
         rng = np.random.default_rng(8)
-        # One of the two orders of the halves is evaluated swapped.
-        x = rng.normal(size=(12, 4))
-        for x in (x, np.roll(x, 6, axis=0)):
-            leaf = ad.lift(x)
-            root = ad.scale(ad.ntxent(leaf, 0.3, exclude_self), 1.7)
+        # One band and three; one of the two orders of the halves is
+        # evaluated swapped.
+        for rows in (12, 2 * ad.BAND_ROWS + 6):
+            x = rng.normal(size=(rows, 4))
+            for x in (x, np.roll(x, rows // 2, axis=0)):
+                leaf = ad.lift(x)
+                root = ad.scale(ad.ntxent(leaf, 0.3, exclude_self), 1.7)
+                ad.backward(root)
+                first = leaf.grad.copy()
+                ad.backward(root)
+                np.testing.assert_array_equal(leaf.grad, first)
+
+    def test_memory_stays_within_one_matrix_at_1024_rows(self):
+        # The forward keeps only the upper triangle of the exp matrix, in
+        # bands, and the VJP forms one band-sized temporary at a time: at
+        # 2n = 1024 the forward holds at most one 2n x 2n float64 matrix,
+        # and the backward peaks at one and a half.
+        rows = 1024
+        leaf = ad.lift(np.random.default_rng(3).normal(size=(rows, 128)))
+        matrix_bytes = rows * rows * 8
+        tracemalloc.start()
+        try:
+            root = ad.ntxent(leaf, 0.5, exclude_self=True)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             ad.backward(root)
-            first = leaf.grad.copy()
-            ad.backward(root)
-            np.testing.assert_array_equal(leaf.grad, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= matrix_bytes, held
+        assert peak <= 1.5 * matrix_bytes, peak
 
 
 class TestMassEntropy:

@@ -13,6 +13,7 @@ import pytest
 
 import dualclust
 from dualclust.cli import main
+from dualclust.config import ExperimentConfig, build_dataset
 from dualclust.data import load_csv, read_label_csv, write_label_csv
 from dualclust.metrics import ari, clustering_accuracy, nmi
 from dualclust.trainer import REPORT_COLUMNS
@@ -268,6 +269,26 @@ class TestRun:
         bundle = json.loads((out / "metrics.json").read_text())
         # k-means over trained instance features separates these blobs.
         assert bundle["acc"] >= 0.9
+
+    @pytest.mark.parametrize(
+        "ablation", ["full", "ich_only", "cch_only", "raw_second_view", "raw_both_views"]
+    )
+    def test_last_report_row_has_the_metrics_json_metrics(self, tmp_path, config_path, ablation):
+        # One assignment pathway: the last epoch's metric cells score the
+        # assignments that assignments.csv and metrics.json are written from.
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path(out_dir=out, ablation=ablation)]) == 0
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        header, *records = rows
+        cells = [dict(zip(header, record)) for record in records]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert {key: float(cells[-1][key]) for key in metrics} == metrics
+        labels = read_label_csv(out / "assignments.csv")
+        truth = build_dataset(ExperimentConfig.from_dict(BASE_CONFIG).dataset).labels
+        assert clustering_accuracy(truth, labels) == metrics["acc"]
+        # ich_only never trains the cluster head: no earlier epoch is scored.
+        earlier = {cell for row in cells[:-1] for cell in (row["nmi"], row["acc"], row["ari"])}
+        assert (earlier == {""}) == (ablation == "ich_only")
 
     def test_artifacts_match_pinned_digest(self, tmp_path, config_path):
         for i, (overrides, pinned) in enumerate(PINNED_RUNS):

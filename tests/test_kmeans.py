@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualclust.errors import ConfigError, ContractError
-from dualclust.kmeans import _lloyd, _plus_plus_init, kmeans
+from dualclust.kmeans import _lloyd, _plus_plus_init, _row_sq_norms, kmeans
 
 
 def blob_data(seed=0):
@@ -19,9 +19,10 @@ def serial_kmeans(x, k, seed, n_restarts):
     """The restarts one after another, keeping the lowest inertia and the
     earliest restart among equals; also returns every restart's result."""
     results = []
+    x_sq = _row_sq_norms(x)
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, restart)))
-        results.append(_lloyd(x, _plus_plus_init(x, k, rng), max_iter=300))
+        results.append(_lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng), max_iter=300))
     best = results[0]
     for result in results[1:]:
         if result[2] < best[2]:
@@ -93,7 +94,7 @@ class TestKmeans:
         # on the first assignment and must be reseeded, not dropped.
         points = np.concatenate([np.zeros((5, 2)), np.full((1, 2), 3.0)])
         centers = np.array([[0.0, 0.0], [100.0, 100.0]])
-        labels, final_centers, _ = _lloyd(points, centers, max_iter=50)
+        labels, final_centers, _ = _lloyd(points, _row_sq_norms(points), centers, max_iter=50)
         assert set(labels.tolist()) == {0, 1}
 
     def test_fewer_samples_than_clusters_rejected(self):

@@ -98,7 +98,12 @@ def test_traced_run_passes_the_span_checks(tmp_path, case):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["exit_code"] == 0, done.stderr
     steps = epochs * (samples // batch)
-    metrics = load_spans().layer_metrics(json.loads(spans_path.read_text()), epochs, steps, batch)
+    trace = json.loads(spans_path.read_text())
+    metrics = load_spans().layer_metrics(trace, epochs, steps, batch)
     assert metrics["trainer.steps"] == steps
     assert metrics["augment.make_pair.calls_per_epoch"] == samples
     assert (metrics["kmeans.kmeans.ms_per_call"] > 0.0) == (ablation == "ich_only")
+    # ich_only runs k-means once, for the last epoch's metrics and the
+    # artifacts both; the other modes never run it.
+    kmeans_spans = [span for span in trace["spans"] if span[0] == "kmeans.kmeans"]
+    assert len(kmeans_spans) == (ablation == "ich_only")

@@ -25,12 +25,13 @@ from dualclust.data import Dataset, VectorGeometry
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError, DualclustError
 from dualclust.losses import cluster_loss, instance_loss
 from dualclust.metrics import clustering_accuracy
-from dualclust.model import forward_graph, init_params
+from dualclust.model import forward_graph, init_params, predict_assignments
 from dualclust.trainer import (
     REPORT_COLUMNS,
     OptimizerState,
     TrainReport,
     adam_step,
+    assign,
     evaluate,
     instance_space_assignments,
     total_loss,
@@ -583,7 +584,7 @@ class TestEvaluate:
         samples = np.eye(4)[labels]
         dataset = Dataset(samples, VectorGeometry(4), labels)
         params = identity_routing_params([2, 0, 3, 1])
-        bundle = evaluate(params, dataset)
+        bundle, _ = evaluate(params, dataset)
         assert bundle["acc"] == 1.0
         assert bundle["nmi"] == 1.0
         assert bundle["ari"] == 1.0
@@ -595,7 +596,7 @@ class TestEvaluate:
         params = identity_routing_params([0, 1, 2, 3])
         for _, array in params.arrays.items():
             array[:] = 0.0  # uniform softmax rows; argmax tie -> cluster 0
-        bundle = evaluate(params, dataset)
+        bundle, _ = evaluate(params, dataset)
         assert bundle["acc"] == 0.25
 
     def test_independent_assignments_have_near_zero_ari(self):
@@ -604,13 +605,51 @@ class TestEvaluate:
         truth = rng.integers(0, 4, size=1000)
         dataset = Dataset(np.eye(4)[routed], VectorGeometry(4), truth)
         params = identity_routing_params([0, 1, 2, 3])
-        bundle = evaluate(params, dataset)
+        bundle, _ = evaluate(params, dataset)
         assert -0.05 <= bundle["ari"] <= 0.05
 
     def test_unlabeled_dataset_rejected(self):
         dataset = Dataset(np.eye(4), VectorGeometry(4))
         with pytest.raises(ContractError, match="labels"):
             evaluate(identity_routing_params([0, 1, 2, 3]), dataset)
+
+
+    @pytest.mark.parametrize("ablation", ["full", "ich_only"])
+    def test_scores_the_modes_assignments(self, ablation):
+        config = small_config(training={"epochs": 1}, ablation=ablation)
+        dataset = build_dataset(config.dataset)
+        params, _ = train(config, dataset)
+        bundle, labels = evaluate(params, dataset, ablation, seed=3)
+        if ablation == "ich_only":
+            want = instance_space_assignments(params, dataset.samples, 4, seed=3)
+        else:
+            want = predict_assignments(params, dataset.samples)
+        np.testing.assert_array_equal(labels, want)
+        np.testing.assert_array_equal(assign(params, dataset.samples, ablation, seed=3), want)
+        assert bundle["acc"] == clustering_accuracy(dataset.labels, want)
+
+
+class TestFinalAssignments:
+    @pytest.mark.parametrize("ablation", ["full", "ich_only"])
+    def test_report_keeps_the_final_models_assignments(self, ablation):
+        config = small_config(training={"epochs": 2}, ablation=ablation)
+        dataset = build_dataset(config.dataset)
+        params, report = train(config, dataset)
+        want = assign(params, dataset.samples, ablation, config.seed)
+        np.testing.assert_array_equal(report.assignments, want)
+        assert report.records[-1].acc == clustering_accuracy(dataset.labels, want)
+        # ich_only scores its k-means assignments on the last epoch only.
+        assert (report.records[0].acc is None) == (ablation == "ich_only")
+
+    def test_unlabeled_run_evaluates_nothing(self):
+        config = small_config(
+            training={"epochs": 1}, model={"cluster_count": 4}, ablation="ich_only"
+        )
+        dataset = build_dataset(config.dataset)
+        unlabeled = Dataset(dataset.samples, dataset.geometry)
+        _, report = train(config, unlabeled)
+        assert report.assignments is None
+        assert report.records[-1].acc is None
 
 
 class TestInstanceSpaceAssignments:
