@@ -1,11 +1,14 @@
 """Stochastic view generation: correlated sample pairs for training.
 
-A pipeline is an ordered list of (transform, probability) bound to the
-dataset's geometry; each transform fires independently with its
-probability. Vector data gets noise/mask/scale perturbations; image
-data gets crop-resize, flip, brightness, and optional blur. Every
-transform preserves dimensionality, so the model never sees a width
-change.
+A transform is one frozen dataclass per kind (``TRANSFORMS`` lists
+them), holding the probability with which it fires and that kind's
+parameters; its range checks run when it is built, so the config parser
+reads it like any other section. A pipeline is an ordered tuple of
+transforms bound to the dataset's geometry; each transform fires
+independently with its probability. Vector data gets noise/mask/scale
+perturbations; image data gets crop-resize, flip, brightness, and
+optional blur. Every transform preserves dimensionality, so the model
+never sees a width change.
 
 The resized crop is ``R_h @ crop @ R_w^T`` and the blur
 ``K_h @ img @ K_w^T``, with one cached matrix per axis size (see
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,19 +35,18 @@ from .data import ImageGeometry
 from .errors import ConfigError, ContractError, ShapeError
 
 __all__ = [
-    "TransformSpec",
+    "Transform",
+    "TRANSFORMS",
+    "Identity", "GaussianJitter", "CoordinateMask", "ScaleJitter",
+    "ResizedCrop", "HorizontalFlip", "BrightnessJitter", "GaussianBlur",
     "AugmentationPipeline",
+    "default_transforms",
     "epoch_draws",
     "pair_rng",
     "make_pair",
-    "default_vector_pipeline",
-    "default_image_pipeline",
 ]
 
 PAIR_MODES = ("two_views", "raw_second", "raw_both")
-
-VECTOR_KINDS = {"gaussian_jitter", "coordinate_mask", "scale_jitter", "identity"}
-IMAGE_KINDS = {"resized_crop", "horizontal_flip", "brightness_jitter", "gaussian_blur"}
 
 # Images at or above this side length keep the blur stage by default;
 # smaller ones drop it.
@@ -53,88 +56,142 @@ AUGMENT_STREAM_TAG = 0x41475631
 
 
 @dataclass(frozen=True)
-class TransformSpec:
-    """One transform. Build it through the factory named after its kind:
-    the factory's annotated parameters are the kind's config schema."""
+class Transform:
+    """One transform of a view: fires with ``probability``. Its fields
+    are its config keys, all required; a range error names the field
+    as ``<kind>.<field>``, which the config parser turns into the
+    transform's path."""
 
-    kind: str
-    sigma: float | None = None
-    fraction: float | None = None
-    low: float | None = None
-    high: float | None = None
-    min_area_fraction: float | None = None
+    kind: ClassVar[str]
+    needs_image: ClassVar[bool] = False
+    probability: float
 
     def __post_init__(self):
-        if self.kind not in VECTOR_KINDS | IMAGE_KINDS:
-            raise ConfigError(f"unknown transform kind {self.kind!r}")
+        self._require(0 <= self.probability <= 1, "probability", "must be in [0, 1]")
 
-    @classmethod
-    def gaussian_jitter(cls, sigma: float):
-        if not sigma > 0:
-            raise ConfigError(f"gaussian_jitter: sigma must be positive, got {sigma}")
-        return cls("gaussian_jitter", sigma=float(sigma))
+    def _require(self, condition: bool, field: str, message: str):
+        if not condition:
+            raise ConfigError(f"config: {self.kind}.{field}: {message}")
 
-    @classmethod
-    def coordinate_mask(cls, fraction: float):
-        if not 0 <= fraction < 1:
-            raise ConfigError(f"coordinate_mask: fraction must be in [0, 1), got {fraction}")
-        return cls("coordinate_mask", fraction=float(fraction))
 
-    @classmethod
-    def scale_jitter(cls, low: float, high: float):
-        if not 0 < low <= high:
-            raise ConfigError(f"scale_jitter: need 0 < low <= high, got ({low}, {high})")
-        return cls("scale_jitter", low=float(low), high=float(high))
+@dataclass(frozen=True)
+class Identity(Transform):
+    kind = "identity"
 
-    @classmethod
-    def resized_crop(cls, min_area_fraction: float):
-        if not 0 < min_area_fraction <= 1:
-            raise ConfigError(
-                f"resized_crop: min_area_fraction must be in (0, 1], got {min_area_fraction}"
-            )
-        return cls("resized_crop", min_area_fraction=float(min_area_fraction))
 
-    @classmethod
-    def horizontal_flip(cls):
-        return cls("horizontal_flip")
+@dataclass(frozen=True)
+class GaussianJitter(Transform):
+    kind = "gaussian_jitter"
+    sigma: float
 
-    @classmethod
-    def brightness_jitter(cls, low: float, high: float):
-        if not 0 <= low <= high:
-            raise ConfigError(
-                f"brightness_jitter: need 0 <= low <= high, got ({low}, {high})"
-            )
-        return cls("brightness_jitter", low=float(low), high=float(high))
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(self.sigma > 0, "sigma", "must be positive")
 
-    @classmethod
-    def gaussian_blur(cls, sigma: float):
-        if not sigma > 0:
-            raise ConfigError(f"gaussian_blur: sigma must be positive, got {sigma}")
-        return cls("gaussian_blur", sigma=float(sigma))
 
-    @classmethod
-    def identity(cls):
-        return cls("identity")
+@dataclass(frozen=True)
+class CoordinateMask(Transform):
+    kind = "coordinate_mask"
+    fraction: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(0 <= self.fraction < 1, "fraction", "must be in [0, 1)")
+
+
+@dataclass(frozen=True)
+class ScaleJitter(Transform):
+    kind = "scale_jitter"
+    low: float
+    high: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(self.low > 0, "low", "must be positive")
+        self._require(self.low <= self.high, "high", "must be at least low")
+
+
+@dataclass(frozen=True)
+class ResizedCrop(Transform):
+    kind = "resized_crop"
+    needs_image = True
+    min_area_fraction: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(0 < self.min_area_fraction <= 1, "min_area_fraction", "must be in (0, 1]")
+
+
+@dataclass(frozen=True)
+class HorizontalFlip(Transform):
+    kind = "horizontal_flip"
+    needs_image = True
+
+
+@dataclass(frozen=True)
+class BrightnessJitter(Transform):
+    kind = "brightness_jitter"
+    needs_image = True
+    low: float
+    high: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(self.low >= 0, "low", "must be nonnegative")
+        self._require(self.low <= self.high, "high", "must be at least low")
+
+
+@dataclass(frozen=True)
+class GaussianBlur(Transform):
+    kind = "gaussian_blur"
+    needs_image = True
+    sigma: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(self.sigma > 0, "sigma", "must be positive")
+
+
+# kind -> class, for every class above, in the order they are defined.
+TRANSFORMS = {cls.kind: cls for cls in Transform.__subclasses__()}
 
 
 @dataclass(frozen=True)
 class AugmentationPipeline:
-    transforms: tuple  # of (TransformSpec, apply_probability)
+    """A run's transforms bound to its dataset's geometry: what
+    ``epoch_draws`` and ``make_pair`` take."""
+
+    transforms: tuple
     geometry: object
 
     def __post_init__(self):
-        object.__setattr__(self, "transforms", tuple(self.transforms))
         is_image = isinstance(self.geometry, ImageGeometry)
-        for spec, probability in self.transforms:
-            if not 0 <= probability <= 1:
+        for i, spec in enumerate(self.transforms):
+            if spec.needs_image and not is_image:
                 raise ConfigError(
-                    f"transform {spec.kind}: probability must be in [0, 1], "
-                    f"got {probability}"
+                    f"config: augmentation.transforms[{i}]: transform {spec.kind} needs "
+                    "image geometry; dataset is vector-shaped"
                 )
-            if spec.kind in IMAGE_KINDS and not is_image:
-                raise ConfigError(
-                    f"transform {spec.kind} needs image geometry; dataset is vector-shaped"
-                )
+
+
+def default_transforms(geometry) -> tuple:
+    """The "default" preset. Vectors get perturbations sized for
+    standardized (unit-variance) features; images a crop/flip/brightness
+    stack, with blur only for a side of at least BLUR_MIN_SIDE."""
+    if not isinstance(geometry, ImageGeometry):
+        return (
+            GaussianJitter(probability=1.0, sigma=0.2),
+            ScaleJitter(probability=0.5, low=0.8, high=1.2),
+            CoordinateMask(probability=0.3, fraction=0.1),
+        )
+    transforms = (
+        ResizedCrop(probability=1.0, min_area_fraction=0.5),
+        HorizontalFlip(probability=0.5),
+        BrightnessJitter(probability=0.8, low=0.6, high=1.4),
+    )
+    if max(geometry.height, geometry.width) >= BLUR_MIN_SIDE:
+        transforms += (GaussianBlur(probability=0.5, sigma=1.0),)
+    return transforms
 
 
 def _frozen(array):
@@ -172,7 +229,7 @@ def _blur_matrix(side, sigma):
     return _frozen(matrix)
 
 
-def _apply(spec: TransformSpec, x, geometry, params):
+def _apply(spec: Transform, x, geometry, params):
     """``spec`` on one view ``x`` with that view's drawn ``params``."""
     if spec.kind == "identity":
         return x
@@ -195,14 +252,12 @@ def _apply(spec: TransformSpec, x, geometry, params):
         rows = _resize_matrix(crop_h, geometry.height)
         cols = _resize_matrix(crop_w, geometry.width)
         return (rows @ crop @ cols.T).ravel()
-    if spec.kind == "gaussian_blur":
-        rows = _blur_matrix(geometry.height, spec.sigma)
-        cols = _blur_matrix(geometry.width, spec.sigma)
-        return (rows @ img @ cols.T).ravel()
-    raise ConfigError(f"unknown transform kind {spec.kind!r}")
+    rows = _blur_matrix(geometry.height, spec.sigma)  # gaussian_blur
+    cols = _blur_matrix(geometry.width, spec.sigma)
+    return (rows @ img @ cols.T).ravel()
 
 
-def _draw_parameters(spec: TransformSpec, geometry, rng, n):
+def _draw_parameters(spec: Transform, geometry, rng, n):
     """``spec``'s parameters for n samples x 2 views, indexed [sample][view]:
     jitter is the noise itself, a mask the boolean keep-mask, a crop its
     (top, left, height, width), and a kind that draws none has None."""
@@ -237,8 +292,8 @@ def epoch_draws(pipeline: AugmentationPipeline, seed, epoch, n) -> list:
         np.random.Philox(np.random.SeedSequence((AUGMENT_STREAM_TAG, seed, epoch)))
     )
     draws = []
-    for spec, probability in pipeline.transforms:
-        gates = (rng.random((n, 2)) < probability).tolist()
+    for spec in pipeline.transforms:
+        gates = (rng.random((n, 2)) < spec.probability).tolist()
         draws.append((gates, _draw_parameters(spec, pipeline.geometry, rng, n)))
     return draws
 
@@ -253,7 +308,7 @@ def _view(pipeline: AugmentationPipeline, x, share, view):
     """View ``view`` (0 or 1) of ``x``: each transform whose gate fired,
     in pipeline order, with that view's parameters."""
     out = x.copy()
-    for (spec, _), (gates, params) in zip(pipeline.transforms, share):
+    for spec, (gates, params) in zip(pipeline.transforms, share):
         if gates[view]:
             out = _apply(spec, out, pipeline.geometry, params[view])
     if not np.isfinite(out).all():
@@ -267,7 +322,7 @@ def _non_finite_step(pipeline: AugmentationPipeline, x, share, view) -> str:
     pays for a check per transform."""
     if not np.isfinite(x).all():
         return "input has non-finite values"
-    for (spec, _), (gates, params) in zip(pipeline.transforms, share):
+    for spec, (gates, params) in zip(pipeline.transforms, share):
         if gates[view]:
             x = _apply(spec, x, pipeline.geometry, params[view])
             if not np.isfinite(x).all():
@@ -297,28 +352,3 @@ def make_pair(pipeline: AugmentationPipeline, x, share, mode: str = "two_views")
     if mode == "raw_second":
         return view_a, x.copy()
     return view_a, _view(pipeline, x, share, 1)
-
-
-def default_vector_pipeline(geometry) -> AugmentationPipeline:
-    """Perturbations sized for standardized (unit-variance) features."""
-    return AugmentationPipeline(
-        transforms=(
-            (TransformSpec.gaussian_jitter(0.2), 1.0),
-            (TransformSpec.scale_jitter(0.8, 1.2), 0.5),
-            (TransformSpec.coordinate_mask(0.1), 0.3),
-        ),
-        geometry=geometry,
-    )
-
-
-def default_image_pipeline(geometry) -> AugmentationPipeline:
-    """Crop/flip/brightness stack; blur joins only for images with a side
-    of at least BLUR_MIN_SIDE."""
-    transforms = [
-        (TransformSpec.resized_crop(0.5), 1.0),
-        (TransformSpec.horizontal_flip(), 0.5),
-        (TransformSpec.brightness_jitter(0.6, 1.4), 0.8),
-    ]
-    if max(geometry.height, geometry.width) >= BLUR_MIN_SIDE:
-        transforms.append((TransformSpec.gaussian_blur(1.0), 0.5))
-    return AugmentationPipeline(transforms=tuple(transforms), geometry=geometry)

@@ -15,24 +15,16 @@ identically.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .augment import (
-    IMAGE_KINDS,
-    VECTOR_KINDS,
-    AugmentationPipeline,
-    TransformSpec,
-    default_image_pipeline,
-    default_vector_pipeline,
-)
+from .augment import TRANSFORMS, AugmentationPipeline, default_transforms
 from .data import (
     Dataset,
-    ImageGeometry,
     VectorGeometry,
     gaussian_blobs,
     load_csv,
@@ -53,7 +45,6 @@ __all__ = [
     "parse_section",
     "check_value",
     "build_dataset",
-    "build_pipeline",
     "ABLATION_MODES",
 ]
 
@@ -70,18 +61,13 @@ DATASET_PARAMS = {
     "idx": {"images_path": str, "labels_path": str | None},
 }
 
-# Parameters of each transform kind and their types, read off its
-# TransformSpec factory.
-_TRANSFORM_PARAMS = {
-    kind: typing.get_type_hints(getattr(TransformSpec, kind))
-    for kind in sorted(VECTOR_KINDS | IMAGE_KINDS)
-}
-
 # The JSON values each annotated type takes. Python counts a bool as an
-# int, but true is never a count or a number here; a number must be finite.
+# int, but true is never a count or a number here. A number must be
+# finite (NaN fails the comparison), and an integer given for one must
+# fit a float.
 _ACCEPTS = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
     bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: type(v) is str),
     type(None): ("null", lambda v: v is None),
@@ -132,8 +118,10 @@ def check_value(annotation, value, path: str):
 def parse_section(cls, raw, path: str):
     """An instance of the dataclass ``cls`` from a JSON object: each key
     must name a field, a field without a default is required, and each
-    value must have its field's annotated type."""
-    annotations = typing.get_type_hints(cls)
+    value must have its field's annotated type. A ``ClassVar`` is not a
+    field, so it is never a key."""
+    hints = typing.get_type_hints(cls)
+    annotations = {f.name: hints[f.name] for f in fields(cls)}
     required = [f.name for f in fields(cls) if f.default is MISSING]
     _check_keys(raw, annotations, required, path)
     values = {key: check_value(annotations[key], raw[key], _join(path, key)) for key in raw}
@@ -222,7 +210,7 @@ class TrainingSection:
 @dataclass(frozen=True)
 class AugmentationSection:
     preset: str | None = "default"  # None once transforms are explicit
-    transforms: tuple | None = None  # of dicts: {"kind", "probability", params...}
+    transforms: tuple | None = None  # of augment.Transform, one class per kind
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
@@ -239,21 +227,15 @@ class AugmentationSection:
         return cls(preset=None, transforms=tuple(checked))
 
 
-def _transform(entry, path: str) -> dict:
-    """One explicit transform, checked by calling its factory. Every
-    parameter must be given, with no per-kind defaults, so the resolved
-    echo round-trips exactly."""
-    kind = _kind(entry, _TRANSFORM_PARAMS, path, "transform")
-    schema = {"probability": float, **_TRANSFORM_PARAMS[kind]}
-    _check_keys(entry, {"kind", *schema}, schema, path)
-    for key, annotation in schema.items():
-        check_value(annotation, entry[key], f"{path}.{key}")
-    _require(0 <= entry["probability"] <= 1, f"{path}.probability", "must be in [0, 1]")
+def _transform(entry, path: str):
+    """One explicit transform: its ``kind``, then its class's fields. No
+    field has a default, so the resolved echo round-trips exactly."""
+    kind = _kind(entry, TRANSFORMS, path, "transform")
+    params = {key: value for key, value in entry.items() if key != "kind"}
     try:
-        _transform_from_dict(entry)
-    except ConfigError as exc:
-        raise ConfigError(f"config: {path}: {exc}") from None
-    return dict(entry)
+        return parse_section(TRANSFORMS[kind], params, path)
+    except ConfigError as exc:  # a range check names the transform by its kind
+        raise ConfigError(str(exc).replace(f"config: {kind}.", f"config: {path}.", 1)) from None
 
 
 @dataclass(frozen=True)
@@ -301,14 +283,8 @@ class ExperimentConfig:
             standardized = isinstance(dataset.geometry, VectorGeometry)
         transforms = self.augmentation.transforms
         if transforms is None:
-            pipeline = _default_pipeline_for(dataset.geometry)
-            transforms = tuple(_transform_to_dict(s, p) for s, p in pipeline.transforms)
-        # The pipeline's geometry check, one transform at a time to name its path.
-        for i, entry in enumerate(transforms):
-            try:
-                AugmentationPipeline((_transform_from_dict(entry),), dataset.geometry)
-            except ConfigError as exc:
-                raise ConfigError(f"config: augmentation.transforms[{i}]: {exc}") from None
+            transforms = default_transforms(dataset.geometry)
+        AugmentationPipeline(transforms, dataset.geometry)  # the geometry check
         return replace(
             self,
             dataset=replace(self.dataset, standardize=standardized),
@@ -323,13 +299,16 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The JSON form that ``from_dict`` reads back: dataset parameters
-        sit beside ``kind``, and augmentation names only the one of
-        ``preset`` and ``transforms`` that is set."""
+        sit beside ``kind``, augmentation names only the one of ``preset``
+        and ``transforms`` that is set, and each transform names its kind."""
         out = asdict(self)
         dataset = out["dataset"]
         out["dataset"] = {"kind": dataset["kind"], **dataset["params"]}
         out["dataset"]["standardize"] = dataset["standardize"]
         out["augmentation"] = {k: v for k, v in out["augmentation"].items() if v is not None}
+        if self.augmentation.transforms is not None:
+            transforms = self.augmentation.transforms
+            out["augmentation"]["transforms"] = [{"kind": t.kind, **asdict(t)} for t in transforms]
         return out
 
 
@@ -368,26 +347,3 @@ def build_dataset(config: DatasetConfig) -> Dataset:
         samples, _, _ = standardize(dataset.samples)
         dataset = Dataset(samples, dataset.geometry, dataset.labels, dataset.name)
     return dataset
-
-
-def _default_pipeline_for(geometry) -> AugmentationPipeline:
-    if isinstance(geometry, ImageGeometry):
-        return default_image_pipeline(geometry)
-    return default_vector_pipeline(geometry)
-
-
-def _transform_to_dict(spec: TransformSpec, probability: float) -> dict:
-    params = {key: getattr(spec, key) for key in _TRANSFORM_PARAMS[spec.kind]}
-    return {"kind": spec.kind, "probability": probability, **params}
-
-
-def _transform_from_dict(entry: dict) -> tuple:
-    params = {key: entry[key] for key in _TRANSFORM_PARAMS[entry["kind"]]}
-    return getattr(TransformSpec, entry["kind"])(**params), float(entry["probability"])
-
-
-def build_pipeline(section: AugmentationSection, geometry) -> AugmentationPipeline:
-    if section.transforms is None:
-        return _default_pipeline_for(geometry)
-    transforms = tuple(_transform_from_dict(entry) for entry in section.transforms)
-    return AugmentationPipeline(transforms=transforms, geometry=geometry)

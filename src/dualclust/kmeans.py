@@ -5,17 +5,13 @@ restarts keeping the lowest-inertia solution. Deterministic given the
 seed. Clusters that empty out mid-run are reseeded to the point
 farthest from its assigned center.
 
-Each restart draws from its own ``(seed, restart)`` stream, so the
-restarts run side by side on a thread pool (BLAS and numpy ufuncs
-release the GIL) and give the same bits as a serial loop; the best is
-picked in restart order, the first one winning a tie. Squared row norms
-of the data are computed once per call and shared by every restart.
+Each restart draws from its own ``(seed, restart)`` stream, so its
+result does not depend on the others; the best is picked in restart
+order, the first one winning a tie. Squared row norms of the data are
+computed once per call and shared by every restart.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -90,13 +86,6 @@ def _restart(x, x_sq, k, seed, restart, max_iter):
     return _lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng), max_iter)
 
 
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity
-        return os.cpu_count() or 1
-
-
 def kmeans(x, k, seed, n_restarts: int = DEFAULT_RESTARTS, max_iter: int = DEFAULT_MAX_ITER):
     """Cluster rows of x into k groups; returns (labels, centers, inertia)
     of the best restart by inertia, the earliest restart among equals."""
@@ -108,9 +97,6 @@ def kmeans(x, k, seed, n_restarts: int = DEFAULT_RESTARTS, max_iter: int = DEFAU
     if x.shape[0] < k:
         raise ContractError(f"kmeans: {x.shape[0]} samples cannot form {k} clusters")
     x_sq = _row_sq_norms(x)
-    with ThreadPoolExecutor(max_workers=min(n_restarts, _cores())) as pool:
-        results = list(
-            pool.map(lambda r: _restart(x, x_sq, k, seed, r, max_iter), range(n_restarts))
-        )
-    # min keeps the first of equal keys: the serial loop's tie rule.
+    results = (_restart(x, x_sq, k, seed, r, max_iter) for r in range(n_restarts))
+    # min keeps the first of equal keys: the earliest restart wins a tie.
     return min(results, key=lambda result: result[2])

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .augment import epoch_draws, make_pair, pair_rng
-from .config import ExperimentConfig, LossSection, TrainingSection, build_pipeline
+from .augment import AugmentationPipeline, epoch_draws, make_pair, pair_rng
+from .config import ExperimentConfig, LossSection, TrainingSection
 from .data import Dataset
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .kmeans import kmeans
@@ -270,7 +270,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
 
     params = init_params(config.model, dataset.dim)
     state = OptimizerState.for_params(params, settings)
-    pipeline = build_pipeline(config.augmentation, dataset.geometry)
+    pipeline = AugmentationPipeline(config.augmentation.transforms, dataset.geometry)
     include_instance, include_cluster = _term_switches(config.ablation)
     pair_mode = _pair_mode(config.ablation)
 

@@ -23,14 +23,13 @@ import numpy as np
 import pytest
 
 from dualclust import autodiff as ad
-from dualclust.augment import epoch_draws, make_pair, pair_rng
+from dualclust.augment import AugmentationPipeline, epoch_draws, make_pair, pair_rng
 from dualclust.cli import main
 from dualclust.config import (
     ExperimentConfig,
     LossSection,
     ModelSection,
     build_dataset,
-    build_pipeline,
 )
 from dualclust.losses import assignment_entropy, cluster_loss, instance_loss, pair_similarity_stats
 from dualclust.metrics import ari, clustering_accuracy, hungarian, nmi
@@ -76,7 +75,8 @@ def heldout_alignment(params, dataset, pipeline, seed, epoch):
 def blob_runs():
     config = ExperimentConfig.from_dict({"dataset": BLOB_DATASET})
     dataset = build_dataset(config.dataset)
-    pipeline = build_pipeline(config.augmentation, dataset.geometry)
+    transforms = config.resolve(dataset).augmentation.transforms
+    pipeline = AugmentationPipeline(transforms, dataset.geometry)
     runs = {}
     full_seconds = 0.0
     for mode in ("full", "raw_both_views", "ich_only"):

@@ -8,11 +8,17 @@ import pytest
 
 from dualclust.augment import (
     AugmentationPipeline,
-    TransformSpec,
+    BrightnessJitter,
+    CoordinateMask,
+    GaussianBlur,
+    GaussianJitter,
+    HorizontalFlip,
+    Identity,
+    ResizedCrop,
+    ScaleJitter,
     _apply,
     _resize_matrix,
-    default_image_pipeline,
-    default_vector_pipeline,
+    default_transforms,
     epoch_draws,
     make_pair,
     pair_rng,
@@ -33,44 +39,51 @@ def one_view(pipeline, x, seed=0, epoch=0, index=0):
 
 
 def jitter_pipeline(dim, sigma=0.1, probability=1.0):
-    return AugmentationPipeline(
-        transforms=((TransformSpec.gaussian_jitter(sigma), probability),),
-        geometry=VectorGeometry(dim),
-    )
+    return _only(GaussianJitter(probability=probability, sigma=sigma), VectorGeometry(dim))
+
+
+def default_pipeline(geometry):
+    return AugmentationPipeline(default_transforms(geometry), geometry)
+
+
+def _only(spec, geometry):
+    return AugmentationPipeline((spec,), geometry)
+
+
+CROP_0_2 = ResizedCrop(probability=1.0, min_area_fraction=0.2)
 
 
 class TestTransformSpecValidation:
+    """Each transform class checks its ranges when it is built, and
+    names the field by the transform's kind."""
+
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: TransformSpec.gaussian_jitter(0.0),
-            lambda: TransformSpec.coordinate_mask(1.0),
-            lambda: TransformSpec.coordinate_mask(-0.1),
-            lambda: TransformSpec.scale_jitter(0.0, 1.0),
-            lambda: TransformSpec.scale_jitter(2.0, 1.0),
-            lambda: TransformSpec.resized_crop(0.0),
-            lambda: TransformSpec.resized_crop(1.1),
-            lambda: TransformSpec.brightness_jitter(-0.5, 1.0),
-            lambda: TransformSpec.gaussian_blur(0.0),
-            lambda: TransformSpec("made_up"),
+            lambda: GaussianJitter(probability=1.0, sigma=0.0),
+            lambda: CoordinateMask(probability=1.0, fraction=1.0),
+            lambda: CoordinateMask(probability=1.0, fraction=-0.1),
+            lambda: ScaleJitter(probability=1.0, low=0.0, high=1.0),
+            lambda: ScaleJitter(probability=1.0, low=2.0, high=1.0),
+            lambda: ResizedCrop(probability=1.0, min_area_fraction=0.0),
+            lambda: ResizedCrop(probability=1.0, min_area_fraction=1.1),
+            lambda: BrightnessJitter(probability=1.0, low=-0.5, high=1.0),
+            lambda: GaussianBlur(probability=1.0, sigma=0.0),
+            lambda: BrightnessJitter(probability=1.0, low=1.5, high=1.0),
         ],
     )
     def test_bad_parameters_rejected(self, factory):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^config: [a-z_]+\.[a-z_]+: "):
             factory()
 
     def test_probability_out_of_range_rejected(self):
-        with pytest.raises(ConfigError, match="probability"):
-            AugmentationPipeline(
-                transforms=((TransformSpec.identity(), 1.5),),
-                geometry=VectorGeometry(3),
-            )
+        with pytest.raises(ConfigError, match=r"^config: identity\.probability: "):
+            Identity(probability=1.5)
 
     def test_image_transform_on_vector_geometry_rejected(self):
-        with pytest.raises(ConfigError, match="image geometry"):
+        with pytest.raises(ConfigError, match=r"transforms\[1\]: .* needs image geometry"):
             AugmentationPipeline(
-                transforms=((TransformSpec.horizontal_flip(), 0.5),),
-                geometry=VectorGeometry(4),
+                (Identity(probability=1.0), HorizontalFlip(probability=0.5)), VectorGeometry(4)
             )
 
 
@@ -79,21 +92,18 @@ class TestSampleView:
 
     def test_zero_probabilities_return_input_exactly(self):
         pipeline = AugmentationPipeline(
-            transforms=(
-                (TransformSpec.gaussian_jitter(1.0), 0.0),
-                (TransformSpec.scale_jitter(0.5, 2.0), 0.0),
+            (
+                GaussianJitter(probability=0.0, sigma=1.0),
+                ScaleJitter(probability=0.0, low=0.5, high=2.0),
             ),
-            geometry=VectorGeometry(5),
+            VectorGeometry(5),
         )
         x = np.arange(5.0)
         out = one_view(pipeline, x, seed=0)
         np.testing.assert_array_equal(out, x)
 
     def test_flip_twice_restores_input(self):
-        pipeline = AugmentationPipeline(
-            transforms=((TransformSpec.horizontal_flip(), 1.0),),
-            geometry=ImageGeometry(3, 4),
-        )
+        pipeline = _only(HorizontalFlip(probability=1.0), ImageGeometry(3, 4))
         x = np.arange(12.0)
         once = one_view(pipeline, x, seed=0)
         assert not np.array_equal(once, x)
@@ -107,7 +117,7 @@ class TestSampleView:
         assert abs((out - x).std() - 0.1) <= 0.02
 
     def test_deterministic_given_seed(self):
-        pipeline = default_vector_pipeline(VectorGeometry(8))
+        pipeline = default_pipeline(VectorGeometry(8))
         x = np.linspace(-1, 1, 8)
         a = one_view(pipeline, x, seed=99)
         b = one_view(pipeline, x, seed=99)
@@ -118,10 +128,7 @@ class TestSampleView:
         # and compare against the binomial mean within four standard
         # deviations.
         p, n = 0.3, 2000
-        pipeline = AugmentationPipeline(
-            transforms=((TransformSpec.scale_jitter(2.0, 2.0), p),),
-            geometry=VectorGeometry(3),
-        )
+        pipeline = _only(ScaleJitter(probability=p, low=2.0, high=2.0), VectorGeometry(3))
         x = np.ones(3)
         draws = epoch_draws(pipeline, 0, 0, n)
         applied = sum(
@@ -134,51 +141,42 @@ class TestSampleView:
     @pytest.mark.parametrize(
         "spec",
         [
-            TransformSpec.gaussian_jitter(0.5),
-            TransformSpec.coordinate_mask(0.3),
-            TransformSpec.scale_jitter(0.5, 1.5),
-            TransformSpec.identity(),
+            GaussianJitter(probability=1.0, sigma=0.5),
+            CoordinateMask(probability=1.0, fraction=0.3),
+            ScaleJitter(probability=1.0, low=0.5, high=1.5),
+            Identity(probability=1.0),
         ],
     )
     def test_vector_transforms_preserve_dimension(self, spec):
-        pipeline = AugmentationPipeline(
-            transforms=((spec, 1.0),), geometry=VectorGeometry(7)
-        )
+        pipeline = _only(spec, VectorGeometry(7))
         out = one_view(pipeline, np.ones(7), seed=0)
         assert out.shape == (7,)
 
     @pytest.mark.parametrize(
         "spec",
         [
-            TransformSpec.resized_crop(0.4),
-            TransformSpec.horizontal_flip(),
-            TransformSpec.brightness_jitter(0.5, 1.5),
-            TransformSpec.gaussian_blur(1.2),
+            ResizedCrop(probability=1.0, min_area_fraction=0.4),
+            HorizontalFlip(probability=1.0),
+            BrightnessJitter(probability=1.0, low=0.5, high=1.5),
+            GaussianBlur(probability=1.0, sigma=1.2),
         ],
     )
     def test_image_transforms_preserve_dimension(self, spec):
-        geometry = ImageGeometry(6, 5)
-        pipeline = AugmentationPipeline(transforms=((spec, 1.0),), geometry=geometry)
+        pipeline = _only(spec, ImageGeometry(6, 5))
         x = np.random.default_rng(1).uniform(size=30)
         out = one_view(pipeline, x, seed=2)
         assert out.shape == (30,)
         assert np.all(np.isfinite(out))
 
     def test_coordinate_mask_zeroes_some_coordinates(self):
-        pipeline = AugmentationPipeline(
-            transforms=((TransformSpec.coordinate_mask(0.5), 1.0),),
-            geometry=VectorGeometry(1000),
-        )
+        pipeline = _only(CoordinateMask(probability=1.0, fraction=0.5), VectorGeometry(1000))
         out = one_view(pipeline, np.ones(1000), seed=4)
         zeroed = int((out == 0.0).sum())
         assert 350 <= zeroed <= 650
         assert set(np.unique(out)) <= {0.0, 1.0}
 
     def test_brightness_stays_in_pixel_range(self):
-        pipeline = AugmentationPipeline(
-            transforms=((TransformSpec.brightness_jitter(0.5, 1.8), 1.0),),
-            geometry=ImageGeometry(4, 4),
-        )
+        pipeline = _only(BrightnessJitter(probability=1.0, low=0.5, high=1.8), ImageGeometry(4, 4))
         x = np.random.default_rng(5).uniform(size=16)
         draws = epoch_draws(pipeline, 1, 0, 20)
         for i in range(20):
@@ -186,18 +184,12 @@ class TestSampleView:
                 assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_blur_preserves_constant_image(self):
-        pipeline = AugmentationPipeline(
-            transforms=((TransformSpec.gaussian_blur(1.0), 1.0),),
-            geometry=ImageGeometry(5, 6),
-        )
+        pipeline = _only(GaussianBlur(probability=1.0, sigma=1.0), ImageGeometry(5, 6))
         out = one_view(pipeline, np.full(30, 0.7), seed=6)
         np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-12)
 
     def test_resized_crop_stays_within_value_range(self):
-        pipeline = AugmentationPipeline(
-            transforms=((TransformSpec.resized_crop(0.3), 1.0),),
-            geometry=ImageGeometry(8, 8),
-        )
+        pipeline = _only(ResizedCrop(probability=1.0, min_area_fraction=0.3), ImageGeometry(8, 8))
         x = np.random.default_rng(7).uniform(size=64)
         draws = epoch_draws(pipeline, 2, 0, 10)
         for i in range(10):
@@ -207,7 +199,7 @@ class TestSampleView:
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_view_rejected(self, value):
-        pipeline = _only(TransformSpec.scale_jitter(2.0, 2.0), VectorGeometry(3))
+        pipeline = _only(ScaleJitter(probability=1.0, low=2.0, high=2.0), VectorGeometry(3))
         with pytest.raises(ContractError, match="non-finite"):
             one_view(pipeline, np.array([1.0, value, 2.0]))
 
@@ -215,12 +207,12 @@ class TestSampleView:
         # The scale overflows to inf and the mask then turns some of it
         # into NaN; the error names the view and the scale, not the mask.
         pipeline = AugmentationPipeline(
-            transforms=(
-                (TransformSpec.gaussian_jitter(0.1), 1.0),
-                (TransformSpec.scale_jitter(1.7e308, 1.7e308), 1.0),
-                (TransformSpec.coordinate_mask(0.5), 1.0),
+            (
+                GaussianJitter(probability=1.0, sigma=0.1),
+                ScaleJitter(probability=1.0, low=1.7e308, high=1.7e308),
+                CoordinateMask(probability=1.0, fraction=0.5),
             ),
-            geometry=VectorGeometry(64),
+            VectorGeometry(64),
         )
         x = np.full(64, 4.0)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,14 +273,10 @@ class TestEpochDraws:
         return {int(i): make_pair(pipeline, samples[i], pair_rng(draws, int(i))) for i in order}
 
     @pytest.mark.parametrize(
-        "build, geometry",
-        [
-            (default_vector_pipeline, VectorGeometry(16)),
-            (default_image_pipeline, ImageGeometry(8, 8)),
-        ],
+        "geometry", [VectorGeometry(16), ImageGeometry(8, 8)], ids=["vector", "image_8x8"]
     )
-    def test_views_do_not_depend_on_batch_order(self, build, geometry):
-        pipeline = build(geometry)
+    def test_views_do_not_depend_on_batch_order(self, geometry):
+        pipeline = default_pipeline(geometry)
         n = 24
         samples = np.random.default_rng(11).uniform(size=(n, geometry.size))
         draws = epoch_draws(pipeline, 4, 1, n)
@@ -304,7 +292,7 @@ class TestEpochDraws:
                 assert in_order[i][1].tobytes() == other[i][1].tobytes()
 
     def test_epochs_and_sample_indices_give_different_views(self):
-        pipeline = default_vector_pipeline(VectorGeometry(16))
+        pipeline = default_pipeline(VectorGeometry(16))
         x = np.linspace(-1.0, 1.0, 16)
         pairs = [
             make_pair(pipeline, x, pair_rng(epoch_draws(pipeline, seed, epoch, 8), index))
@@ -314,7 +302,7 @@ class TestEpochDraws:
         assert len(views) == 2 * len(pairs)
 
     def test_masks_are_boolean_and_sized_per_view(self):
-        pipeline = _only(TransformSpec.coordinate_mask(0.5), VectorGeometry(5))
+        pipeline = _only(CoordinateMask(probability=1.0, fraction=0.5), VectorGeometry(5))
         ((gates, keep),) = epoch_draws(pipeline, 0, 0, 7)
         assert np.shape(gates) == (7, 2)
         assert keep.dtype == np.bool_ and keep.shape == (7, 2, 5)
@@ -382,7 +370,7 @@ class TestMatrixKernels:
     def test_crop_matches_direct_bilinear_reference(self, crop):
         geometry = ImageGeometry(17, 24)
         img = np.random.default_rng(3).uniform(size=(17, 24))
-        out = _apply(TransformSpec.resized_crop(0.2), img.ravel(), geometry, crop)
+        out = _apply(CROP_0_2, img.ravel(), geometry, crop)
         assert out.shape == (17 * 24,)
         np.testing.assert_allclose(
             out.reshape(17, 24), reference_bilinear_crop(img, *crop), rtol=0, atol=1e-12
@@ -391,7 +379,7 @@ class TestMatrixKernels:
     def test_full_size_crop_is_a_copy(self):
         geometry = ImageGeometry(17, 24)
         x = np.random.default_rng(4).uniform(size=17 * 24)
-        out = _apply(TransformSpec.resized_crop(0.2), x, geometry, (0, 0, 17, 24))
+        out = _apply(CROP_0_2, x, geometry, (0, 0, 17, 24))
         assert out.tobytes() == x.tobytes() and not np.shares_memory(out, x)
 
     @pytest.mark.parametrize(
@@ -400,7 +388,8 @@ class TestMatrixKernels:
     )
     def test_blur_matches_direct_symmetric_convolution(self, height, width, sigma):
         img = np.random.default_rng(5).uniform(size=(height, width))
-        out = _apply(TransformSpec.gaussian_blur(sigma), img.ravel(), ImageGeometry(height, width), None)
+        blur = GaussianBlur(probability=1.0, sigma=sigma)
+        out = _apply(blur, img.ravel(), ImageGeometry(height, width), None)
         np.testing.assert_allclose(
             out.reshape(height, width), reference_blur(img, sigma), rtol=0, atol=1e-12
         )
@@ -408,23 +397,21 @@ class TestMatrixKernels:
 
 class TestDefaultPipelines:
     def test_vector_defaults_fit_geometry(self):
-        pipeline = default_vector_pipeline(VectorGeometry(12))
+        pipeline = default_pipeline(VectorGeometry(12))
         out = one_view(pipeline, np.zeros(12), seed=0)
         assert out.shape == (12,)
 
     def test_small_images_skip_blur(self):
-        pipeline = default_image_pipeline(ImageGeometry(8, 8))
-        kinds = [spec.kind for spec, _ in pipeline.transforms]
+        pipeline = default_pipeline(ImageGeometry(8, 8))
+        kinds = [spec.kind for spec in pipeline.transforms]
         assert "gaussian_blur" not in kinds
 
     def test_large_images_include_blur(self):
-        pipeline = default_image_pipeline(ImageGeometry(64, 64))
-        kinds = [spec.kind for spec, _ in pipeline.transforms]
+        pipeline = default_pipeline(ImageGeometry(64, 64))
+        kinds = [spec.kind for spec in pipeline.transforms]
         assert "gaussian_blur" in kinds
 
 
-def _only(spec, geometry):
-    return AugmentationPipeline(transforms=((spec, 1.0),), geometry=geometry)
 
 
 # sha256 over every make_pair view and every pair's share of the epoch's
@@ -439,27 +426,27 @@ def _only(spec, geometry):
 PINNED_GRID = [(s, e, i) for s in (0, 5) for e in (0, 3) for i in (0, 1, 2, 63)]
 PINNED_CASES = {
     "vector_default": (
-        lambda: default_vector_pipeline(VectorGeometry(16)),
+        lambda: default_pipeline(VectorGeometry(16)),
         "44d101d327a6c67d1d3b0f0706813c11fa5f31d3d7e5397a6565ce25d1d98089",
     ),
     "image_default_64_blur": (
-        lambda: default_image_pipeline(ImageGeometry(64, 64)),
+        lambda: default_pipeline(ImageGeometry(64, 64)),
         "6c49e78225ea915f3d1ac86567758e3e81c8ed3c5a43b4659c59af4c6c8d3b57",
     ),
     "image_default_28_no_blur": (
-        lambda: default_image_pipeline(ImageGeometry(28, 28)),
+        lambda: default_pipeline(ImageGeometry(28, 28)),
         "e6a83d4f4e79466f4bb2f5e1c057a620654f111345d95f632f8c84950a2b0c5b",
     ),
     "blur_sigma_2_5": (
-        lambda: _only(TransformSpec.gaussian_blur(2.5), ImageGeometry(20, 23)),
+        lambda: _only(GaussianBlur(probability=1.0, sigma=2.5), ImageGeometry(20, 23)),
         "26ef5e91eac48bb63af8f768efb6c0a6f1368f40ef8be261d2affb2f0024a33d",
     ),
     "blur_radius_over_side": (
-        lambda: _only(TransformSpec.gaussian_blur(1.0), ImageGeometry(2, 3)),
+        lambda: _only(GaussianBlur(probability=1.0, sigma=1.0), ImageGeometry(2, 3)),
         "d3c269e63a1e73896e5cb396a6c7111d2d7dee3ba7fefa216e06b951e9e4bea4",
     ),
     "resized_crop_0_2": (
-        lambda: _only(TransformSpec.resized_crop(0.2), ImageGeometry(17, 24)),
+        lambda: _only(CROP_0_2, ImageGeometry(17, 24)),
         "eabca5467c3f7baeb62b22f2731197ece2197c66c05cca53e7c24cc071146222",
     ),
 }

@@ -6,6 +6,7 @@ import inspect
 import json
 import pkgutil
 import re
+import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -15,7 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualclust
-from dualclust.augment import AugmentationPipeline
+from dualclust.augment import (
+    TRANSFORMS,
+    AugmentationPipeline,
+    GaussianJitter,
+    ScaleJitter,
+    _blur_matrix,
+    default_transforms,
+    epoch_draws,
+    make_pair,
+    pair_rng,
+)
 from dualclust.config import (
     AugmentationSection,
     DatasetConfig,
@@ -24,7 +35,6 @@ from dualclust.config import (
     ModelSection,
     TrainingSection,
     build_dataset,
-    build_pipeline,
     load_config,
 )
 from dualclust.data import ImageGeometry, VectorGeometry
@@ -83,14 +93,34 @@ class TestStrictKeys:
 
 SECTIONS = {"model": ModelSection, "losses": LossSection, "training": TrainingSection}
 
-# One way to build a section holding the given value, by each construction
-# path: all three must run the same range check.
+# Valid fields of every transform kind: 0.5 is in range for each field.
+TRANSFORM_FIELDS = {
+    kind: dict.fromkeys((f.name for f in fields(cls)), 0.5) for kind, cls in TRANSFORMS.items()
+}
+EVERY_TRANSFORM = [{"kind": kind, **values} for kind, values in TRANSFORM_FIELDS.items()]
+
+
+def _section(section, **values):
+    if section in TRANSFORMS:
+        return TRANSFORMS[section](**{**TRANSFORM_FIELDS[section], **values})
+    return SECTIONS[section](**values)
+
+
+def _raw_section(section, key, value):
+    if section in TRANSFORMS:
+        entry = {"kind": section, **TRANSFORM_FIELDS[section], key: value}
+        return {"augmentation": {"transforms": [entry]}}
+    return {section: {key: value}}
+
+
+# One way to build a section or a transform holding the given value, by
+# each construction path: all three must run the same range check.
 BUILDERS = {
     "from_dict": lambda section, key, value: ExperimentConfig.from_dict(
-        minimal(**{section: {key: value}})
+        minimal(**_raw_section(section, key, value))
     ),
-    "direct": lambda section, key, value: SECTIONS[section](**{key: value}),
-    "replace": lambda section, key, value: replace(SECTIONS[section](), **{key: value}),
+    "direct": lambda section, key, value: _section(section, **{key: value}),
+    "replace": lambda section, key, value: replace(_section(section), **{key: value}),
 }
 
 OUT_OF_RANGE = [
@@ -108,6 +138,18 @@ OUT_OF_RANGE = [
     ("model", "instance_dim", 0),
     ("model", "head_hidden_dim", 0),
     ("model", "cluster_count", 1),
+    ("identity", "probability", 1.5),
+    ("horizontal_flip", "probability", -0.1),
+    ("gaussian_jitter", "sigma", 0.0),
+    ("coordinate_mask", "fraction", 1.0),
+    ("coordinate_mask", "fraction", -0.1),
+    ("scale_jitter", "low", 0.0),
+    ("scale_jitter", "high", 0.4),
+    ("resized_crop", "min_area_fraction", 0.0),
+    ("resized_crop", "min_area_fraction", 1.1),
+    ("brightness_jitter", "low", -0.5),
+    ("brightness_jitter", "high", 0.4),
+    ("gaussian_blur", "sigma", -1.0),
 ]
 
 
@@ -124,7 +166,12 @@ class TestValidation:
         [_out_of_range_case(build, *case) for build in BUILDERS for case in OUT_OF_RANGE],
     )
     def test_out_of_range_values_rejected(self, build, section, field, value):
-        with pytest.raises(ConfigError, match=rf"config: {section}\.{field}: "):
+        # A transform built in Python does not know its place in the list,
+        # so its error names it by its kind.
+        path = section
+        if section in TRANSFORMS and build == "from_dict":
+            path = "augmentation.transforms[0]"
+        with pytest.raises(ConfigError, match=rf"^config: {re.escape(path)}\.{field}: "):
             BUILDERS[build](section, field, value)
 
     def test_empty_encoder_widths_rejected(self):
@@ -154,6 +201,10 @@ class TestTypes:
             ({"augmentation": {"transforms": [{**JITTER, "probability": 1.5}]}}, TRANSFORM0 + ".probability"),
             ({"augmentation": {"transforms": 5}}, "augmentation.transforms"),
             ({"losses": {"exclude_self_similarity": 1}}, "losses.exclude_self_similarity"),
+            ({"training": {"learning_rate": 10**400}}, "training.learning_rate"),
+            ({"losses": {"instance_temperature": 10**400}}, "losses.instance_temperature"),
+            ({"dataset": {**BLOBS, "separation": -(10**400)}}, "dataset.separation"),
+            ({"augmentation": {"transforms": [{**JITTER, "sigma": 10**400}]}}, TRANSFORM0 + ".sigma"),
         ],
         ids=[
             "batch_size_string",
@@ -170,6 +221,10 @@ class TestTypes:
             "transform_probability_range",
             "transforms_number",
             "exclude_self_similarity_number",
+            "learning_rate_integer_beyond_float",
+            "instance_temperature_integer_beyond_float",
+            "separation_integer_beyond_float",
+            "transform_sigma_integer_beyond_float",
         ],
     )
     def test_ill_typed_value_rejected_with_path(self, edit, path):
@@ -179,8 +234,13 @@ class TestTypes:
 
     def test_bad_transform_parameter_fails_at_parse_time(self):
         raw = minimal(augmentation={"transforms": [JITTER, {**JITTER, "sigma": -1.0}]})
-        with pytest.raises(ConfigError, match=r"augmentation\.transforms\[1\]: gaussian_jitter: sigma"):
+        with pytest.raises(ConfigError, match=r"augmentation\.transforms\[1\]\.sigma: "):
             ExperimentConfig.from_dict(raw)
+
+    def test_integer_up_to_the_largest_float_accepted(self):
+        largest = int(sys.float_info.max)
+        config = ExperimentConfig.from_dict(minimal(training={"learning_rate": largest}))
+        assert config.training.learning_rate == largest
 
     def test_missing_dataset_parameter_named(self):
         with pytest.raises(ConfigError, match=r"missing required key 'dataset\.path'"):
@@ -196,15 +256,18 @@ class TestTypes:
         assert config.model.cluster_count is None and config.out_dir is None
 
 
-# Every field of every section, every blob parameter, and every key of an
-# explicit transform.
-SECTIONS = {"model": ModelSection, "losses": LossSection, "training": TrainingSection}
+# Every field of every section, every blob parameter, and every key of
+# every transform kind.
 FIELD_PATHS = (
     [(f.name,) for f in fields(ExperimentConfig)]
     + [(name, f.name) for name, cls in SECTIONS.items() for f in fields(cls)]
     + [("dataset", key) for key in (*BLOBS, "standardize")]
     + [("augmentation", "preset")]
-    + [("augmentation", "transforms", 0, key) for key in ("kind", "probability", "low", "high")]
+    + [
+        ("augmentation", "transforms", i, key)
+        for i, entry in enumerate(EVERY_TRANSFORM)
+        for key in entry
+    ]
 )
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -216,8 +279,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
 def test_any_json_value_parses_or_raises_config_error(path, value):
-    scale = {"kind": "scale_jitter", "probability": 0.5, "low": 0.9, "high": 1.1}
-    raw = minimal(augmentation={"transforms": [scale]}, out_dir="runs/x")
+    raw = minimal(augmentation={"transforms": copy.deepcopy(EVERY_TRANSFORM)}, out_dir="runs/x")
     node = raw
     for key in path[:-1]:
         node = node[key] if isinstance(key, int) else node.setdefault(key, {})
@@ -282,9 +344,11 @@ class TestResolve:
         config = ExperimentConfig.from_dict(minimal())
         resolved = config.resolve(build_dataset(config.dataset))
         assert resolved.augmentation.preset is None
-        kinds = [t["kind"] for t in resolved.augmentation.transforms]
+        kinds = [t.kind for t in resolved.augmentation.transforms]
         assert kinds == ["gaussian_jitter", "scale_jitter", "coordinate_mask"]
-        for transform in resolved.augmentation.transforms:
+        echoed = resolved.to_dict()["augmentation"]["transforms"]
+        assert [t["kind"] for t in echoed] == kinds
+        for transform in echoed:
             assert "probability" in transform
 
     def test_unlabeled_dataset_needs_explicit_cluster_count(self):
@@ -384,7 +448,7 @@ class TestAugmentationSection:
 
     def test_empty_transform_list_allowed(self):
         section = AugmentationSection.from_dict({"transforms": []})
-        pipeline = build_pipeline(section, VectorGeometry(3))
+        pipeline = AugmentationPipeline(section.transforms, VectorGeometry(3))
         assert pipeline.transforms == ()
 
 
@@ -398,27 +462,66 @@ class TestBuildPipeline:
                 ]
             }
         )
-        pipeline = build_pipeline(section, VectorGeometry(4))
-        assert isinstance(pipeline, AugmentationPipeline)
-        (spec0, p0), (spec1, p1) = pipeline.transforms
-        assert spec0.kind == "gaussian_jitter" and spec0.sigma == 0.3 and p0 == 0.5
-        assert spec1.kind == "scale_jitter" and (spec1.low, spec1.high) == (0.9, 1.1)
+        assert section.transforms == (
+            GaussianJitter(probability=0.5, sigma=0.3),
+            ScaleJitter(probability=1.0, low=0.9, high=1.1),
+        )
+        pipeline = AugmentationPipeline(section.transforms, VectorGeometry(4))
+        assert pipeline.transforms == section.transforms
 
     def test_image_transform_on_vector_geometry_rejected(self):
         section = AugmentationSection.from_dict(
             {"transforms": [{"kind": "horizontal_flip", "probability": 1.0}]}
         )
-        with pytest.raises(ConfigError, match="geometry"):
-            build_pipeline(section, VectorGeometry(4))
+        with pytest.raises(ConfigError, match=r"^config: augmentation\.transforms\[0\]: .*geometry"):
+            AugmentationPipeline(section.transforms, VectorGeometry(4))
 
     def test_default_preset_follows_geometry(self):
-        section = AugmentationSection.from_dict({"preset": "default"})
-        vector = build_pipeline(section, VectorGeometry(4))
-        image = build_pipeline(section, ImageGeometry(8, 8))
-        vector_kinds = {spec.kind for spec, _ in vector.transforms}
-        image_kinds = {spec.kind for spec, _ in image.transforms}
+        vector_kinds = {spec.kind for spec in default_transforms(VectorGeometry(4))}
+        image_kinds = {spec.kind for spec in default_transforms(ImageGeometry(8, 8))}
         assert "gaussian_jitter" in vector_kinds
         assert "resized_crop" in image_kinds
+
+
+# The same transforms with every number integer-valued and as a float.
+INTEGRAL_VECTOR = [
+    {"kind": "gaussian_jitter", "probability": 1, "sigma": 1},
+    {"kind": "scale_jitter", "probability": 1, "low": 1, "high": 2},
+    {"kind": "coordinate_mask", "probability": 1, "fraction": 0},
+]
+INTEGRAL_IMAGE = [
+    {"kind": "resized_crop", "probability": 1, "min_area_fraction": 1},
+    {"kind": "brightness_jitter", "probability": 1, "low": 0, "high": 2},
+    {"kind": "gaussian_blur", "probability": 1, "sigma": 2},
+    {"kind": "horizontal_flip", "probability": 0},
+]
+
+
+def _as_floats(transforms):
+    return [{k: float(v) if type(v) is int else v for k, v in t.items()} for t in transforms]
+
+
+@pytest.mark.parametrize(
+    "transforms, geometry",
+    [(INTEGRAL_VECTOR, VectorGeometry(6)), (INTEGRAL_IMAGE, ImageGeometry(7, 9))],
+    ids=["vector", "image"],
+)
+def test_integer_transform_numbers_act_like_floats(transforms, geometry):
+    """An integer in a transform's number field gives the same parsed
+    transform and views as that number written as a float, and the echo
+    gives each number back as it was written."""
+    x = np.random.default_rng(3).uniform(size=geometry.size)
+    results = []
+    for entries in (transforms, _as_floats(transforms)):
+        config = ExperimentConfig.from_dict(minimal(augmentation={"transforms": entries}))
+        pipeline = AugmentationPipeline(config.augmentation.transforms, geometry)
+        _blur_matrix.cache_clear()  # its cache does not tell 2 from 2.0
+        draws = epoch_draws(pipeline, 4, 1, 8)
+        views = [v.tobytes() for i in range(8) for v in make_pair(pipeline, x, pair_rng(draws, i))]
+        echo = json.dumps(config.to_dict()["augmentation"], sort_keys=True)
+        assert echo == json.dumps({"transforms": entries}, sort_keys=True)
+        results.append((config.augmentation, views))
+    assert results[0] == results[1]
 
 
 class TestBuildDataset:
@@ -512,10 +615,13 @@ class TestOneHomeForSettings:
         # Each model, loss and Adam setting has its default in config.py
         # only; the model, the losses and Adam read the section itself. A
         # per-head copy would drop the head from the name, as in
-        # ``temperature``.
+        # ``temperature``. A transform's fields have no default anywhere:
+        # an explicit transform spells out every one, and the preset
+        # sits in augment.default_transforms.
         sections = (ModelSection, LossSection, TrainingSection)
         settings = {f.name for section in sections for f in fields(section)}
         settings |= {name.split("_", 1)[1] for name in settings if name.endswith("_temperature")}
+        settings |= {f.name for cls in TRANSFORMS.values() for f in fields(cls)}
         copies = []
         for info in pkgutil.iter_modules(dualclust.__path__):
             if info.name == "config":

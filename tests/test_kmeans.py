@@ -36,8 +36,8 @@ def assert_same_bits(got, want):
     assert got[2] == want[2]
 
 
-class TestParallelRestarts:
-    """Restarts run on a thread pool; the result must be the serial loop's, bit for bit."""
+class TestRestarts:
+    """The best of the restarts must be the reference loop's, bit for bit."""
 
     @pytest.mark.parametrize("n_restarts", [1, 3, 10])
     def test_matches_serial_loop(self, n_restarts):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dualclust.autodiff as ad
 import dualclust.trainer
+from dualclust.augment import Identity
 from dualclust.config import (
     ABLATION_MODES,
     AugmentationSection,
@@ -410,7 +411,7 @@ class TestTrain:
             model=ModelSection(encoder_widths=(8,), instance_dim=4, cluster_count=2),
             training=TrainingSection(batch_size=4, epochs=1),
             augmentation=AugmentationSection(
-                preset=None, transforms=({"kind": "identity", "probability": 1.0},)
+                preset=None, transforms=(Identity(probability=1.0),)
             ),
         )
         with pytest.raises(DegenerateInputError, match=r"epoch 0, batch 0"):
