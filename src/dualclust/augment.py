@@ -18,7 +18,9 @@ Determinism contract: every random value of an epoch's views comes
 from one Philox stream keyed by (seed, epoch). `epoch_draws` draws it
 in whole arrays, transform by transform in pipeline order, with rows in
 sample-index order; `pair_rng` takes one sample's share of it and
-`make_pair` applies that share with no further draw. Identical
+`make_pair` applies that share with no further draw to the first
+``augmented`` views of the pair (2 by default; an ablation mode may
+leave one or both as copies of the input). Identical
 (pipeline, input, share) produce byte-identical views, and a sample's
 views do not depend on batch order.
 """
@@ -45,8 +47,6 @@ __all__ = [
     "pair_rng",
     "make_pair",
 ]
-
-PAIR_MODES = ("two_views", "raw_second", "raw_both")
 
 # Images at or above this side length keep the blur stage by default;
 # smaller ones drop it.
@@ -330,25 +330,21 @@ def _non_finite_step(pipeline: AugmentationPipeline, x, share, view) -> str:
     return f"transform {spec.kind} produced non-finite values"
 
 
-def make_pair(pipeline: AugmentationPipeline, x, share, mode: str = "two_views"):
+def make_pair(pipeline: AugmentationPipeline, x, share, augmented: int = 2):
     """Two correlated views of one instance vector, from its ``pair_rng``
     share of the epoch's draws.
 
-    "two_views" applies both views' draws; "raw_second" pairs the first
-    view with the untouched input; "raw_both" returns the input twice
-    (the no-augmentation control).
+    The first ``augmented`` views (2, 1 or 0) apply their draws; the
+    others are copies of the input, so 0 is the no-augmentation control.
     """
-    if mode not in PAIR_MODES:
-        raise ConfigError(f"make_pair: unknown mode {mode!r}, expected one of {PAIR_MODES}")
+    if augmented not in (0, 1, 2):
+        raise ConfigError(f"make_pair: augmented must be 0, 1 or 2, got {augmented!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != pipeline.geometry.size:
         raise ShapeError(
             f"make_pair: expected a flat vector of length {pipeline.geometry.size}, "
             f"got shape {x.shape}"
         )
-    if mode == "raw_both":
-        return x.copy(), x.copy()
-    view_a = _view(pipeline, x, share, 0)
-    if mode == "raw_second":
-        return view_a, x.copy()
-    return view_a, _view(pipeline, x, share, 1)
+    view_a = _view(pipeline, x, share, 0) if augmented > 0 else x.copy()
+    view_b = _view(pipeline, x, share, 1) if augmented > 1 else x.copy()
+    return view_a, view_b

@@ -1,14 +1,17 @@
 """Dense float64 matrices with reverse-mode differentiation.
 
-The engine is deliberately small: a fixed set of primitives, each with a
-hand-written vector-Jacobian product, sufficient to express the encoder,
-the two projection heads, and both contrastive losses, which share the
-fused NT-Xent primitive ``ntxent``; the fused ``mass_entropy`` is the
-cluster loss's entropy term. These take both augmented views as 2N
-stacked rows [A; B], row i paired with row i + N; ``transpose_halves``
-stacks the soft-label columns. There is no general broadcasting (the
-single exception is the bias row that ``linear`` adds to every row) and
-no higher-order machinery. Every primitive is finite-difference tested.
+The engine is deliberately small: seven primitives, ``add``, ``linear``,
+``relu``, ``softmax_rows``, ``transpose_halves``, ``ntxent`` and
+``mass_entropy``, each with a hand-written vector-Jacobian product,
+sufficient to express the encoder, the two projection heads, and both
+contrastive losses, which share the fused NT-Xent primitive ``ntxent``;
+the fused ``mass_entropy``, which takes the signed entropy weight, is
+the cluster loss's entropy term. The last three take both augmented
+views as 2N stacked rows [A; B], row i paired with row i + N;
+``transpose_halves`` stacks the soft-label columns. There is no general
+broadcasting (the single exception is the bias row that ``linear`` adds
+to every row) and no higher-order machinery. Every primitive is
+finite-difference tested.
 
 Matrices are plain 2-D float64 numpy arrays throughout; ``as_matrix``
 is the boundary check. A primitive lifts a plain-array argument to a
@@ -39,7 +42,6 @@ __all__ = [
     "linear",
     "relu",
     "softmax_rows",
-    "scale",
     "transpose_halves",
     "ntxent",
     "mass_entropy",
@@ -193,13 +195,6 @@ def softmax_rows(m) -> Node:
         return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
 
     return Node(y, "softmax_rows", (m,), vjp)
-
-
-def scale(m, c: float) -> Node:
-    """Multiply every entry by the constant ``c``."""
-    m = lift(m)
-    c = float(c)
-    return Node(m.value * c, "scale", (m,), lambda g: (g * c,))
 
 
 def view_rows(op: str, m) -> int:
@@ -376,10 +371,11 @@ def ntxent(x, temperature: float, exclude_self: bool) -> Node:
     return node
 
 
-def mass_entropy(y, floor: float) -> Node:
+def mass_entropy(y, floor: float, weight: float = 1.0) -> Node:
     """Summed entropy of the two views' column masses over the 2N stacked
-    rows [A; B] of two n-row matrices, as a 1 x 1 node: the sum over
-    views of -sum_j p_j log max(p_j, floor), p = (1^T V) / n.
+    rows [A; B] of two n-row matrices, times the signed ``weight``, as a
+    1 x 1 node: ``weight`` times the sum over views of
+    -sum_j p_j log max(p_j, floor), p = (1^T V) / n.
 
     The floor defines 0 log 0 = 0 with a bounded gradient. Column sums
     come before the division, so integer-valued sums stay exact and
@@ -388,7 +384,7 @@ def mass_entropy(y, floor: float) -> Node:
     """
     y = lift(y)
     n = view_rows("mass_entropy", y)
-    floor = float(floor)
+    floor, weight = float(floor), float(weight)
     inv_n = float(1.0 / n)
     ones = np.ones((1, n))
     p = np.vstack([ones @ y.value[:n], ones @ y.value[n:]])  # one row per view
@@ -401,12 +397,13 @@ def mass_entropy(y, floor: float) -> Node:
     logp = np.log(clipped)
 
     def vjp(g):
-        # (gs p) / clipped is kept as written: it rounds as the unfused chain did.
-        gs = -g
+        # The weight scales g first, and (gs p) / clipped is kept as written:
+        # both round as the unfused chain did.
+        gs = -(g * weight)
         dp = gs * logp
         dp += (gs * p) / clipped * (p > floor)
         dp *= inv_n
         return (np.vstack([ones.T @ dp[:1], ones.T @ dp[1:]]),)
 
     per_view = (p * logp).sum(axis=1)
-    return Node([[(per_view[0] + per_view[1]) * -1.0]], "mass_entropy", (y,), vjp)
+    return Node([[(per_view[0] + per_view[1]) * -1.0 * weight]], "mass_entropy", (y,), vjp)

@@ -18,6 +18,7 @@ import json
 import sys
 import types
 import typing
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -45,10 +46,33 @@ __all__ = [
     "parse_section",
     "check_value",
     "build_dataset",
+    "ABLATIONS",
     "ABLATION_MODES",
+    "ablation_mode",
 ]
 
-ABLATION_MODES = ("full", "ich_only", "cch_only", "raw_second_view", "raw_both_views")
+
+# The one statement of each ablation mode: whether it trains the instance
+# term and the cluster term, and how many views of a pair it augments (the
+# others are the raw input). A mode without the cluster term assigns
+# clusters by k-means.
+Ablation = namedtuple("Ablation", "instance cluster augmented")
+ABLATIONS = {
+    "full": Ablation(True, True, 2),
+    "ich_only": Ablation(True, False, 2),
+    "cch_only": Ablation(False, True, 2),
+    "raw_second_view": Ablation(True, True, 1),
+    "raw_both_views": Ablation(True, True, 0),
+}
+ABLATION_MODES = tuple(ABLATIONS)
+
+
+def ablation_mode(name: str) -> Ablation:
+    """The ``ABLATIONS`` row of mode ``name``."""
+    expected = f"expected one of {ABLATION_MODES}"
+    _require(name in ABLATIONS, "ablation", f"unknown mode {name!r}, {expected}")
+    return ABLATIONS[name]
+
 
 # Parameters of each dataset kind and their types. One whose type admits
 # None may be left out.
@@ -144,17 +168,22 @@ class DatasetConfig:
     params: dict = field(default_factory=dict)
     standardize: bool | None = None  # None: on for vector data, off for images
 
+    def __post_init__(self):
+        kind = _kind({"kind": self.kind}, DATASET_PARAMS, "dataset", "dataset kind")
+        schema = DATASET_PARAMS[kind]
+        required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
+        _check_keys(self.params, schema, required, "dataset", f": not a parameter of {kind!r}")
+        for key, value in self.params.items():
+            check_value(schema[key], value, f"dataset.{key}")
+        if "seed" in self.params:
+            _require(self.params["seed"] >= 0, "dataset.seed", "must be nonnegative")
+        check_value(bool | None, self.standardize, "dataset.standardize")
+
     @classmethod
     def from_dict(cls, raw: dict, path: str = "dataset") -> "DatasetConfig":
         kind = _kind(raw, DATASET_PARAMS, path, "dataset kind")
-        schema = {"standardize": bool | None, **DATASET_PARAMS[kind]}
-        required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
-        _check_keys(raw, {"kind", *schema}, required, path, f": not a parameter of {kind!r}")
-        params = {k: check_value(schema[k], raw[k], f"{path}.{k}") for k in raw if k != "kind"}
-        if "seed" in params:
-            _require(params["seed"] >= 0, f"{path}.seed", "must be nonnegative")
-        standardize = params.pop("standardize", None)
-        return cls(kind=kind, params=params, standardize=standardize)
+        params = {key: value for key, value in raw.items() if key not in ("kind", "standardize")}
+        return cls(kind=kind, params=params, standardize=raw.get("standardize"))
 
 
 @dataclass(frozen=True)
@@ -252,11 +281,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # Here rather than in from_dict, so that a --seed override is checked too.
         _require(self.seed >= 0, "seed", "must be nonnegative")
-        if self.ablation not in ABLATION_MODES:
-            raise ConfigError(
-                f"config: ablation: unknown mode {self.ablation!r}, "
-                f"expected one of {ABLATION_MODES}"
-            )
+        ablation_mode(self.ablation)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -272,6 +297,9 @@ class ExperimentConfig:
                     "config: model.cluster_count must be set for unlabeled data"
                 )
             cluster_count = int(np.unique(dataset.labels).size)
+        kmeans_fits = ablation_mode(self.ablation).cluster or cluster_count <= dataset.n
+        message = f"{cluster_count} exceeds the {dataset.n} samples that k-means assigns"
+        _require(kmeans_fits, "model.cluster_count", f"{message} in {self.ablation!r}")
         init_seed = self.model.init_seed
         if init_seed is None:
             init_seed = self.seed
@@ -337,8 +365,6 @@ def build_dataset(config: DatasetConfig) -> Dataset:
     loaders = {
         "gaussian_blobs": gaussian_blobs, "two_moons": two_moons, "csv": load_csv, "idx": load_idx
     }
-    if config.kind not in loaders:
-        raise ConfigError(f"config: dataset.kind: unknown dataset kind {config.kind!r}")
     dataset = loaders[config.kind](**config.params)
     flag = config.standardize
     if flag is None:

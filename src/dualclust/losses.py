@@ -10,9 +10,9 @@ stacked rows are divided by a temperature, and each row's positive
 partner is the matching row of the other view. The instance loss
 contrasts the 2N projected samples; the cluster loss contrasts the 2M
 soft-label columns, stacked by ``autodiff.transpose_halves``, and
-subtracts an assignment-entropy term, one fused ``autodiff.mass_entropy``
-node over both views, that pushes cluster masses toward uniform to
-prevent the all-in-one-cluster collapse.
+subtracts an assignment-entropy term, one fused and weighted
+``autodiff.mass_entropy`` node over both views, that pushes cluster
+masses toward uniform to prevent the all-in-one-cluster collapse.
 
 Both losses take their settings from one ``config.LossSection``, which
 holds each default and range check: the instance loss reads
@@ -126,9 +126,9 @@ def cluster_loss(y, config: LossSection = LossSection()) -> ad.Node:
     )
     # The rows were checked above: the fused term, not assignment_entropy,
     # which would check them again.
-    entropy = ad.mass_entropy(y, ENTROPY_LOG_FLOOR)
     sign = 1.0 if config.literal_entropy_sign else -1.0
-    loss = ad.add(contrastive, ad.scale(entropy, sign * config.entropy_weight))
+    entropy = ad.mass_entropy(y, ENTROPY_LOG_FLOOR, sign * config.entropy_weight)
+    loss = ad.add(contrastive, entropy)
     loss.unit = contrastive.unit
     return loss
 

@@ -2,12 +2,15 @@
 
 One step is one forward pass over both augmented views as 2N stacked
 rows [views_a; views_b] -> joint loss -> backward -> parameter update.
-The joint objective is the plain sum of the instance and cluster terms;
-ablation switches drop either one. Everything is seeded: batch order,
-the parameter init and augmentation, whose random values for an epoch
-are drawn at its start in whole arrays from one (seed, epoch) stream;
-each sample's pair is then made from its share of them (``pair_rng``,
-``make_pair``). Identical configs reproduce byte-identical reports.
+The joint objective is the plain sum of the instance and cluster terms
+(``loss_terms``). The ablation mode's row of ``config.ABLATIONS`` says
+which terms are on and how many views of a pair are augmented; a mode
+without the cluster term assigns by k-means. Everything is seeded: batch
+order, the parameter init and augmentation, whose random values for an
+epoch are drawn at its start in whole arrays from one (seed, epoch)
+stream; each sample's pair is then made from its share of them
+(``pair_rng``, ``make_pair``). Identical configs reproduce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentationPipeline, epoch_draws, make_pair, pair_rng
-from .config import ExperimentConfig, LossSection, TrainingSection
+from .config import ExperimentConfig, LossSection, TrainingSection, ablation_mode
 from .data import Dataset
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .kmeans import kmeans
@@ -32,7 +35,7 @@ __all__ = [
     "TrainReport",
     "REPORT_COLUMNS",
     "adam_step",
-    "total_loss",
+    "loss_terms",
     "train",
     "evaluate",
     "assign",
@@ -138,43 +141,16 @@ def _raise_non_finite(params: ModelParams, grad, square) -> None:
     raise DegenerateInputError(f"gradient of {name} {reason}")
 
 
-def _loss_terms(z, y, config: LossSection, include_instance, include_cluster):
+def loss_terms(z, y, config: LossSection, instance: bool = True, cluster: bool = True):
     """(instance term, cluster term, joint objective) of the 2N stacked
-    projections ``z`` and soft labels ``y``; a switched-off term is None."""
-    term_ins = instance_loss(z, config) if include_instance else None
-    term_clu = cluster_loss(y, config) if include_cluster else None
+    projections ``z`` and soft labels ``y``: a term that is off is None, and
+    the objective is the sum of the terms that are on, the one term's own
+    node, or the constant 0."""
+    term_ins = instance_loss(z, config) if instance else None
+    term_clu = cluster_loss(y, config) if cluster else None
     if term_ins is not None and term_clu is not None:
         return term_ins, term_clu, ad.add(term_ins, term_clu)
     return term_ins, term_clu, term_ins or term_clu or ad.lift(np.zeros((1, 1)))
-
-
-def total_loss(
-    z,
-    y,
-    config: LossSection = LossSection(),
-    include_instance: bool = True,
-    include_cluster: bool = True,
-) -> ad.Node:
-    """Joint objective: unweighted sum of the two heads' losses over the
-    2N stacked rows ``z`` and ``y``.
-
-    With one term switched off the result is the other term's node
-    itself; with both off it is the constant 0.
-    """
-    return _loss_terms(z, y, config, include_instance, include_cluster)[2]
-
-
-def _term_switches(ablation: str) -> tuple[bool, bool]:
-    # The raw_* modes ablate augmentation only; the objective stays joint.
-    return ablation != "cch_only", ablation != "ich_only"
-
-
-def _pair_mode(ablation: str) -> str:
-    if ablation == "raw_second_view":
-        return "raw_second"
-    if ablation == "raw_both_views":
-        return "raw_both"
-    return "two_views"
 
 
 @dataclass(frozen=True)
@@ -231,7 +207,7 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _batch_views(pipeline, samples, draws, indices, pair_mode):
+def _batch_views(pipeline, samples, draws, indices, augmented):
     """The 2B stacked view rows [views_a; views_b] of the samples at
     ``indices``. An overflow in a transform raises no warning: the view's
     finiteness check stops it, and the error names the sample."""
@@ -239,9 +215,8 @@ def _batch_views(pipeline, samples, draws, indices, pair_mode):
     with np.errstate(over="ignore", invalid="ignore"):
         for j, i in enumerate(indices.tolist()):
             try:
-                views[0, j], views[1, j] = make_pair(
-                    pipeline, samples[i], pair_rng(draws, i), mode=pair_mode
-                )
+                share = pair_rng(draws, i)
+                views[0, j], views[1, j] = make_pair(pipeline, samples[i], share, augmented)
             except ContractError as exc:
                 raise ContractError(f"sample {i}: {exc}") from exc
     return views.reshape(2 * len(indices), samples.shape[1])
@@ -255,8 +230,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     dropped, so every loss is computed at the same batch size. Metrics
     columns are filled per epoch when the dataset has labels, always on
     raw (un-augmented) inputs, from the mode's assignments (``assign``).
-    ``ich_only`` never trains the cluster head and assigns by k-means, so
-    it fills them on the last epoch only.
+    A mode that never trains the cluster head assigns by k-means, so it
+    fills them on the last epoch only.
     """
     if dataset.n == 0:
         raise ContractError("train: dataset is empty")
@@ -271,8 +246,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     params = init_params(config.model, dataset.dim)
     state = OptimizerState.for_params(params, settings)
     pipeline = AugmentationPipeline(config.augmentation.transforms, dataset.geometry)
-    include_instance, include_cluster = _term_switches(config.ablation)
-    pair_mode = _pair_mode(config.ablation)
+    mode = ablation_mode(config.ablation)
 
     # The graph leaves share storage with the buffer Adam updates in
     # place, so they stay valid across steps.
@@ -287,11 +261,11 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         for start in range(0, dataset.n - batch + 1, batch):
             try:
                 views = _batch_views(
-                    pipeline, dataset.samples, draws, order[start : start + batch], pair_mode
+                    pipeline, dataset.samples, draws, order[start : start + batch], mode.augmented
                 )
                 z, y = forward_graph(param_nodes, views)[1:]
-                term_ins, term_clu, total = _loss_terms(
-                    z, y, config.losses, include_instance, include_cluster
+                term_ins, term_clu, total = loss_terms(
+                    z, y, config.losses, mode.instance, mode.cluster
                 )
                 # A non-finite loss stops the step here; adam_step checks
                 # the gradients before it writes anything.
@@ -323,10 +297,10 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         # evaluation runs over all n rows.
         del draws, views, z, y, term_ins, term_clu, total, gradients
         means = {key: value / batch_count for key, value in sums.items()}
-        means["l_ins"] = means["l_ins"] if include_instance else None
-        means["l_clu"] = means["l_clu"] if include_cluster else None
+        means["l_ins"] = means["l_ins"] if mode.instance else None
+        means["l_clu"] = means["l_clu"] if mode.cluster else None
         metrics = metric_bundle(None, None)
-        if dataset.labels is not None and (include_cluster or epoch == settings.epochs - 1):
+        if dataset.labels is not None and (mode.cluster or epoch == settings.epochs - 1):
             try:
                 metrics, report.assignments = evaluate(
                     params, dataset, config.ablation, config.seed
@@ -353,9 +327,9 @@ def evaluate(
 
 def assign(params: ModelParams, samples, ablation: str = "full", seed: int = 0) -> np.ndarray:
     """Cluster index per sample under an ablation mode: the cluster head's
-    argmax, except in ``ich_only``, which never trains that head and
-    assigns by seeded k-means over the instance projections."""
-    if ablation == "ich_only":
+    argmax, except in a mode that never trains that head, which assigns
+    by seeded k-means over the instance projections."""
+    if not ablation_mode(ablation).cluster:
         return instance_space_assignments(params, samples, params.config.cluster_count, seed)
     return predict_assignments(params, samples)
 

@@ -34,7 +34,7 @@ from dualclust.config import (
 from dualclust.losses import assignment_entropy, cluster_loss, instance_loss, pair_similarity_stats
 from dualclust.metrics import ari, clustering_accuracy, hungarian, nmi
 from dualclust.model import forward, forward_graph, init_params
-from dualclust.trainer import total_loss, train
+from dualclust.trainer import loss_terms, train
 
 from test_losses_cluster import naive_cluster_loss, random_row_stochastic
 from test_losses_instance import naive_instance_loss
@@ -119,11 +119,11 @@ def test_criterion_1_gradient_fidelity():
 
         def loss_value():
             _, z, y = forward_graph(params.nodes(), ad.lift(batch))
-            return total_loss(z, y)
+            return loss_terms(z, y, LossSection())[2]
 
         root_nodes = params.nodes()
         _, z, y = forward_graph(root_nodes, ad.lift(batch))
-        root = total_loss(z, y)
+        root = loss_terms(z, y, LossSection())[2]
         for node in root_nodes.values():
             node.grad = np.zeros_like(node.value)
         ad.backward(root)

@@ -35,7 +35,7 @@ def share(pipeline, seed=0, epoch=0, index=0):
 
 def one_view(pipeline, x, seed=0, epoch=0, index=0):
     """The first view of sample ``index``'s pair."""
-    return make_pair(pipeline, x, share(pipeline, seed, epoch, index), mode="raw_second")[0]
+    return make_pair(pipeline, x, share(pipeline, seed, epoch, index), augmented=1)[0]
 
 
 def jitter_pipeline(dim, sigma=0.1, probability=1.0):
@@ -132,7 +132,7 @@ class TestSampleView:
         x = np.ones(3)
         draws = epoch_draws(pipeline, 0, 0, n)
         applied = sum(
-            make_pair(pipeline, x, pair_rng(draws, i), mode="raw_second")[0][0] == 2.0
+            make_pair(pipeline, x, pair_rng(draws, i), augmented=1)[0][0] == 2.0
             for i in range(n)
         )
         margin = 4.0 * np.sqrt(n * p * (1 - p))
@@ -231,14 +231,14 @@ class TestMakePair:
     def test_raw_both_returns_input_twice(self):
         pipeline = jitter_pipeline(6)
         x = np.arange(6.0)
-        a, b = make_pair(pipeline, x, share(pipeline), mode="raw_both")
+        a, b = make_pair(pipeline, x, share(pipeline), augmented=0)
         np.testing.assert_array_equal(a, x)
         np.testing.assert_array_equal(b, x)
 
     def test_raw_second_keeps_second_view_untouched(self):
         pipeline = jitter_pipeline(6)
         x = np.arange(6.0)
-        a, b = make_pair(pipeline, x, share(pipeline, seed=1), mode="raw_second")
+        a, b = make_pair(pipeline, x, share(pipeline, seed=1), augmented=1)
         np.testing.assert_array_equal(b, x)
         assert not np.array_equal(a, x)
 
@@ -252,8 +252,9 @@ class TestMakePair:
         assert not np.array_equal(a1, b1)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="mode"):
-            make_pair(jitter_pipeline(3), np.ones(3), share(jitter_pipeline(3)), mode="no")
+        # A pair has two views: at most two of them are augmented.
+        with pytest.raises(ConfigError, match="augmented must be 0, 1 or 2, got 3"):
+            make_pair(jitter_pipeline(3), np.ones(3), share(jitter_pipeline(3)), augmented=3)
 
     def test_substreams_are_order_independent(self):
         # A sample's share is the same whichever order the samples are

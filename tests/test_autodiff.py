@@ -30,7 +30,6 @@ PRIMITIVE_FD_TESTS = {
     "linear": "test_linear",
     "relu": "test_relu",
     "softmax_rows": "test_softmax_rows",
-    "scale": "test_scalar_ops",
     "transpose_halves": "test_transpose_concat_sum",
     "ntxent": "test_ntxent",
     "mass_entropy": "test_mass_entropy",
@@ -63,7 +62,6 @@ class TestMatrixBasics:
         for node in (
             ad.softmax_rows(m),
             ad.relu(m),
-            ad.scale(m, 3.0),
             ad.ntxent(m, 0.5, exclude_self=True),
             ad.transpose_halves(m),
             ad.mass_entropy(np.abs(m), 1e-12),
@@ -122,7 +120,7 @@ class TestNtxent:
         weight = 1.7
         leaf = ad.lift(x)
         node = ad.ntxent(leaf, temperature, exclude_self)
-        ad.backward(ad.scale(node, weight))
+        ad.backward(weighted_sum(node, [[weight]]))
         value, grad = reference_ntxent(x, temperature, exclude_self, weight)
         np.testing.assert_allclose(node.value[0, 0], value, rtol=1e-12)
         np.testing.assert_allclose(leaf.grad, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
@@ -139,7 +137,7 @@ class TestNtxent:
             x = rng.normal(size=(rows, 4))
             for x in (x, np.roll(x, rows // 2, axis=0)):
                 leaf = ad.lift(x)
-                root = ad.scale(ad.ntxent(leaf, 0.3, exclude_self), 1.7)
+                root = weighted_sum(ad.ntxent(leaf, 0.3, exclude_self), [[1.7]])
                 ad.backward(root)
                 first = leaf.grad.copy()
                 ad.backward(root)
@@ -178,11 +176,28 @@ class TestMassEntropy:
         views = [soft_labels_with_empty_columns(rng, n, m) for _ in range(2)]
         g = rng.normal(size=(1, 1))
         leaf = ad.lift(np.vstack(views))
-        root = ad.scale(ad.mass_entropy(leaf, ENTROPY_LOG_FLOOR), g[0, 0])
+        root = weighted_sum(ad.mass_entropy(leaf, ENTROPY_LOG_FLOOR), g)
         ad.backward(root)
         value, grads = reference_entropy_chain(views, ENTROPY_LOG_FLOOR, g)
         np.testing.assert_array_equal(root.parents[0].value, value)
         np.testing.assert_array_equal(leaf.grad, np.vstack(grads))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weight_matches_a_weighted_probe_bit_for_bit(self, seed):
+        # The weight scales the value and the incoming gradient with the
+        # same float operations as a weighting node above the unweighted
+        # term.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 600)), int(rng.integers(3, 21))
+        y = np.vstack([soft_labels_with_empty_columns(rng, n, m) for _ in range(2)])
+        weight = float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4))
+        fused, probed = ad.lift(y), ad.lift(y)
+        root = ad.mass_entropy(fused, ENTROPY_LOG_FLOOR, weight)
+        probe = weighted_sum(ad.mass_entropy(probed, ENTROPY_LOG_FLOOR), [[weight]])
+        ad.backward(root)
+        ad.backward(probe)
+        np.testing.assert_array_equal(root.value, probe.value)
+        np.testing.assert_array_equal(fused.grad, probed.grad)
 
     def test_non_finite_mass_reports_column(self):
         y = np.full((6, 4), 0.25)
@@ -351,12 +366,6 @@ class TestPrimitiveGradients:
         w = rng.normal(size=(4, 5))
         check_gradients(lambda x: weighted_sum(ad.softmax_rows(x), w), [m])
 
-    def test_scalar_ops(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(3, 4))
-        w = rng.normal(size=(3, 4))
-        check_gradients(lambda x: weighted_sum(ad.scale(x, -1.7), w), [m])
-
     def test_transpose_concat_sum(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(4, 3))
@@ -368,7 +377,8 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(6, 4))
         temperature, weight = rng.uniform(0.3, 1.5), rng.normal()
-        check_gradients(lambda x: ad.scale(ad.ntxent(x, temperature, exclude_self), weight), [x])
+        probe = [[weight]]
+        check_gradients(lambda x: weighted_sum(ad.ntxent(x, temperature, exclude_self), probe), [x])
 
     def test_mass_entropy(self, seed):
         # Column 0's mass lies in [0.02, 0.1], below the 0.15 floor, and
@@ -378,7 +388,7 @@ class TestPrimitiveGradients:
         y = rng.uniform(0.2, 1.0, size=(10, 4))
         y[:, 0] *= 0.1
         weight = rng.normal()
-        check_gradients(lambda x: ad.scale(ad.mass_entropy(x, 0.15), weight), [y])
+        check_gradients(lambda x: ad.mass_entropy(x, 0.15, weight), [y])
 
 
 def test_every_exported_primitive_is_finite_difference_tested():

@@ -215,6 +215,29 @@ class TestRun:
         assert err.startswith(f"error [ConfigError]: config: model.{field}: "), err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_kmeans_cluster_count_beyond_the_samples_fails_before_any_artifact(
+        self, tmp_path, config_path, capsys
+    ):
+        # ich_only assigns by k-means, which needs a sample per cluster.
+        # eval resolves the same config before it reads the checkpoint.
+        out = tmp_path / "run"
+        path = config_path(
+            out_dir=out,
+            dataset={"k": 2, "n_per": 8},
+            model={"cluster_count": 20},
+            ablation="ich_only",
+        )
+        want = (
+            "error [ConfigError]: config: model.cluster_count: 20 exceeds the 16 samples "
+            "that k-means assigns in 'ich_only'\n"
+        )
+        assert main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err == want
+        assert not out.exists() or not any(out.iterdir())
+        checkpoint = str(tmp_path / "missing.bin")
+        assert main(["eval", "--config", path, "--checkpoint", checkpoint]) == 1
+        assert capsys.readouterr().err == want
+
     def test_image_transform_on_vector_data_fails_before_any_artifact(
         self, tmp_path, config_path, capsys
     ):

@@ -1,5 +1,6 @@
 """Strict config parsing, defaults, and resolution tests."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -28,6 +29,8 @@ from dualclust.augment import (
     pair_rng,
 )
 from dualclust.config import (
+    ABLATION_MODES,
+    ABLATIONS,
     AugmentationSection,
     DatasetConfig,
     ExperimentConfig,
@@ -101,12 +104,17 @@ EVERY_TRANSFORM = [{"kind": kind, **values} for kind, values in TRANSFORM_FIELDS
 
 
 def _section(section, **values):
+    if section == "dataset":
+        params = {key: value for key, value in BLOBS.items() if key != "kind"}
+        return DatasetConfig(BLOBS["kind"], {**params, **values})
     if section in TRANSFORMS:
         return TRANSFORMS[section](**{**TRANSFORM_FIELDS[section], **values})
     return SECTIONS[section](**values)
 
 
 def _raw_section(section, key, value):
+    if section == "dataset":
+        return {"dataset": {**BLOBS, key: value}}
     if section in TRANSFORMS:
         entry = {"kind": section, **TRANSFORM_FIELDS[section], key: value}
         return {"augmentation": {"transforms": [entry]}}
@@ -120,8 +128,16 @@ BUILDERS = {
         minimal(**_raw_section(section, key, value))
     ),
     "direct": lambda section, key, value: _section(section, **{key: value}),
-    "replace": lambda section, key, value: replace(_section(section), **{key: value}),
+    "replace": lambda section, key, value: _replaced(_section(section), key, value),
 }
+
+
+def _replaced(built, key, value):
+    """``built`` copied with ``replace``; a dataset parameter sits in ``params``."""
+    if isinstance(built, DatasetConfig):
+        return replace(built, params={**built.params, key: value})
+    return replace(built, **{key: value})
+
 
 OUT_OF_RANGE = [
     ("training", "batch_size", 1),
@@ -150,6 +166,9 @@ OUT_OF_RANGE = [
     ("brightness_jitter", "low", -0.5),
     ("brightness_jitter", "high", 0.4),
     ("gaussian_blur", "sigma", -1.0),
+    ("dataset", "seed", -1),
+    ("dataset", "n_per", 2.5),
+    ("dataset", "separation", "far"),
 ]
 
 
@@ -177,6 +196,35 @@ class TestValidation:
     def test_empty_encoder_widths_rejected(self):
         with pytest.raises(ConfigError, match="encoder_widths"):
             ExperimentConfig.from_dict(minimal(model={"encoder_widths": []}))
+
+
+# Incomplete, extended and unknown dataset sections: rejected alike when
+# parsed, built in Python or copied with replace.
+MOONS = {"n": 40, "noise": 0.1, "seed": 0}
+DATASET_CASES = [
+    ("two_moons", {"n": 40}, r"missing required key 'dataset\.noise'"),
+    ("two_moons", {**MOONS, "k": 2}, r"unknown key 'dataset\.k': not a parameter of 'two_moons'"),
+    ("spiral", {}, r"dataset\.kind: unknown dataset kind 'spiral'"),
+    ("two_moons", {**MOONS, "seed": -1}, r"dataset\.seed: must be nonnegative"),
+]
+
+
+class TestDatasetConfig:
+    @pytest.mark.parametrize("kind, params, message", DATASET_CASES)
+    def test_checked_on_every_construction_path(self, kind, params, message):
+        built = DatasetConfig("two_moons", MOONS)
+        paths = (
+            lambda: ExperimentConfig.from_dict(minimal(dataset={"kind": kind, **params})),
+            lambda: DatasetConfig(kind=kind, params=params),
+            lambda: replace(built, kind=kind, params=params),
+        )
+        for build in paths:
+            with pytest.raises(ConfigError, match=f"^config: {message}"):
+                build()
+
+    def test_standardize_checked_when_built_in_python(self):
+        with pytest.raises(ConfigError, match=r"^config: dataset\.standardize: must be true"):
+            DatasetConfig("two_moons", MOONS, standardize="no")
 
 
 JITTER = {"kind": "gaussian_jitter", "probability": 1.0, "sigma": 0.1}
@@ -390,6 +438,21 @@ class TestResolve:
         message = r"^config: augmentation.transforms\[1\]: transform horizontal_flip needs image"
         with pytest.raises(ConfigError, match=message):
             config.resolve(build_dataset(config.dataset))
+
+    def test_kmeans_mode_needs_a_sample_per_cluster(self):
+        # A mode without the cluster term assigns by k-means over the n
+        # samples; the cluster head's argmax takes any count.
+        for ablation in ABLATION_MODES:
+            config = ExperimentConfig.from_dict(
+                minimal(model={"cluster_count": 65}, ablation=ablation)
+            )
+            dataset = build_dataset(config.dataset)
+            if ABLATIONS[ablation].cluster:
+                assert config.resolve(dataset).model.cluster_count == 65
+            else:
+                message = r"^config: model\.cluster_count: 65 exceeds the 64 samples"
+                with pytest.raises(ConfigError, match=message):
+                    config.resolve(dataset)
 
     def test_resolve_is_idempotent(self):
         config = ExperimentConfig.from_dict(minimal(out_dir="runs/x"))
@@ -632,3 +695,41 @@ class TestOneHomeForSettings:
                     owned = _defaulted_names(obj)
                     copies += [f"{module.__name__}.{o}.{n}" for o, n in owned if n in settings]
         assert copies == [], copies
+
+
+def _mode_name_tests(tree):
+    """Line numbers where code compares a value with a mode name, or
+    branches on one: a comparison, a match case or a dispatch table whose
+    operand or key is a mode name. A docstring is no comparison."""
+    def names(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(i, ast.Constant) and i.value in ABLATION_MODES for i in items)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            hit = any(names(operand) for operand in (node.left, *node.comparators))
+        elif isinstance(node, ast.MatchValue):
+            hit = names(node.value)
+        elif isinstance(node, ast.Dict):
+            hit = any(key is not None and names(key) for key in node.keys)
+        else:
+            continue
+        if hit:
+            yield node.lineno
+
+
+class TestOneHomeForAblationModes:
+    def test_modes_are_the_table_rows(self):
+        assert ABLATION_MODES == tuple(ABLATIONS)
+
+    def test_no_module_but_config_tests_a_mode_name(self):
+        # What a mode trains, augments and assigns with is read from its
+        # row of config.ABLATIONS; code elsewhere that tests a mode's name
+        # restates the table.
+        package = Path(dualclust.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name != "config.py":
+                tree = ast.parse(path.read_text())
+                found += [f"{path.name}:{line}" for line in _mode_name_tests(tree)]
+        assert found == [], found

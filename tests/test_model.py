@@ -56,10 +56,11 @@ class TestConfig:
         assert arrays["cluster_head.0.weight"].shape == (7, 9)
 
     def test_head_hidden_defaults_to_feature_dim(self):
-        dataset = build_dataset(DatasetConfig("two_moons", {"n": 8, "noise": 0.1, "seed": 0}))
+        moons = DatasetConfig("two_moons", {"n": 8, "noise": 0.1, "seed": 0})
+        dataset = build_dataset(moons)
         for hidden, want in ((None, 8), (17, 17)):
             section = ModelSection(encoder_widths=(10, 8), head_hidden_dim=hidden)
-            config = ExperimentConfig(dataset=DatasetConfig("two_moons"), model=section)
+            config = ExperimentConfig(dataset=moons, model=section)
             resolved = config.resolve(dataset).model
             assert resolved.head_hidden_dim == want
             assert init_params(resolved, 2).arrays["cluster_head.0.weight"].shape == (8, want)

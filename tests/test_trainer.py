@@ -35,7 +35,7 @@ from dualclust.trainer import (
     assign,
     evaluate,
     instance_space_assignments,
-    total_loss,
+    loss_terms,
     train,
 )
 
@@ -204,25 +204,25 @@ def random_views(seed, n=6, dim=5, m=4):
 class TestTotalLoss:
     def test_both_terms_dropped_gives_zero(self):
         z, y = random_views(0)
-        total = total_loss(z, y, include_instance=False, include_cluster=False)
+        total = loss_terms(z, y, LossSection(), instance=False, cluster=False)[2]
         assert total.value[0, 0] == 0.0
 
     def test_cluster_only_equals_cluster_loss_exactly(self):
         z, y = random_views(1)
-        total = total_loss(z, y, include_instance=False)
+        total = loss_terms(z, y, LossSection(), instance=False)[2]
         direct = cluster_loss(y)
         assert total.value[0, 0] == direct.value[0, 0]
 
     def test_instance_only_equals_instance_loss_exactly(self):
         z, y = random_views(2)
-        total = total_loss(z, y, include_cluster=False)
+        total = loss_terms(z, y, LossSection(), cluster=False)[2]
         direct = instance_loss(z)
         assert total.value[0, 0] == direct.value[0, 0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_sum_of_independently_computed_terms(self, seed):
         z, y = random_views(seed)
-        total = float(total_loss(z, y).value[0, 0])
+        total = float(loss_terms(z, y, LossSection())[2].value[0, 0])
         parts = float(instance_loss(z).value[0, 0]) + float(cluster_loss(y).value[0, 0])
         assert abs(total - parts) < 1e-14
 
@@ -231,7 +231,7 @@ class TestTotalLoss:
         config = LossSection(
             instance_temperature=0.25, cluster_temperature=2.0, entropy_weight=0.5
         )
-        total = float(total_loss(z, y, config).value[0, 0])
+        total = float(loss_terms(z, y, config)[2].value[0, 0])
         parts = float(instance_loss(z, config).value[0, 0]) + float(
             cluster_loss(y, config).value[0, 0]
         )
@@ -267,13 +267,13 @@ class TestOnePassStep:
 
         one = params.nodes()
         _, z, y = forward_graph(one, np.vstack([views_a, views_b]))
-        root_one = total_loss(z, y, config)
+        root_one = loss_terms(z, y, config)[2]
         ad.backward(root_one)
 
         two = params.nodes()
         _, z_a, y_a = forward_graph(two, views_a)
         _, z_b, y_b = forward_graph(two, views_b)
-        root_two = total_loss(stacked(z_a, z_b), stacked(y_a, y_b), config)
+        root_two = loss_terms(stacked(z_a, z_b), stacked(y_a, y_b), config)[2]
         ad.backward(root_two)
 
         assert root_one.value[0, 0] == root_two.value[0, 0]
@@ -614,6 +614,15 @@ class TestEvaluate:
         with pytest.raises(ContractError, match="labels"):
             evaluate(identity_routing_params([0, 1, 2, 3]), dataset)
 
+    def test_unknown_mode_rejected_as_in_the_config(self):
+        # A misspelt mode must not fall through to the cluster head.
+        dataset = Dataset(np.eye(4), VectorGeometry(4), np.arange(4))
+        params = identity_routing_params([0, 1, 2, 3])
+        message = r"^config: ablation: unknown mode 'ich_onyl', expected one of \("
+        with pytest.raises(ConfigError, match=message):
+            assign(params, dataset.samples, "ich_onyl")
+        with pytest.raises(ConfigError, match=message):
+            evaluate(params, dataset, "ich_onyl")
 
     @pytest.mark.parametrize("ablation", ["full", "ich_only"])
     def test_scores_the_modes_assignments(self, ablation):
