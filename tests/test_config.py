@@ -199,13 +199,13 @@ class TestValidation:
 
 
 # Incomplete, extended and unknown dataset sections: rejected alike when
-# parsed, built in Python or copied with replace.
+# parsed, built in Python or copied with replace. TestValidation covers
+# the parameter values.
 MOONS = {"n": 40, "noise": 0.1, "seed": 0}
 DATASET_CASES = [
     ("two_moons", {"n": 40}, r"missing required key 'dataset\.noise'"),
     ("two_moons", {**MOONS, "k": 2}, r"unknown key 'dataset\.k': not a parameter of 'two_moons'"),
     ("spiral", {}, r"dataset\.kind: unknown dataset kind 'spiral'"),
-    ("two_moons", {**MOONS, "seed": -1}, r"dataset\.seed: must be nonnegative"),
 ]
 
 
