@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 
 import numpy as np
 
-from .augment import TRANSFORMS, AugmentationPipeline, default_transforms
+from .augment import TRANSFORMS, AugmentationPipeline, Transform, default_transforms
 from .data import (
     Dataset,
     VectorGeometry,
@@ -238,22 +238,23 @@ class TrainingSection:
 
 @dataclass(frozen=True)
 class AugmentationSection:
-    preset: str | None = "default"  # None once transforms are explicit
-    transforms: tuple | None = None  # of augment.Transform, one class per kind
+    transforms: tuple | None = None  # of augment.Transform; None: the geometry's defaults
+
+    def __post_init__(self):
+        for i, spec in enumerate(self.transforms or ()):
+            message = f"must be a transform, got {spec!r}"
+            _require(isinstance(spec, Transform), f"augmentation.transforms[{i}]", message)
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
-        _check_keys(raw, {"preset", "transforms"}, (), path)
-        preset = check_value(str | None, raw.get("preset"), f"{path}.preset")
+        _check_keys(raw, {"transforms"}, (), path)
         transforms = raw.get("transforms")
         if transforms is None:
-            _require(preset in (None, "default"), f"{path}.preset", f"unknown preset {preset!r}")
-            return cls(preset="default", transforms=None)
-        _require(preset is None, path, "give either 'preset' or 'transforms', not both")
+            return cls()
         at = f"{path}.transforms"
         _require(isinstance(transforms, (list, tuple)), at, f"must be a list, got {transforms!r}")
         checked = (_transform(t, f"{at}[{i}]") for i, t in enumerate(transforms))
-        return cls(preset=None, transforms=tuple(checked))
+        return cls(tuple(checked))
 
 
 def _transform(entry, path: str):
@@ -322,18 +323,16 @@ class ExperimentConfig:
                 init_seed=init_seed,
                 head_hidden_dim=head_hidden,
             ),
-            augmentation=AugmentationSection(preset=None, transforms=transforms),
+            augmentation=AugmentationSection(transforms),
         )
 
     def to_dict(self) -> dict:
         """The JSON form that ``from_dict`` reads back: dataset parameters
-        sit beside ``kind``, augmentation names only the one of ``preset``
-        and ``transforms`` that is set, and each transform names its kind."""
+        sit beside ``kind``, and each transform names its kind."""
         out = asdict(self)
         dataset = out["dataset"]
         out["dataset"] = {"kind": dataset["kind"], **dataset["params"]}
         out["dataset"]["standardize"] = dataset["standardize"]
-        out["augmentation"] = {k: v for k, v in out["augmentation"].items() if v is not None}
         if self.augmentation.transforms is not None:
             transforms = self.augmentation.transforms
             out["augmentation"]["transforms"] = [{"kind": t.kind, **asdict(t)} for t in transforms]

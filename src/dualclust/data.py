@@ -77,6 +77,9 @@ class Dataset:
                 f"dataset {self.name!r}: geometry expects width {self.geometry.size}, "
                 f"samples have {samples.shape[1]}"
             )
+        if not np.isfinite(samples).all():
+            i, j = np.argwhere(~np.isfinite(samples))[0]
+            raise ContractError(f"dataset {self.name!r}: sample {i}, column {j} is not finite")
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.ndim != 1 or labels.shape[0] != samples.shape[0]:
@@ -398,8 +401,8 @@ def write_label_csv(path, labels) -> None:
 def standardize(matrix):
     """Per-dimension zero mean, unit variance. Returns (standardized,
     mean, std); constant columns are centered but left unscaled. A
-    column whose values are finite but too large to standardize in
-    float64 is reported by index."""
+    column with a non-finite value, or whose values are finite but too
+    large to standardize in float64, is reported by index."""
     matrix = as_matrix(matrix)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = matrix.mean(axis=0)
@@ -408,6 +411,10 @@ def standardize(matrix):
         out = (matrix - mean) / std
     bad = np.flatnonzero(~(np.isfinite(out).all(axis=0) & np.isfinite(std)))
     if bad.size:
+        # A NaN or infinity in the input makes its column's output NaN too.
+        nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=0))
+        if nonfinite.size:
+            raise ContractError(f"standardize: column {int(nonfinite[0])} is not finite")
         raise DegenerateInputError(
             f"standardize: column {int(bad[0])} overflows float64 when standardized"
         )

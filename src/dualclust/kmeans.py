@@ -1,7 +1,7 @@
 """Seeded k-means for clustering raw features or instance projections.
 
-Standard Lloyd iterations with k-means++ seeding, run as several
-restarts keeping the lowest-inertia solution. Deterministic given the
+Standard Lloyd iterations, at most ``MAX_ITER`` each, with k-means++
+seeding, run as ``RESTARTS`` restarts keeping the lowest-inertia solution. Deterministic given the
 seed. Clusters that empty out mid-run are reseeded to the point
 farthest from its assigned center.
 
@@ -20,8 +20,8 @@ from .errors import ConfigError, ContractError
 
 __all__ = ["kmeans"]
 
-DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 300
+RESTARTS = 10
+MAX_ITER = 300
 CONVERGENCE_TOL = 1e-10
 
 
@@ -55,9 +55,9 @@ def _plus_plus_init(x, x_sq, k, rng):
     return centers
 
 
-def _lloyd(x, x_sq, centers, max_iter):
+def _lloyd(x, x_sq, centers):
     settled = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         distances = _squared_distances(x, x_sq, centers)
         labels = distances.argmin(axis=1)
         new_centers = centers.copy()
@@ -81,22 +81,16 @@ def _lloyd(x, x_sq, centers, max_iter):
     return labels, centers, inertia
 
 
-def _restart(x, x_sq, k, seed, restart, max_iter):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, restart)))
-    return _lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng), max_iter)
-
-
-def kmeans(x, k, seed, n_restarts: int = DEFAULT_RESTARTS, max_iter: int = DEFAULT_MAX_ITER):
+def kmeans(x, k, seed):
     """Cluster rows of x into k groups; returns (labels, centers, inertia)
     of the best restart by inertia, the earliest restart among equals."""
     x = as_matrix(x)
     if k < 1:
         raise ConfigError(f"kmeans: k must be >= 1, got {k}")
-    if n_restarts < 1:
-        raise ConfigError(f"kmeans: n_restarts must be >= 1, got {n_restarts}")
     if x.shape[0] < k:
         raise ContractError(f"kmeans: {x.shape[0]} samples cannot form {k} clusters")
     x_sq = _row_sq_norms(x)
-    results = (_restart(x, x_sq, k, seed, r, max_iter) for r in range(n_restarts))
+    rngs = (np.random.default_rng(np.random.SeedSequence((seed, r))) for r in range(RESTARTS))
+    results = (_lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng)) for rng in rngs)
     # min keeps the first of equal keys: the earliest restart wins a tie.
     return min(results, key=lambda result: result[2])

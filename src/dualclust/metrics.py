@@ -1,7 +1,8 @@
 """Clustering metrics: NMI, accuracy under optimal matching, ARI.
 
 All three compare a predicted labeling against ground truth through the
-contingency table, and all are invariant to relabeling either side.
+contingency table, a count matrix that ``_contingency`` builds after
+checking the labels, and all are invariant to relabeling either side.
 NMI normalizes mutual information by the arithmetic mean of the two
 label entropies (natural logs). Accuracy maximizes the matched fraction
 over one-to-one cluster-to-class assignments, solved exactly on the
@@ -12,14 +13,12 @@ combinatorics in exact integers until the final division.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
 
 __all__ = [
-    "ContingencyTable",
     "nmi",
     "clustering_accuracy",
     "ari",
@@ -27,49 +26,26 @@ __all__ = [
 ]
 
 
-def _as_labels(name, values):
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ContractError(f"{name}: labels must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def _paired_labels(pred, truth, min_n=1):
-    pred = _as_labels("pred", pred)
-    truth = _as_labels("truth", truth)
+def _contingency(pred, truth, min_n=1) -> np.ndarray:
+    """The K_pred x K_true matrix of nonnegative int counts, one row per
+    distinct predicted label and one column per distinct true label, each
+    side in sorted label order."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    for name, arr in (("pred", pred), ("truth", truth)):
+        if arr.ndim != 1:
+            raise ContractError(f"{name}: labels must be one-dimensional, got shape {arr.shape}")
     if pred.shape[0] != truth.shape[0]:
         raise ContractError(
             f"label length mismatch: pred has {pred.shape[0]}, truth has {truth.shape[0]}"
         )
     if pred.shape[0] < min_n:
         raise ContractError(f"need at least {min_n} samples, got {pred.shape[0]}")
-    return pred, truth
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: np.ndarray  # K_pred x K_true, nonnegative ints
-
-    @classmethod
-    def from_labels(cls, pred, truth) -> "ContingencyTable":
-        pred, truth = _paired_labels(pred, truth)
-        _, pred_idx = np.unique(pred, return_inverse=True)
-        _, truth_idx = np.unique(truth, return_inverse=True)
-        counts = np.zeros((pred_idx.max() + 1, truth_idx.max() + 1), dtype=np.int64)
-        np.add.at(counts, (pred_idx, truth_idx), 1)
-        return cls(counts)
-
-    @property
-    def row_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_marginals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    _, pred_idx = np.unique(pred, return_inverse=True)
+    _, truth_idx = np.unique(truth, return_inverse=True)
+    counts = np.zeros((pred_idx.max() + 1, truth_idx.max() + 1), dtype=np.int64)
+    np.add.at(counts, (pred_idx, truth_idx), 1)
+    return counts
 
 
 def _log_p(marginals, n):
@@ -86,24 +62,26 @@ def nmi(pred, truth) -> float:
     go through fsum, so relabeling either side cannot move the result
     and identical partitions score exactly 1.
     """
-    table = ContingencyTable.from_labels(pred, truth)
-    n = table.total
-    log_rows = _log_p(table.row_marginals, n)
-    log_cols = _log_p(table.col_marginals, n)
+    counts = _contingency(pred, truth)
+    n = int(counts.sum())
+    rows = counts.sum(axis=1)
+    cols = counts.sum(axis=0)
+    log_rows = _log_p(rows, n)
+    log_cols = _log_p(cols, n)
     h_pred = -math.fsum(
-        (int(v) / n) * log_rows[i] for i, v in enumerate(table.row_marginals) if v > 0
+        (int(v) / n) * log_rows[i] for i, v in enumerate(rows) if v > 0
     )
     h_truth = -math.fsum(
-        (int(v) / n) * log_cols[j] for j, v in enumerate(table.col_marginals) if v > 0
+        (int(v) / n) * log_cols[j] for j, v in enumerate(cols) if v > 0
     )
     if h_pred == 0.0 and h_truth == 0.0:
         return 1.0
     if h_pred == 0.0 or h_truth == 0.0:
         return 0.0
     info = math.fsum(
-        (int(table.counts[i, j]) / n)
-        * (math.log(int(table.counts[i, j]) / n) - log_rows[int(i)] - log_cols[int(j)])
-        for i, j in zip(*np.nonzero(table.counts))
+        (int(counts[i, j]) / n)
+        * (math.log(int(counts[i, j]) / n) - log_rows[int(i)] - log_cols[int(j)])
+        for i, j in zip(*np.nonzero(counts))
     )
     value = info / ((h_pred + h_truth) / 2.0)
     return min(max(value, 0.0), 1.0)
@@ -116,25 +94,23 @@ def clustering_accuracy(pred, truth) -> float:
     contingency table, transposed so that its shorter side is the rows;
     a padded square table would match the same count at far more cost.
     """
-    table = ContingencyTable.from_labels(pred, truth)
-    counts = table.counts
+    counts = _contingency(pred, truth)
     if counts.shape[0] > counts.shape[1]:
         counts = counts.T
     assignment = hungarian(-counts.astype(np.float64))
     matched = counts[np.arange(counts.shape[0]), assignment].sum()
-    return float(matched / table.total)
+    return float(matched / counts.sum())
 
 
 def ari(pred, truth) -> float:
     """Pair-counting index adjusted for chance, at most 1; 0 in
     expectation for independent partitions. Integer-exact until the
     final ratio."""
-    pred, truth = _paired_labels(pred, truth, min_n=2)
-    table = ContingencyTable.from_labels(pred, truth)
-    sum_cells = sum(math.comb(int(v), 2) for v in table.counts.ravel())
-    sum_rows = sum(math.comb(int(v), 2) for v in table.row_marginals)
-    sum_cols = sum(math.comb(int(v), 2) for v in table.col_marginals)
-    total_pairs = math.comb(table.total, 2)
+    counts = _contingency(pred, truth, min_n=2)
+    sum_cells = sum(math.comb(int(v), 2) for v in counts.ravel())
+    sum_rows = sum(math.comb(int(v), 2) for v in counts.sum(axis=1))
+    sum_cols = sum(math.comb(int(v), 2) for v in counts.sum(axis=0))
+    total_pairs = math.comb(int(counts.sum()), 2)
     numerator = 2 * (sum_cells * total_pairs - sum_rows * sum_cols)
     denominator = total_pairs * (sum_rows + sum_cols) - 2 * sum_rows * sum_cols
     if denominator == 0:

@@ -330,7 +330,7 @@ def assign(params: ModelParams, samples, ablation: str = "full", seed: int = 0) 
     argmax, except in a mode that never trains that head, which assigns
     by seeded k-means over the instance projections."""
     if not ablation_mode(ablation).cluster:
-        return instance_space_assignments(params, samples, params.config.cluster_count, seed)
+        return instance_space_assignments(params, samples, seed)
     return predict_assignments(params, samples)
 
 
@@ -346,9 +346,10 @@ def metric_bundle(labels, assignments) -> dict:
     }
 
 
-def instance_space_assignments(params: ModelParams, samples, k: int, seed: int = 0):
-    """Seeded k-means over unit-normalized instance-head features: the
-    evaluation pathway for models trained with the instance term only."""
+def instance_space_assignments(params: ModelParams, samples, seed: int = 0):
+    """Seeded k-means over unit-normalized instance-head features into the
+    model's ``cluster_count`` groups: the evaluation pathway for models
+    trained with the instance term only."""
     _, z, _ = forward(params, samples)
     # Each nonzero row is divided by its largest |entry| first, so its norm
     # lies in [1, sqrt(d)] and cannot overflow; a zero row stays zero.
@@ -356,5 +357,5 @@ def instance_space_assignments(params: ModelParams, samples, k: int, seed: int =
     peak[peak == 0.0] = 1.0
     z = z / peak
     norms = np.linalg.norm(z, axis=1, keepdims=True)
-    labels, _, _ = kmeans(z / np.maximum(norms, 1.0), k, seed=seed)
+    labels, _, _ = kmeans(z / np.maximum(norms, 1.0), params.config.cluster_count, seed=seed)
     return labels

@@ -238,6 +238,15 @@ class TestRun:
         assert main(["eval", "--config", path, "--checkpoint", checkpoint]) == 1
         assert capsys.readouterr().err == want
 
+    def test_bad_dataset_parameter_fails_before_any_artifact(self, tmp_path, config_path, capsys):
+        # A dataset parameter's range is checked by its generator when the
+        # dataset is built, not when the config is read.
+        out = tmp_path / "run"
+        assert main(["run", "--config", config_path(out_dir=out, dataset={"k": 1})]) == 1
+        want = "error [ConfigError]: gaussian_blobs: k must be >= 2, got 1\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists() or not any(out.iterdir())
+
     def test_image_transform_on_vector_data_fails_before_any_artifact(
         self, tmp_path, config_path, capsys
     ):

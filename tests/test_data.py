@@ -56,6 +56,15 @@ class TestDatasetInvariants:
         with pytest.raises(ContractError, match="distinct"):
             Dataset(np.ones((3, 2)), VectorGeometry(2), labels=[1, 1, 1])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named_where_it_enters(self, value):
+        x = np.ones((8, 4))
+        x[5, 2] = value
+        x[6, 0] = value
+        message = r"^dataset 'toy': sample 5, column 2 is not finite$"
+        with pytest.raises(ContractError, match=message):
+            Dataset(x, VectorGeometry(4), np.arange(8) % 2, "toy")
+
 
 class TestGaussianBlobs:
     def test_same_seed_is_byte_identical(self):
@@ -610,6 +619,15 @@ class TestStandardize:
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[:, 0], np.zeros(10))
         assert std[0] == 1.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_column_named_as_not_finite(self, value):
+        # Column 0 overflows; column 2 holds the first non-finite value.
+        x = np.ones((4, 3))
+        x[:, 0] = [1e308, 1.25e308, 1.5e308, 1e308]
+        x[1, 2] = value
+        with pytest.raises(ContractError, match=r"^standardize: column 2 is not finite$"):
+            standardize(x)
 
     @pytest.mark.parametrize(
         "column", [[1e308, 1.25e308, 1.5e308, 1e308], [1e200, -1e200, 1e200, -1e200]]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualclust.errors import ConfigError, ContractError
-from dualclust.kmeans import _lloyd, _plus_plus_init, _row_sq_norms, kmeans
+from dualclust.kmeans import RESTARTS, _lloyd, _plus_plus_init, _row_sq_norms, kmeans
 
 
 def blob_data(seed=0):
@@ -15,14 +15,14 @@ def blob_data(seed=0):
     return points, truth
 
 
-def serial_kmeans(x, k, seed, n_restarts):
+def serial_kmeans(x, k, seed, n_restarts=RESTARTS):
     """The restarts one after another, keeping the lowest inertia and the
     earliest restart among equals; also returns every restart's result."""
     results = []
     x_sq = _row_sq_norms(x)
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, restart)))
-        results.append(_lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng), max_iter=300))
+        results.append(_lloyd(x, x_sq, _plus_plus_init(x, x_sq, k, rng)))
     best = results[0]
     for result in results[1:]:
         if result[2] < best[2]:
@@ -39,22 +39,22 @@ def assert_same_bits(got, want):
 class TestRestarts:
     """The best of the restarts must be the reference loop's, bit for bit."""
 
-    @pytest.mark.parametrize("n_restarts", [1, 3, 10])
+    @pytest.mark.parametrize("n_restarts", [RESTARTS])
     def test_matches_serial_loop(self, n_restarts):
         rng = np.random.default_rng(9)
         points = rng.normal(size=(300, 8))
         want, _ = serial_kmeans(points, 7, 5, n_restarts)
-        assert_same_bits(kmeans(points, 7, seed=5, n_restarts=n_restarts), want)
+        assert_same_bits(kmeans(points, 7, seed=5), want)
 
     def test_tie_goes_to_first_restart(self):
         # One cluster per point: every restart reaches inertia 0 with its
         # own numbering of the clusters, so only the tie rule picks one.
         points = np.random.default_rng(2).normal(size=(8, 3))
-        want, results = serial_kmeans(points, 8, 0, 10)
+        want, results = serial_kmeans(points, 8, 0)
         assert all(result[2] == 0.0 for result in results)
         assert any(not np.array_equal(r[0], results[0][0]) for r in results[1:])
         assert want is results[0]
-        assert_same_bits(kmeans(points, 8, seed=0, n_restarts=10), want)
+        assert_same_bits(kmeans(points, 8, seed=0), want)
 
 
 class TestKmeans:
@@ -79,8 +79,8 @@ class TestKmeans:
     def test_restarts_never_hurt(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(60, 4))
-        single = kmeans(points, 5, seed=0, n_restarts=1)[2]
-        multi = kmeans(points, 5, seed=0, n_restarts=10)[2]
+        (_, _, single), _ = serial_kmeans(points, 5, 0, n_restarts=1)
+        multi = kmeans(points, 5, seed=0)[2]
         assert multi <= single
 
     def test_labels_within_range(self):
@@ -94,7 +94,7 @@ class TestKmeans:
         # on the first assignment and must be reseeded, not dropped.
         points = np.concatenate([np.zeros((5, 2)), np.full((1, 2), 3.0)])
         centers = np.array([[0.0, 0.0], [100.0, 100.0]])
-        labels, final_centers, _ = _lloyd(points, _row_sq_norms(points), centers, max_iter=50)
+        labels, final_centers, _ = _lloyd(points, _row_sq_norms(points), centers)
         assert set(labels.tolist()) == {0, 1}
 
     def test_fewer_samples_than_clusters_rejected(self):
@@ -104,5 +104,3 @@ class TestKmeans:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ConfigError):
             kmeans(np.ones((5, 2)), 0, seed=0)
-        with pytest.raises(ConfigError):
-            kmeans(np.ones((5, 2)), 2, seed=0, n_restarts=0)

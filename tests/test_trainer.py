@@ -410,9 +410,7 @@ class TestTrain:
             dataset=DatasetConfig(kind="csv", params={"path": "unused.csv"}),
             model=ModelSection(encoder_widths=(8,), instance_dim=4, cluster_count=2),
             training=TrainingSection(batch_size=4, epochs=1),
-            augmentation=AugmentationSection(
-                preset=None, transforms=(Identity(probability=1.0),)
-            ),
+            augmentation=AugmentationSection((Identity(probability=1.0),)),
         )
         with pytest.raises(DegenerateInputError, match=r"epoch 0, batch 0"):
             train(config, dataset)
@@ -631,7 +629,7 @@ class TestEvaluate:
         params, _ = train(config, dataset)
         bundle, labels = evaluate(params, dataset, ablation, seed=3)
         if ablation == "ich_only":
-            want = instance_space_assignments(params, dataset.samples, 4, seed=3)
+            want = instance_space_assignments(params, dataset.samples, seed=3)
         else:
             want = predict_assignments(params, dataset.samples)
         np.testing.assert_array_equal(labels, want)
@@ -667,7 +665,7 @@ class TestInstanceSpaceAssignments:
         config = small_config(training={"epochs": 30}, ablation="ich_only")
         dataset = build_dataset(config.dataset)
         params, _ = train(config, dataset)
-        labels = instance_space_assignments(params, dataset.samples, 4, seed=0)
+        labels = instance_space_assignments(params, dataset.samples, seed=0)
         assert clustering_accuracy(dataset.labels, labels) >= 0.9
 
     def test_overflowing_norms_keep_their_directions(self):
@@ -677,14 +675,14 @@ class TestInstanceSpaceAssignments:
         config = small_config(ablation="ich_only")
         dataset = build_dataset(config.dataset)
         params = init_params(config.resolve(dataset).model, dataset.dim)
-        want = instance_space_assignments(params, dataset.samples, 4, seed=0)
+        want = instance_space_assignments(params, dataset.samples, seed=0)
         last = max(name for name in params.arrays if name.startswith("instance_head."))
         layer = last.rsplit(".", 1)[0]
         for name in (f"{layer}.weight", f"{layer}.bias"):
             params.arrays[name] *= 2.0**520
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = instance_space_assignments(params, dataset.samples, 4, seed=0)
+            got = instance_space_assignments(params, dataset.samples, seed=0)
         assert len(np.unique(want)) == 4
         np.testing.assert_array_equal(got, want)
 
@@ -692,6 +690,6 @@ class TestInstanceSpaceAssignments:
         config = small_config(training={"epochs": 5})
         dataset = build_dataset(config.dataset)
         params, _ = train(config, dataset)
-        a = instance_space_assignments(params, dataset.samples, 4, seed=9)
-        b = instance_space_assignments(params, dataset.samples, 4, seed=9)
+        a = instance_space_assignments(params, dataset.samples, seed=9)
+        b = instance_space_assignments(params, dataset.samples, seed=9)
         np.testing.assert_array_equal(a, b)
