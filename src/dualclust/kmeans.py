@@ -1,9 +1,9 @@
 """Seeded k-means for clustering raw features or instance projections.
 
 Standard Lloyd iterations, at most ``MAX_ITER`` each, with k-means++
-seeding, run as ``RESTARTS`` restarts keeping the lowest-inertia solution. Deterministic given the
-seed. Clusters that empty out mid-run are reseeded to the point
-farthest from its assigned center.
+seeding, run as ``RESTARTS`` restarts keeping the lowest-inertia
+solution. Deterministic given the seed. Clusters that empty out mid-run
+are reseeded to the point farthest from its assigned center.
 
 Each restart draws from its own ``(seed, restart)`` stream, so its
 result does not depend on the others; the best is picked in restart
