@@ -20,6 +20,7 @@ import types
 import typing
 from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -94,6 +95,7 @@ _ACCEPTS = {
     float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
     bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: type(v) is str),
+    tuple: ("a list", lambda v: isinstance(v, (list, tuple))),
     type(None): ("null", lambda v: v is None),
 }
 
@@ -120,11 +122,14 @@ def _require(condition: bool, path: str, message: str):
 
 def check_value(annotation, value, path: str):
     """``value`` checked against a field annotation: a config section is
-    parsed by its ``from_dict`` if it has one and by ``parse_section`` if not,
-    ``tuple[X, ...]`` takes a list of X and
+    taken as it is if it is already built (its own checks ran), and is
+    otherwise parsed by its ``from_dict`` if it has one and by
+    ``parse_section`` if not, ``tuple[X, ...]`` takes a list of X and
     returns a tuple, and anything else takes what ``_ACCEPTS`` lists for
     the type or for one member of the union."""
     if is_dataclass(annotation):
+        if isinstance(value, annotation):
+            return value
         parse = getattr(annotation, "from_dict", None)
         return parse(value, path) if parse else parse_section(annotation, value, path)
     if typing.get_origin(annotation) is tuple:
@@ -144,12 +149,29 @@ def parse_section(cls, raw, path: str):
     must name a field, a field without a default is required, and each
     value must have its field's annotated type. A ``ClassVar`` is not a
     field, so it is never a key."""
-    hints = typing.get_type_hints(cls)
-    annotations = {f.name: hints[f.name] for f in fields(cls)}
+    annotations = _annotations(cls)
     required = [f.name for f in fields(cls) if f.default is MISSING]
     _check_keys(raw, annotations, required, path)
     values = {key: check_value(annotations[key], raw[key], _join(path, key)) for key in raw}
     return cls(**values)
+
+
+def _check_fields(section, path: str) -> None:
+    """Each field of a built section checked against its annotation as
+    ``parse_section`` checks a parsed value, so a section built in Python
+    fails with the same message; the checked value is kept, so a list
+    given for a ``tuple[X, ...]`` field becomes the tuple a parse makes."""
+    for name, annotation in _annotations(type(section)).items():
+        value = check_value(annotation, getattr(section, name), _join(path, name))
+        object.__setattr__(section, name, value)
+
+
+@cache
+def _annotations(cls) -> dict:
+    """Field name -> annotation of the dataclass ``cls``; a ``ClassVar``
+    is not a field."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _kind(raw, table: dict, path: str, what: str) -> str:
@@ -195,6 +217,7 @@ class ModelSection:
     init_seed: int | None = None  # None: the experiment seed
 
     def __post_init__(self):
+        _check_fields(self, "model")
         _require(len(self.encoder_widths) >= 1, "model.encoder_widths", "needs one width")
         for i, width in enumerate(self.encoder_widths):
             _require(width >= 1, "model.encoder_widths", f"width {i} must be >= 1, got {width}")
@@ -214,6 +237,7 @@ class LossSection:
     literal_entropy_sign: bool = False
 
     def __post_init__(self):
+        _check_fields(self, "losses")
         _require(self.instance_temperature > 0, "losses.instance_temperature", "must be positive")
         _require(self.cluster_temperature > 0, "losses.cluster_temperature", "must be positive")
 
@@ -228,6 +252,7 @@ class TrainingSection:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        _check_fields(self, "training")
         _require(self.batch_size >= 2, "training.batch_size", "must be at least 2")
         _require(self.epochs >= 0, "training.epochs", "must be nonnegative")
         _require(self.learning_rate > 0, "training.learning_rate", "must be positive")
@@ -241,6 +266,7 @@ class AugmentationSection:
     transforms: tuple | None = None  # of augment.Transform; None: the geometry's defaults
 
     def __post_init__(self):
+        _check_fields(self, "augmentation")
         for i, spec in enumerate(self.transforms or ()):
             message = f"must be a transform, got {spec!r}"
             _require(isinstance(spec, Transform), f"augmentation.transforms[{i}]", message)
@@ -248,11 +274,10 @@ class AugmentationSection:
     @classmethod
     def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
         _check_keys(raw, {"transforms"}, (), path)
-        transforms = raw.get("transforms")
+        at = f"{path}.transforms"
+        transforms = check_value(tuple | None, raw.get("transforms"), at)
         if transforms is None:
             return cls()
-        at = f"{path}.transforms"
-        _require(isinstance(transforms, (list, tuple)), at, f"must be a list, got {transforms!r}")
         checked = (_transform(t, f"{at}[{i}]") for i, t in enumerate(transforms))
         return cls(tuple(checked))
 
@@ -280,6 +305,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        _check_fields(self, "")
         # Here rather than in from_dict, so that a --seed override is checked too.
         _require(self.seed >= 0, "seed", "must be nonnegative")
         ablation_mode(self.ablation)
@@ -297,7 +323,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     "config: model.cluster_count must be set for unlabeled data"
                 )
-            cluster_count = int(np.unique(dataset.labels).size)
+            # Distinct labels counted by sort; np.unique's hash path imports numpy.ma.
+            cluster_count = int(np.count_nonzero(np.diff(np.sort(dataset.labels)))) + 1
         kmeans_fits = ablation_mode(self.ablation).cluster or cluster_count <= dataset.n
         message = f"{cluster_count} exceeds the {dataset.n} samples that k-means assigns"
         _require(kmeans_fits, "model.cluster_count", f"{message} in {self.ablation!r}")

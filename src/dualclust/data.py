@@ -87,7 +87,7 @@ class Dataset:
                     f"dataset {self.name!r}: labels must be a length-{samples.shape[0]} "
                     f"vector, got shape {labels.shape}"
                 )
-            if np.unique(labels).size < 2:
+            if labels.size == 0 or labels.min() == labels.max():
                 raise ContractError(
                     f"dataset {self.name!r}: labels must contain at least 2 distinct values"
                 )

@@ -11,6 +11,10 @@ epoch are drawn at its start in whole arrays from one (seed, epoch)
 stream; each sample's pair is then made from its share of them
 (``pair_rng``, ``make_pair``). Identical configs reproduce
 byte-identical reports.
+
+A run owns one view buffer, which each step fills in place, and nothing
+a step makes outlives it: its views, graph and gradients are released
+when the step ends, before the next step overwrites the buffer.
 """
 
 from __future__ import annotations
@@ -207,11 +211,12 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _batch_views(pipeline, samples, draws, indices, augmented):
+def _batch_views(pipeline, samples, draws, indices, augmented, views):
     """The 2B stacked view rows [views_a; views_b] of the samples at
-    ``indices``. An overflow in a transform raises no warning: the view's
-    finiteness check stops it, and the error names the sample."""
-    views = np.empty((2, len(indices), samples.shape[1]))
+    ``indices``, written into the run's ``(2, B, d)`` buffer ``views`` and
+    returned as its 2B-row reshape, so no step allocates its own. An
+    overflow in a transform raises no warning: the view's finiteness
+    check stops it, and the error names the sample."""
     with np.errstate(over="ignore", invalid="ignore"):
         for j, i in enumerate(indices.tolist()):
             try:
@@ -253,6 +258,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     param_nodes = params.nodes()
     report = TrainReport()
     batch = settings.batch_size
+    buffer = np.empty((2, batch, dataset.dim))
     for epoch in range(settings.epochs):
         order = _epoch_order(config.seed, epoch, dataset.n)
         draws = epoch_draws(pipeline, config.seed, epoch, dataset.n)
@@ -260,8 +266,9 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         batch_count = 0
         for start in range(0, dataset.n - batch + 1, batch):
             try:
+                indices = order[start : start + batch]
                 views = _batch_views(
-                    pipeline, dataset.samples, draws, order[start : start + batch], mode.augmented
+                    pipeline, dataset.samples, draws, indices, mode.augmented, buffer
                 )
                 z, y = forward_graph(param_nodes, views)[1:]
                 term_ins, term_clu, total = loss_terms(
@@ -286,16 +293,16 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 adam_step(params, gradients, state)
             except (ContractError, DegenerateInputError) as exc:
                 raise type(exc)(f"epoch {epoch}, batch {batch_count}: {exc}") from exc
-            # A loss node keeps its step's whole tape alive: hold it only in
-            # names that the next step rebinds before its backward pass.
             losses = [float(t.value[0, 0]) if t else 0.0 for t in (term_ins, term_clu, total)]
             for key, value in zip(STEP_COLUMNS, (*losses, pos_i, neg_i, pos_c, neg_c)):
                 sums[key] += value
             batch_count += 1
+            # The step's tape reads the view buffer, which the next step
+            # overwrites: release the graph and everything else the step made.
+            del views, z, y, term_ins, term_clu, total, gradients
 
-        # Free the epoch's draws and the last step's graph before
-        # evaluation runs over all n rows.
-        del draws, views, z, y, term_ins, term_clu, total, gradients
+        # Free the epoch's draws before evaluation runs over all n rows.
+        del draws
         means = {key: value / batch_count for key, value in sums.items()}
         means["l_ins"] = means["l_ins"] if mode.instance else None
         means["l_clu"] = means["l_clu"] if mode.cluster else None

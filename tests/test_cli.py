@@ -477,22 +477,26 @@ class TestMetricsCommand:
 
 
 def test_scipy_stays_unloaded_through_run_and_metrics(tmp_path, config_path):
-    """The package needs only numpy at run time; scipy is a test oracle."""
+    """The package needs only numpy at run time; scipy is a test oracle.
+    numpy.ma stays unloaded too: the first call of np.unique without
+    return_inverse or return_counts imports it."""
     config = config_path(out_dir=tmp_path / "out")
     labels = str(tmp_path / "out" / "assignments.csv")
     script = f"""
 import sys
 from dualclust import cli
-loaded = ["scipy" in sys.modules]
+def loaded():
+    return [name in sys.modules for name in ("scipy", "numpy.ma")]
+seen = [loaded()]
 assert cli.main(["run", "--config", {config!r}]) == 0
-loaded.append("scipy" in sys.modules)
+seen.append(loaded())
 assert cli.main(["metrics", {labels!r}, {labels!r}]) == 0
-loaded.append("scipy" in sys.modules)
-print(loaded)
+seen.append(loaded())
+print(seen)
 """
     result = run_python(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[False, False, False]"
+    assert result.stdout.splitlines()[-1] == str([[False, False]] * 3)
 
 
 def run_python(script, **env_overrides):

@@ -281,6 +281,32 @@ class TestTypes:
             ExperimentConfig.from_dict(minimal(**edit))
         assert f"config: {path}:" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "instance_dim", "2"),
+            ("training", "epochs", 2.5),
+            ("augmentation", "transforms", 5),
+            ("losses", "exclude_self_similarity", 1),
+        ],
+    )
+    def test_section_built_in_python_type_checked_like_a_parsed_one(self, section, key, value):
+        cls = {**SECTIONS, "augmentation": AugmentationSection}[section]
+        with pytest.raises(ConfigError) as parsed:
+            ExperimentConfig.from_dict(minimal(**{section: {key: value}}))
+        for build in (lambda: cls(**{key: value}), lambda: replace(cls(), **{key: value})):
+            with pytest.raises(ConfigError) as built:
+                build()
+            assert str(built.value) == str(parsed.value)
+
+    def test_top_level_field_built_in_python_type_checked(self):
+        with pytest.raises(ConfigError, match=r"^config: seed: must be an integer, got 1\.5$"):
+            ExperimentConfig(DatasetConfig("two_moons", MOONS), seed=1.5)
+
+    def test_list_built_in_python_kept_as_the_parsed_tuple(self):
+        built = ModelSection(encoder_widths=[8, 4])
+        assert built == ExperimentConfig.from_dict(minimal(model={"encoder_widths": [8, 4]})).model
+
     def test_bad_transform_parameter_fails_at_parse_time(self):
         raw = minimal(augmentation={"transforms": [JITTER, {**JITTER, "sigma": -1.0}]})
         with pytest.raises(ConfigError, match=r"augmentation\.transforms\[1\]\.sigma: "):

@@ -1,6 +1,7 @@
 """Optimizer, joint objective, training loop, and evaluation tests."""
 
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from dualclust.config import (
     TrainingSection,
     build_dataset,
 )
-from dualclust.data import Dataset, VectorGeometry
+from dualclust.data import Dataset, ImageGeometry, VectorGeometry
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError, DualclustError
 from dualclust.losses import cluster_loss, instance_loss
 from dualclust.metrics import clustering_accuracy
@@ -555,6 +556,32 @@ class TestTrain:
 
     def test_report_header_matches_columns(self):
         assert TrainReport().csv_text() == ",".join(REPORT_COLUMNS) + "\n"
+
+    def test_memory_holds_one_view_buffer_at_64x64(self):
+        # A run holds six copies of the flat parameter buffer (the
+        # parameters, Adam's two moments and two work buffers, and the
+        # step's gradients) and one (2, B, d) view buffer. Nothing of a
+        # step outlives it, so its tape and the backward's temporaries fit
+        # in a margin smaller than one view buffer; a step that kept the
+        # last one's graph alive would hold a second view buffer.
+        batch, side = 64, 64
+        rng = np.random.default_rng(0)
+        dataset = Dataset(rng.uniform(size=(2 * batch, side * side)), ImageGeometry(side, side))
+        config = ExperimentConfig(
+            dataset=DatasetConfig(kind="csv", params={"path": "unused.csv"}),
+            model=ModelSection(cluster_count=4),
+            training=TrainingSection(batch_size=batch, epochs=2, learning_rate=1e-3),
+        )
+        train(config, dataset)  # warm the caches the augmentation keeps
+        tracemalloc.start()
+        try:
+            params, _ = train(config, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        view_bytes = 2 * batch * side * side * 8
+        budget = 6 * params.flat.nbytes + view_bytes + view_bytes * 7 // 8
+        assert peak <= budget, (peak, budget)
 
 
 def identity_routing_params(permutation):
