@@ -12,9 +12,10 @@ stream; each sample's pair is then made from its share of them
 (``pair_rng``, ``make_pair``). Identical configs reproduce
 byte-identical reports.
 
-A run owns one view buffer, which each step fills in place, and nothing
-a step makes outlives it: its views, graph and gradients are released
-when the step ends, before the next step overwrites the buffer.
+A run owns one view buffer, which each step fills in place. A step's
+views, graph and gradient list are released when it ends, before the
+next step overwrites the buffer; only the parameter leaves' gradient
+slots outlive it, until the next backward clears them.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
                 sums[key] += value
             batch_count += 1
             # The step's tape reads the view buffer, which the next step
-            # overwrites: release the graph and everything else the step made.
+            # overwrites: release the graph before that step fills it.
             del views, z, y, term_ins, term_clu, total, gradients
 
         # Free the epoch's draws before evaluation runs over all n rows.

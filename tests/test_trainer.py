@@ -560,10 +560,10 @@ class TestTrain:
     def test_memory_holds_one_view_buffer_at_64x64(self):
         # A run holds six copies of the flat parameter buffer (the
         # parameters, Adam's two moments and two work buffers, and the
-        # step's gradients) and one (2, B, d) view buffer. Nothing of a
-        # step outlives it, so its tape and the backward's temporaries fit
-        # in a margin smaller than one view buffer; a step that kept the
-        # last one's graph alive would hold a second view buffer.
+        # step's gradients) and one (2, B, d) view buffer. No step's graph
+        # outlives it, so its tape and the backward's temporaries fit in a
+        # margin smaller than one view buffer; a step that kept the last
+        # one's graph alive would hold a second view buffer.
         batch, side = 64, 64
         rng = np.random.default_rng(0)
         dataset = Dataset(rng.uniform(size=(2 * batch, side * side)), ImageGeometry(side, side))
