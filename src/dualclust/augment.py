@@ -2,10 +2,10 @@
 
 A transform is one frozen dataclass per kind (``TRANSFORMS`` lists
 them), holding the probability with which it fires and that kind's
-parameters; its range checks run when it is built, so the config parser
-reads it like any other section. A pipeline is an ordered tuple of
-transforms bound to the dataset's geometry; each transform fires
-independently with its probability. Vector data gets noise/mask/scale
+parameters; its type and range checks run when it is built, so the
+config parser reads it like any other section. A pipeline is an ordered
+tuple of transforms bound to the dataset's geometry; each transform
+fires independently with its probability. Vector data gets noise/mask/scale
 perturbations; image data gets crop-resize, flip, brightness, and
 optional blur. Every transform preserves dimensionality, so the model
 never sees a width change.
@@ -35,6 +35,7 @@ import numpy as np
 
 from .data import ImageGeometry
 from .errors import ConfigError, ContractError, ShapeError
+from .schema import check_fields
 
 __all__ = [
     "Transform",
@@ -58,8 +59,9 @@ AUGMENT_STREAM_TAG = 0x41475631
 @dataclass(frozen=True)
 class Transform:
     """One transform of a view: fires with ``probability``. Its fields
-    are its config keys, all required; a range error names the field
-    as ``<kind>.<field>``, which the config parser turns into the
+    are its config keys, all required; each is type-checked against its
+    annotation before any range check. An error names the field as
+    ``<kind>.<field>``, which the config parser turns into the
     transform's path."""
 
     kind: ClassVar[str]
@@ -67,6 +69,7 @@ class Transform:
     probability: float
 
     def __post_init__(self):
+        check_fields(self, self.kind)
         self._require(0 <= self.probability <= 1, "probability", "must be in [0, 1]")
 
     def _require(self, condition: bool, field: str, message: str):

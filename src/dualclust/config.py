@@ -2,10 +2,11 @@
 
 Configs are JSON. Parsing is strict: unknown keys fail with their full
 dotted path, so a typo can never silently fall back to a default, and a
-value of the wrong type fails with its path too. One parser reads every
-section off its dataclass fields and their annotations. Range checks
-sit in each section's ``__post_init__``, so a section built in Python
-or copied with ``dataclasses.replace`` is checked like a parsed one.
+value of the wrong type fails with its path too. One parser
+(``schema.parse_section``) reads every section off its dataclass fields
+and their annotations. Type and range checks sit in each section's
+``__post_init__``, so a section built in Python or copied with
+``dataclasses.replace`` is checked like a parsed one.
 Every optional field has a documented default, and ``resolve`` pins
 all of them (including ones that depend on the dataset, like the
 cluster count inferred from labels) so the echoed config re-runs
@@ -15,12 +16,9 @@ identically.
 from __future__ import annotations
 
 import json
-import sys
-import types
 import typing
 from collections import namedtuple
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .data import (
     two_moons,
 )
 from .errors import ConfigError
+from .schema import check_fields, check_keys, check_value, parse_section, require
 
 __all__ = [
     "DatasetConfig",
@@ -44,8 +43,6 @@ __all__ = [
     "AugmentationSection",
     "ExperimentConfig",
     "load_config",
-    "parse_section",
-    "check_value",
     "build_dataset",
     "ABLATIONS",
     "ABLATION_MODES",
@@ -71,7 +68,7 @@ ABLATION_MODES = tuple(ABLATIONS)
 def ablation_mode(name: str) -> Ablation:
     """The ``ABLATIONS`` row of mode ``name``."""
     expected = f"expected one of {ABLATION_MODES}"
-    _require(name in ABLATIONS, "ablation", f"unknown mode {name!r}, {expected}")
+    require(name in ABLATIONS, "ablation", f"unknown mode {name!r}, {expected}")
     return ABLATIONS[name]
 
 
@@ -86,101 +83,13 @@ DATASET_PARAMS = {
     "idx": {"images_path": str, "labels_path": str | None},
 }
 
-# The JSON values each annotated type takes. Python counts a bool as an
-# int, but true is never a count or a number here. A number must be
-# finite (NaN fails the comparison), and an integer given for one must
-# fit a float.
-_ACCEPTS = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    bool: ("true or false", lambda v: type(v) is bool),
-    str: ("a string", lambda v: type(v) is str),
-    tuple: ("a list", lambda v: isinstance(v, (list, tuple))),
-    type(None): ("null", lambda v: v is None),
-}
-
-
-def _check_keys(section: dict, allowed, required, path: str, note: str = ""):
-    if not isinstance(section, dict):
-        raise ConfigError(f"config: {path or 'top level'} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"config: unknown key {_join(path, key)!r}{note}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"config: missing required key {_join(path, key)!r}")
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _require(condition: bool, path: str, message: str):
-    if not condition:
-        raise ConfigError(f"config: {path}: {message}")
-
-
-def check_value(annotation, value, path: str):
-    """``value`` checked against a field annotation: a config section is
-    taken as it is if it is already built (its own checks ran), and is
-    otherwise parsed by its ``from_dict`` if it has one and by
-    ``parse_section`` if not, ``tuple[X, ...]`` takes a list of X and
-    returns a tuple, and anything else takes what ``_ACCEPTS`` lists for
-    the type or for one member of the union."""
-    if is_dataclass(annotation):
-        if isinstance(value, annotation):
-            return value
-        parse = getattr(annotation, "from_dict", None)
-        return parse(value, path) if parse else parse_section(annotation, value, path)
-    if typing.get_origin(annotation) is tuple:
-        _require(isinstance(value, (list, tuple)), path, f"must be a list, got {value!r}")
-        item = typing.get_args(annotation)[0]
-        return tuple(check_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-    union = isinstance(annotation, types.UnionType)
-    options = typing.get_args(annotation) if union else (annotation,)
-    expected = " or ".join(_ACCEPTS[option][0] for option in options)
-    accepted = any(_ACCEPTS[option][1](value) for option in options)
-    _require(accepted, path, f"must be {expected}, got {value!r}")
-    return value
-
-
-def parse_section(cls, raw, path: str):
-    """An instance of the dataclass ``cls`` from a JSON object: each key
-    must name a field, a field without a default is required, and each
-    value must have its field's annotated type. A ``ClassVar`` is not a
-    field, so it is never a key."""
-    annotations = _annotations(cls)
-    required = [f.name for f in fields(cls) if f.default is MISSING]
-    _check_keys(raw, annotations, required, path)
-    values = {key: check_value(annotations[key], raw[key], _join(path, key)) for key in raw}
-    return cls(**values)
-
-
-def _check_fields(section, path: str) -> None:
-    """Each field of a built section checked against its annotation as
-    ``parse_section`` checks a parsed value, so a section built in Python
-    fails with the same message; the checked value is kept, so a list
-    given for a ``tuple[X, ...]`` field becomes the tuple a parse makes."""
-    for name, annotation in _annotations(type(section)).items():
-        value = check_value(annotation, getattr(section, name), _join(path, name))
-        object.__setattr__(section, name, value)
-
-
-@cache
-def _annotations(cls) -> dict:
-    """Field name -> annotation of the dataclass ``cls``; a ``ClassVar``
-    is not a field."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
 def _kind(raw, table: dict, path: str, what: str) -> str:
     """The ``kind`` of a JSON object; it must name an entry of ``table``."""
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"config: {path}: needs a 'kind'")
     kind = check_value(str, raw["kind"], f"{path}.kind")
     expected = f"expected one of {sorted(table)}"
-    _require(kind in table, f"{path}.kind", f"unknown {what} {kind!r}, {expected}")
+    require(kind in table, f"{path}.kind", f"unknown {what} {kind!r}, {expected}")
     return kind
 
 
@@ -194,11 +103,11 @@ class DatasetConfig:
         kind = _kind({"kind": self.kind}, DATASET_PARAMS, "dataset", "dataset kind")
         schema = DATASET_PARAMS[kind]
         required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
-        _check_keys(self.params, schema, required, "dataset", f": not a parameter of {kind!r}")
+        check_keys(self.params, schema, required, "dataset", f": not a parameter of {kind!r}")
         for key, value in self.params.items():
             check_value(schema[key], value, f"dataset.{key}")
         if "seed" in self.params:
-            _require(self.params["seed"] >= 0, "dataset.seed", "must be nonnegative")
+            require(self.params["seed"] >= 0, "dataset.seed", "must be nonnegative")
         check_value(bool | None, self.standardize, "dataset.standardize")
 
     @classmethod
@@ -217,15 +126,15 @@ class ModelSection:
     init_seed: int | None = None  # None: the experiment seed
 
     def __post_init__(self):
-        _check_fields(self, "model")
-        _require(len(self.encoder_widths) >= 1, "model.encoder_widths", "needs one width")
+        check_fields(self, "model")
+        require(len(self.encoder_widths) >= 1, "model.encoder_widths", "needs one width")
         for i, width in enumerate(self.encoder_widths):
-            _require(width >= 1, "model.encoder_widths", f"width {i} must be >= 1, got {width}")
-        _require(self.instance_dim >= 1, "model.instance_dim", "must be >= 1")
+            require(width >= 1, "model.encoder_widths", f"width {i} must be >= 1, got {width}")
+        require(self.instance_dim >= 1, "model.instance_dim", "must be >= 1")
         hidden, count, seed = self.head_hidden_dim, self.cluster_count, self.init_seed
-        _require(hidden is None or hidden >= 1, "model.head_hidden_dim", "must be >= 1")
-        _require(count is None or count >= 2, "model.cluster_count", "must be at least 2")
-        _require(seed is None or seed >= 0, "model.init_seed", "must be nonnegative")
+        require(hidden is None or hidden >= 1, "model.head_hidden_dim", "must be >= 1")
+        require(count is None or count >= 2, "model.cluster_count", "must be at least 2")
+        require(seed is None or seed >= 0, "model.init_seed", "must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -237,9 +146,9 @@ class LossSection:
     literal_entropy_sign: bool = False
 
     def __post_init__(self):
-        _check_fields(self, "losses")
-        _require(self.instance_temperature > 0, "losses.instance_temperature", "must be positive")
-        _require(self.cluster_temperature > 0, "losses.cluster_temperature", "must be positive")
+        check_fields(self, "losses")
+        require(self.instance_temperature > 0, "losses.instance_temperature", "must be positive")
+        require(self.cluster_temperature > 0, "losses.cluster_temperature", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -252,13 +161,13 @@ class TrainingSection:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        _check_fields(self, "training")
-        _require(self.batch_size >= 2, "training.batch_size", "must be at least 2")
-        _require(self.epochs >= 0, "training.epochs", "must be nonnegative")
-        _require(self.learning_rate > 0, "training.learning_rate", "must be positive")
-        _require(0 <= self.beta1 < 1, "training.beta1", "must be in [0, 1)")
-        _require(0 <= self.beta2 < 1, "training.beta2", "must be in [0, 1)")
-        _require(self.epsilon > 0, "training.epsilon", "must be positive")
+        check_fields(self, "training")
+        require(self.batch_size >= 2, "training.batch_size", "must be at least 2")
+        require(self.epochs >= 0, "training.epochs", "must be nonnegative")
+        require(self.learning_rate > 0, "training.learning_rate", "must be positive")
+        require(0 <= self.beta1 < 1, "training.beta1", "must be in [0, 1)")
+        require(0 <= self.beta2 < 1, "training.beta2", "must be in [0, 1)")
+        require(self.epsilon > 0, "training.epsilon", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -266,14 +175,14 @@ class AugmentationSection:
     transforms: tuple | None = None  # of augment.Transform; None: the geometry's defaults
 
     def __post_init__(self):
-        _check_fields(self, "augmentation")
+        check_fields(self, "augmentation")
         for i, spec in enumerate(self.transforms or ()):
             message = f"must be a transform, got {spec!r}"
-            _require(isinstance(spec, Transform), f"augmentation.transforms[{i}]", message)
+            require(isinstance(spec, Transform), f"augmentation.transforms[{i}]", message)
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
-        _check_keys(raw, {"transforms"}, (), path)
+        check_keys(raw, {"transforms"}, (), path)
         at = f"{path}.transforms"
         transforms = check_value(tuple | None, raw.get("transforms"), at)
         if transforms is None:
@@ -305,9 +214,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        _check_fields(self, "")
+        check_fields(self, "")
         # Here rather than in from_dict, so that a --seed override is checked too.
-        _require(self.seed >= 0, "seed", "must be nonnegative")
+        require(self.seed >= 0, "seed", "must be nonnegative")
         ablation_mode(self.ablation)
 
     @classmethod
@@ -327,7 +236,7 @@ class ExperimentConfig:
             cluster_count = int(np.count_nonzero(np.diff(np.sort(dataset.labels)))) + 1
         kmeans_fits = ablation_mode(self.ablation).cluster or cluster_count <= dataset.n
         message = f"{cluster_count} exceeds the {dataset.n} samples that k-means assigns"
-        _require(kmeans_fits, "model.cluster_count", f"{message} in {self.ablation!r}")
+        require(kmeans_fits, "model.cluster_count", f"{message} in {self.ablation!r}")
         init_seed = self.model.init_seed
         if init_seed is None:
             init_seed = self.seed

@@ -28,8 +28,9 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
-from .config import ModelSection, check_value, parse_section
+from .config import ModelSection
 from .errors import ConfigError, DegenerateInputError, FormatError, ShapeError
+from .schema import check_value, parse_section
 
 __all__ = [
     "ModelParams",

@@ -12,10 +12,12 @@ stream; each sample's pair is then made from its share of them
 (``pair_rng``, ``make_pair``). Identical configs reproduce
 byte-identical reports.
 
-A run owns one view buffer, which each step fills in place. A step's
-views, graph and gradient list are released when it ends, before the
-next step overwrites the buffer; only the parameter leaves' gradient
-slots outlive it, until the next backward clears them.
+A run owns one view buffer, which each step fills in place. Each step
+runs in its own function (``_step``), which returns only the step's
+loss and similarity figures, so its views, graph and gradient list are
+released when it returns, before the next step overwrites the buffer;
+only the parameter leaves' gradient slots outlive it, until the next
+backward clears them.
 """
 
 from __future__ import annotations
@@ -228,6 +230,36 @@ def _batch_views(pipeline, samples, draws, indices, augmented, views):
     return views.reshape(2 * len(indices), samples.shape[1])
 
 
+def _step(params, param_nodes, state, config, mode, pipeline, samples, draws, indices, buffer):
+    """One training step on the samples at ``indices`` under ablation
+    ``mode``: views into ``buffer``, forward, loss, backward and an Adam
+    update of ``params``. Returns the step's values of ``STEP_COLUMNS``.
+    The views, graph and gradient list are locals, so they are released
+    when this returns."""
+    views = _batch_views(pipeline, samples, draws, indices, mode.augmented, buffer)
+    z, y = forward_graph(param_nodes, views)[1:]
+    term_ins, term_clu, total = loss_terms(z, y, config.losses, mode.instance, mode.cluster)
+    # A non-finite loss stops the step here; adam_step checks the
+    # gradients before it writes anything.
+    for name, term in (("l_ins", term_ins), ("l_clu", term_clu), ("l_total", total)):
+        if term is not None and not np.isfinite(term.value).all():
+            raise DegenerateInputError(f"loss term {name} is not finite")
+    ad.backward(total)
+    # A head outside the active objective is unreachable from the root:
+    # its slots stay empty and its gradient is zero.
+    gradients = [
+        np.zeros_like(node.value) if node.grad is None else node.grad
+        for node in param_nodes.values()
+    ]
+    # An active loss term's node carries the unit rows its NT-Xent
+    # formed; the stats read them instead of a new pass.
+    pos_i, neg_i = pair_similarity_stats(term_ins or z)
+    pos_c, neg_c = pair_similarity_stats(term_clu or ad.transpose_halves(y.value))
+    adam_step(params, gradients, state)
+    losses = [float(t.value[0, 0]) if t else 0.0 for t in (term_ins, term_clu, total)]
+    return (*losses, pos_i, neg_i, pos_c, neg_c)
+
+
 def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, TrainReport]:
     """Run the training loop and return final parameters plus the
     per-epoch report.
@@ -266,41 +298,17 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         sums = dict.fromkeys(STEP_COLUMNS, 0.0)
         batch_count = 0
         for start in range(0, dataset.n - batch + 1, batch):
+            indices = order[start : start + batch]
             try:
-                indices = order[start : start + batch]
-                views = _batch_views(
-                    pipeline, dataset.samples, draws, indices, mode.augmented, buffer
+                figures = _step(
+                    params, param_nodes, state, config, mode, pipeline, dataset.samples,
+                    draws, indices, buffer,
                 )
-                z, y = forward_graph(param_nodes, views)[1:]
-                term_ins, term_clu, total = loss_terms(
-                    z, y, config.losses, mode.instance, mode.cluster
-                )
-                # A non-finite loss stops the step here; adam_step checks
-                # the gradients before it writes anything.
-                for name, term in (("l_ins", term_ins), ("l_clu", term_clu), ("l_total", total)):
-                    if term is not None and not np.isfinite(term.value).all():
-                        raise DegenerateInputError(f"loss term {name} is not finite")
-                ad.backward(total)
-                # A head outside the active objective is unreachable from
-                # the root: its slots stay empty and its gradient is zero.
-                gradients = [
-                    np.zeros_like(node.value) if node.grad is None else node.grad
-                    for node in param_nodes.values()
-                ]
-                # An active loss term's node carries the unit rows its
-                # NT-Xent formed; the stats read them instead of a new pass.
-                pos_i, neg_i = pair_similarity_stats(term_ins or z)
-                pos_c, neg_c = pair_similarity_stats(term_clu or ad.transpose_halves(y.value))
-                adam_step(params, gradients, state)
             except (ContractError, DegenerateInputError) as exc:
                 raise type(exc)(f"epoch {epoch}, batch {batch_count}: {exc}") from exc
-            losses = [float(t.value[0, 0]) if t else 0.0 for t in (term_ins, term_clu, total)]
-            for key, value in zip(STEP_COLUMNS, (*losses, pos_i, neg_i, pos_c, neg_c)):
+            for key, value in zip(STEP_COLUMNS, figures):
                 sums[key] += value
             batch_count += 1
-            # The step's tape reads the view buffer, which the next step
-            # overwrites: release the graph before that step fills it.
-            del views, z, y, term_ins, term_clu, total, gradients
 
         # Free the epoch's draws before evaluation runs over all n rows.
         del draws

@@ -299,6 +299,23 @@ class TestTypes:
                 build()
             assert str(built.value) == str(parsed.value)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"probability": "x", "sigma": 0.1},
+            {"probability": 1, "sigma": True},
+            {"probability": 1.0, "sigma": [1]},
+        ],
+        ids=["probability_string", "sigma_bool", "sigma_list"],
+    )
+    def test_transform_built_in_python_type_checked_like_a_parsed_one(self, params):
+        raw = minimal(augmentation={"transforms": [{"kind": "gaussian_jitter", **params}]})
+        with pytest.raises(ConfigError) as parsed:
+            ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError) as built:
+            GaussianJitter(**params)
+        assert str(built.value) == str(parsed.value).replace(TRANSFORM0, "gaussian_jitter")
+
     def test_top_level_field_built_in_python_type_checked(self):
         with pytest.raises(ConfigError, match=r"^config: seed: must be an integer, got 1\.5$"):
             ExperimentConfig(DatasetConfig("two_moons", MOONS), seed=1.5)

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -557,13 +558,38 @@ class TestTrain:
     def test_report_header_matches_columns(self):
         assert TrainReport().csv_text() == ",".join(REPORT_COLUMNS) + "\n"
 
+    @pytest.mark.parametrize("ablation", ["full", "ich_only"])
+    def test_step_graph_released_before_the_next_step_builds_its_own(
+        self, monkeypatch, ablation
+    ):
+        # A step's projections are reachable only through its graph, so a
+        # live weak reference to an earlier step's z means that step's
+        # graph is still held while the next one is built.
+        projections = []
+
+        def checked(*args, **kwargs):
+            outputs = forward_graph(*args, **kwargs)
+            alive = [i for i, ref in enumerate(projections) if ref() is not None]
+            assert not alive, f"step {len(projections)}: graphs of steps {alive} still alive"
+            projections.append(weakref.ref(outputs[1].value))
+            return outputs
+
+        monkeypatch.setattr(dualclust.trainer, "forward_graph", checked)
+        config = small_config(training={"batch_size": 8, "epochs": 2}, ablation=ablation)
+        dataset = build_dataset(config.dataset)
+        train(config, dataset)
+        assert len(projections) == 2 * (dataset.n // 8)
+
     def test_memory_holds_one_view_buffer_at_64x64(self):
         # A run holds six copies of the flat parameter buffer (the
         # parameters, Adam's two moments and two work buffers, and the
-        # step's gradients) and one (2, B, d) view buffer. No step's graph
-        # outlives it, so its tape and the backward's temporaries fit in a
-        # margin smaller than one view buffer; a step that kept the last
-        # one's graph alive would hold a second view buffer.
+        # step's gradients) and one (2, B, d) view buffer, which every
+        # step refills. The margin of 7/8 of a view buffer bounds one
+        # step's tape and the backward's temporaries. It does not show
+        # that a step's graph is released before the next step builds its
+        # own: the view buffer is shared, so a leaked graph holds no second
+        # one. test_step_graph_released_before_the_next_step_builds_its_own
+        # guards that.
         batch, side = 64, 64
         rng = np.random.default_rng(0)
         dataset = Dataset(rng.uniform(size=(2 * batch, side * side)), ImageGeometry(side, side))
