@@ -1,7 +1,7 @@
 """Stochastic view generation: correlated sample pairs for training.
 
-A transform is one frozen dataclass per kind (``TRANSFORMS`` lists
-them), holding the probability with which it fires and that kind's
+A transform is one frozen dataclass per kind, a subclass of
+``Transform``, holding the probability with which it fires and that kind's
 parameters; its type and range checks run when it is built, so the
 config parser reads it like any other section. A pipeline is an ordered
 tuple of transforms bound to the dataset's geometry; each transform
@@ -39,7 +39,6 @@ from .schema import check_fields
 
 __all__ = [
     "Transform",
-    "TRANSFORMS",
     "Identity", "GaussianJitter", "CoordinateMask", "ScaleJitter",
     "ResizedCrop", "HorizontalFlip", "BrightnessJitter", "GaussianBlur",
     "AugmentationPipeline",
@@ -65,6 +64,7 @@ class Transform:
     transform's path."""
 
     kind: ClassVar[str]
+    noun: ClassVar[str] = "transform"
     needs_image: ClassVar[bool] = False
     probability: float
 
@@ -153,10 +153,6 @@ class GaussianBlur(Transform):
     def __post_init__(self):
         super().__post_init__()
         self._require(self.sigma > 0, "sigma", "must be positive")
-
-
-# kind -> class, for every class above, in the order they are defined.
-TRANSFORMS = {cls.kind: cls for cls in Transform.__subclasses__()}
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Configs are JSON. Parsing is strict: unknown keys fail with their full
 dotted path, so a typo can never silently fall back to a default, and a
 value of the wrong type fails with its path too. One parser
 (``schema.parse_section``) reads every section off its dataclass fields
-and their annotations. Type and range checks sit in each section's
+and their annotations; the dataset and each transform are read by their
+``kind`` (see ``schema``). Type and range checks sit in each section's
 ``__post_init__``, so a section built in Python or copied with
 ``dataclasses.replace`` is checked like a parsed one.
 Every optional field has a documented default, and ``resolve`` pins
@@ -16,16 +17,15 @@ identically.
 from __future__ import annotations
 
 import json
-import typing
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import TRANSFORMS, AugmentationPipeline, Transform, default_transforms
+from .augment import AugmentationPipeline, Transform, default_transforms
 from .data import (
     Dataset,
-    VectorGeometry,
+    DatasetSpec,
     gaussian_blobs,
     load_csv,
     load_idx,
@@ -33,10 +33,9 @@ from .data import (
     two_moons,
 )
 from .errors import ConfigError
-from .schema import check_fields, check_keys, check_value, parse_section, require
+from .schema import check_fields, echo, parse_section, require
 
 __all__ = [
-    "DatasetConfig",
     "ModelSection",
     "LossSection",
     "TrainingSection",
@@ -70,51 +69,6 @@ def ablation_mode(name: str) -> Ablation:
     expected = f"expected one of {ABLATION_MODES}"
     require(name in ABLATIONS, "ablation", f"unknown mode {name!r}, {expected}")
     return ABLATIONS[name]
-
-
-# Parameters of each dataset kind and their types. One whose type admits
-# None may be left out.
-DATASET_PARAMS = {
-    "gaussian_blobs": {
-        "k": int, "n_per": int, "dim": int, "separation": float, "sigma": float, "seed": int
-    },
-    "two_moons": {"n": int, "noise": float, "seed": int},
-    "csv": {"path": str, "label_column": int | str | None},
-    "idx": {"images_path": str, "labels_path": str | None},
-}
-
-def _kind(raw, table: dict, path: str, what: str) -> str:
-    """The ``kind`` of a JSON object; it must name an entry of ``table``."""
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"config: {path}: needs a 'kind'")
-    kind = check_value(str, raw["kind"], f"{path}.kind")
-    expected = f"expected one of {sorted(table)}"
-    require(kind in table, f"{path}.kind", f"unknown {what} {kind!r}, {expected}")
-    return kind
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    kind: str
-    params: dict = field(default_factory=dict)
-    standardize: bool | None = None  # None: on for vector data, off for images
-
-    def __post_init__(self):
-        kind = _kind({"kind": self.kind}, DATASET_PARAMS, "dataset", "dataset kind")
-        schema = DATASET_PARAMS[kind]
-        required = [key for key, tp in schema.items() if type(None) not in typing.get_args(tp)]
-        check_keys(self.params, schema, required, "dataset", f": not a parameter of {kind!r}")
-        for key, value in self.params.items():
-            check_value(schema[key], value, f"dataset.{key}")
-        if "seed" in self.params:
-            require(self.params["seed"] >= 0, "dataset.seed", "must be nonnegative")
-        check_value(bool | None, self.standardize, "dataset.standardize")
-
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "dataset") -> "DatasetConfig":
-        kind = _kind(raw, DATASET_PARAMS, path, "dataset kind")
-        params = {key: value for key, value in raw.items() if key not in ("kind", "standardize")}
-        return cls(kind=kind, params=params, standardize=raw.get("standardize"))
 
 
 @dataclass(frozen=True)
@@ -172,39 +126,15 @@ class TrainingSection:
 
 @dataclass(frozen=True)
 class AugmentationSection:
-    transforms: tuple | None = None  # of augment.Transform; None: the geometry's defaults
+    transforms: tuple[Transform, ...] | None = None  # None: the geometry's defaults
 
     def __post_init__(self):
         check_fields(self, "augmentation")
-        for i, spec in enumerate(self.transforms or ()):
-            message = f"must be a transform, got {spec!r}"
-            require(isinstance(spec, Transform), f"augmentation.transforms[{i}]", message)
-
-    @classmethod
-    def from_dict(cls, raw: dict, path: str = "augmentation") -> "AugmentationSection":
-        check_keys(raw, {"transforms"}, (), path)
-        at = f"{path}.transforms"
-        transforms = check_value(tuple | None, raw.get("transforms"), at)
-        if transforms is None:
-            return cls()
-        checked = (_transform(t, f"{at}[{i}]") for i, t in enumerate(transforms))
-        return cls(tuple(checked))
-
-
-def _transform(entry, path: str):
-    """One explicit transform: its ``kind``, then its class's fields. No
-    field has a default, so the resolved echo round-trips exactly."""
-    kind = _kind(entry, TRANSFORMS, path, "transform")
-    params = {key: value for key, value in entry.items() if key != "kind"}
-    try:
-        return parse_section(TRANSFORMS[kind], params, path)
-    except ConfigError as exc:  # a range check names the transform by its kind
-        raise ConfigError(str(exc).replace(f"config: {kind}.", f"config: {path}.", 1)) from None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: DatasetConfig
+    dataset: DatasetSpec
     model: ModelSection = ModelSection()
     losses: LossSection = LossSection()
     training: TrainingSection = TrainingSection()
@@ -243,16 +173,13 @@ class ExperimentConfig:
         head_hidden = self.model.head_hidden_dim
         if head_hidden is None:
             head_hidden = self.model.encoder_widths[-1]
-        standardized = self.dataset.standardize
-        if standardized is None:
-            standardized = isinstance(dataset.geometry, VectorGeometry)
         transforms = self.augmentation.transforms
         if transforms is None:
             transforms = default_transforms(dataset.geometry)
         AugmentationPipeline(transforms, dataset.geometry)  # the geometry check
         return replace(
             self,
-            dataset=replace(self.dataset, standardize=standardized),
+            dataset=replace(self.dataset, standardize=self.dataset.standardizes(dataset.geometry)),
             model=replace(
                 self.model,
                 cluster_count=cluster_count,
@@ -263,16 +190,8 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """The JSON form that ``from_dict`` reads back: dataset parameters
-        sit beside ``kind``, and each transform names its kind."""
-        out = asdict(self)
-        dataset = out["dataset"]
-        out["dataset"] = {"kind": dataset["kind"], **dataset["params"]}
-        out["dataset"]["standardize"] = dataset["standardize"]
-        if self.augmentation.transforms is not None:
-            transforms = self.augmentation.transforms
-            out["augmentation"]["transforms"] = [{"kind": t.kind, **asdict(t)} for t in transforms]
-        return out
+        """The JSON form that ``from_dict`` reads back."""
+        return echo(self)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -292,7 +211,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def build_dataset(config: DatasetConfig) -> Dataset:
+def build_dataset(spec: DatasetSpec) -> Dataset:
     """Generate or load the dataset, applying standardization per the
     (possibly still-default) flag."""
     # Built per call, so that a wrapper installed on one of these module
@@ -300,11 +219,8 @@ def build_dataset(config: DatasetConfig) -> Dataset:
     loaders = {
         "gaussian_blobs": gaussian_blobs, "two_moons": two_moons, "csv": load_csv, "idx": load_idx
     }
-    dataset = loaders[config.kind](**config.params)
-    flag = config.standardize
-    if flag is None:
-        flag = isinstance(dataset.geometry, VectorGeometry)
-    if flag:
+    dataset = loaders[spec.kind](spec)
+    if spec.standardizes(dataset.geometry):
         samples, _, _ = standardize(dataset.samples)
         dataset = Dataset(samples, dataset.geometry, dataset.labels, dataset.name)
     return dataset

@@ -3,7 +3,9 @@
 Every dataset declares whether its rows are flat vectors or flattened
 height-by-width images; the augmentation module keys off that
 declaration, so spatial transforms can never silently run on
-non-spatial data. Generators are seed-deterministic down to the byte.
+non-spatial data. Each dataset kind is one frozen dataclass, which its
+generator or reader takes. Generators are seed-deterministic down to the
+byte.
 
 File formats: IDX for small images (big-endian magic + dims + payload)
 and plain numeric CSV with an optionally auto-detected header row.
@@ -17,17 +19,20 @@ import io
 import math
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .autodiff import as_matrix
-from .errors import ConfigError, ContractError, DegenerateInputError, FormatError, GenerationError
+from .errors import ContractError, DegenerateInputError, FormatError, GenerationError
+from .schema import check_fields, require
 
 __all__ = [
     "VectorGeometry",
     "ImageGeometry",
     "Dataset",
+    "DatasetSpec", "GaussianBlobs", "TwoMoons", "CsvFile", "IdxFiles",
     "gaussian_blobs",
     "two_moons",
     "load_idx",
@@ -102,6 +107,74 @@ class Dataset:
         return self.samples.shape[1]
 
 
+@dataclass(frozen=True)
+class DatasetSpec:
+    """The config's dataset section: one subclass per kind, named by its
+    ``kind``, whose fields are the section's keys. Each field is
+    type-checked against its annotation before any range check, and an
+    error names it as ``dataset.<field>``."""
+
+    kind: ClassVar[str]
+    noun: ClassVar[str] = "dataset kind"
+    standardize: bool | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        check_fields(self, "dataset")
+
+    def standardizes(self, geometry) -> bool:
+        """``standardize``, where None means on for vector data, off for images."""
+        vector = isinstance(geometry, VectorGeometry)
+        return vector if self.standardize is None else self.standardize
+
+
+@dataclass(frozen=True)
+class GaussianBlobs(DatasetSpec):
+    kind = "gaussian_blobs"
+    k: int
+    n_per: int
+    dim: int
+    separation: float
+    sigma: float
+    seed: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        require(self.k >= 2, "dataset.k", "must be >= 2")
+        require(self.n_per >= 1, "dataset.n_per", "must be >= 1")
+        require(self.dim >= 1, "dataset.dim", "must be >= 1")
+        require(self.separation > 0, "dataset.separation", "must be positive")
+        require(self.sigma > 0, "dataset.sigma", "must be positive")
+        require(self.seed >= 0, "dataset.seed", "must be nonnegative")
+
+
+@dataclass(frozen=True)
+class TwoMoons(DatasetSpec):
+    kind = "two_moons"
+    n: int
+    noise: float
+    seed: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        require(self.n >= 4 and self.n % 2 == 0, "dataset.n", "must be an even number >= 4")
+        require(self.noise >= 0, "dataset.noise", "must be nonnegative")
+        require(self.seed >= 0, "dataset.seed", "must be nonnegative")
+
+
+@dataclass(frozen=True)
+class CsvFile(DatasetSpec):
+    kind = "csv"
+    path: str
+    label_column: int | str | None = None
+
+
+@dataclass(frozen=True)
+class IdxFiles(DatasetSpec):
+    kind = "idx"
+    images_path: str
+    labels_path: str | None = None
+
+
 def _place_centers(rng, k, dim, separation):
     half_width = CENTER_BOX_HALF_WIDTH_IN_SEPARATIONS * separation
     centers = []
@@ -118,22 +191,13 @@ def _place_centers(rng, k, dim, separation):
     )
 
 
-def gaussian_blobs(k, n_per, dim, separation, sigma, seed) -> Dataset:
+def gaussian_blobs(spec: GaussianBlobs) -> Dataset:
     """k isotropic Gaussian clusters, centers pairwise at least
     ``separation`` apart, ``n_per`` samples each, labeled by cluster.
     Deterministic per seed."""
-    if k < 2:
-        raise ConfigError(f"gaussian_blobs: k must be >= 2, got {k}")
-    if n_per < 1:
-        raise ConfigError(f"gaussian_blobs: n_per must be >= 1, got {n_per}")
-    if dim < 1:
-        raise ConfigError(f"gaussian_blobs: dim must be >= 1, got {dim}")
-    if not separation > 0:
-        raise ConfigError(f"gaussian_blobs: separation must be positive, got {separation}")
-    if not sigma > 0:
-        raise ConfigError(f"gaussian_blobs: sigma must be positive, got {sigma}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    centers = _place_centers(rng, k, dim, separation)
+    k, n_per, dim, sigma = spec.k, spec.n_per, spec.dim, spec.sigma
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    centers = _place_centers(rng, k, dim, spec.separation)
     samples = np.concatenate(
         [center + sigma * rng.normal(size=(n_per, dim)) for center in centers]
     )
@@ -141,24 +205,20 @@ def gaussian_blobs(k, n_per, dim, separation, sigma, seed) -> Dataset:
     return Dataset(samples, VectorGeometry(dim), labels, name=f"blobs_k{k}")
 
 
-def two_moons(n, noise, seed) -> Dataset:
+def two_moons(spec: TwoMoons) -> Dataset:
     """Two interleaved unit half-circles with Gaussian coordinate noise.
 
     The upper arc is centered at the origin, the lower arc at (1, 0.5);
     with noise 0 every point lies exactly on its circle.
     """
-    if n < 4 or n % 2 != 0:
-        raise ConfigError(f"two_moons: n must be an even number >= 4, got {n}")
-    if noise < 0:
-        raise ConfigError(f"two_moons: noise must be nonnegative, got {noise}")
-    half = n // 2
+    half = spec.n // 2
     t = np.linspace(0.0, np.pi, half)
     outer = np.column_stack([np.cos(t), np.sin(t)])
     inner = np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])
     samples = np.concatenate([outer, inner])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if noise > 0:
-        samples = samples + rng.normal(0.0, noise, size=samples.shape)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    if spec.noise > 0:
+        samples = samples + rng.normal(0.0, spec.noise, size=samples.shape)
     labels = np.repeat([0, 1], half)
     return Dataset(samples, VectorGeometry(2), labels, name="two_moons")
 
@@ -194,9 +254,10 @@ def _read_idx_array(path, magic, ndim):
     return data.reshape(dims)
 
 
-def load_idx(images_path, labels_path=None) -> Dataset:
+def load_idx(spec: IdxFiles) -> Dataset:
     """Read IDX-encoded images (and optionally labels) into a dataset
     with image geometry; pixel values are scaled into [0, 1]."""
+    images_path, labels_path = spec.images_path, spec.labels_path
     raw = _read_idx_array(images_path, IDX_IMAGES_MAGIC, ndim=3)
     n, height, width = raw.shape
     if raw.size == 0:
@@ -216,10 +277,11 @@ def load_idx(images_path, labels_path=None) -> Dataset:
         raise FormatError(f"{labels_path}: {exc}") from None
 
 
-def save_idx(images_path, dataset: Dataset, labels_path=None) -> None:
+def save_idx(images_path, dataset: Dataset, labels_path) -> None:
     """Write a dataset with image geometry back to IDX; values in [0, 1]
     are quantized to bytes, so byte-valued data round-trips exactly.
-    Labels must fit in a byte (0..255)."""
+    Labels, written when ``labels_path`` is not None, must fit in a byte
+    (0..255)."""
     geometry = dataset.geometry
     if not isinstance(geometry, ImageGeometry):
         raise ContractError("save_idx: dataset does not declare image geometry")
@@ -253,22 +315,21 @@ MAX_EXACT_INTEGER = 2.0**53
 
 def _read_table(path):
     """(header cells or None, float matrix, the line each data row starts
-    on, the text) of a numeric CSV. Blank records are skipped; a first row
+    on, the bytes) of a numeric CSV. Blank records are skipped; a first row
     with a non-numeric cell is the header. Rows go through float() as they
     are read, so their cells never all live at once; the first fault in
     the file is reported, and finiteness is checked in one vectorised pass."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        # A byte-order mark would make the first cell non-numeric: a header.
-        text = blob.decode("utf-8").removeprefix("\ufeff")
+        blob.decode("utf-8")  # the whole file, so a bad byte is reported before any row
     except UnicodeDecodeError as exc:
         # Lines up to and including the one that holds the bad byte.
         line = len((blob[: exc.start] + b"?").splitlines())
         raise FormatError(
             f"{path}: line {line}: byte {blob[exc.start]:#04x} at offset {exc.start} is not UTF-8"
         ) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _records(blob)
     header, values, lines, start = None, array("d"), [], 1
     try:
         for row in reader:
@@ -300,17 +361,23 @@ def _read_table(path):
     if not lines:
         raise FormatError(f"{path}: {'no' if header is None else 'header but no'} data rows")
     matrix = np.array(values).reshape(len(lines), width)
-    _reject_cells(~np.isfinite(matrix), lines, text, path, "non-finite value {!r}")
-    return header, matrix, lines, text
+    _reject_cells(~np.isfinite(matrix), lines, blob, path, "non-finite value {!r}")
+    return header, matrix, lines, blob
 
 
-def _reject_cells(bad, lines, text, path, problem):
+def _records(blob):
+    """A csv reader over the UTF-8 bytes ``blob``, decoded as it reads; a
+    byte-order mark, which would make the first cell a header, is dropped."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8-sig", newline=""))
+
+
+def _reject_cells(bad, lines, blob, path, problem):
     """Raise a FormatError at the first flagged cell of the boolean matrix
     ``bad``, in row-major order; ``problem`` is formatted with the cell,
-    read back from the first record of ``text`` that reaches its line."""
+    read back from the first record of ``blob`` that reaches its line."""
     if bad.any():
         index, col = np.argwhere(bad)[0]
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = _records(blob)
         row = next(row for row in reader if row and reader.line_num >= lines[index])
         raise FormatError(
             f"{path}: line {lines[index]}, column {col + 1}: " + problem.format(row[col])
@@ -321,14 +388,15 @@ def _not_integer(values):
     return (values != np.round(values)) | (np.abs(values) >= MAX_EXACT_INTEGER)
 
 
-def load_csv(path, label_column=None) -> Dataset:
+def load_csv(spec: CsvFile) -> Dataset:
     """Read a rectangular numeric CSV as a vector dataset.
 
     A first row with any non-numeric cell is treated as a header and
     skipped. ``label_column`` selects a column (by index, or by name
     when a header is present) to extract as integer labels.
     """
-    header, matrix, lines, text = _read_table(path)
+    path, label_column = spec.path, spec.label_column
+    header, matrix, lines, blob = _read_table(path)
     width = matrix.shape[1]
     labels = None
     if label_column is not None:
@@ -337,13 +405,13 @@ def load_csv(path, label_column=None) -> Dataset:
                 raise FormatError(f"{path}: no header column named {label_column!r}")
             index = header.index(label_column)
         else:
-            index = int(label_column)
+            index = label_column
             if not 0 <= index < width:
                 raise FormatError(f"{path}: label column {index} out of range for width {width}")
         if width == 1:
             raise FormatError(f"{path}: label column {label_column!r} is the only column")
         bad = _not_integer(matrix) & (np.arange(width) == index)
-        _reject_cells(bad, lines, text, path, "non-integral label {!r}")
+        _reject_cells(bad, lines, blob, path, "non-integral label {!r}")
         labels = matrix[:, index].astype(np.int64)
         matrix = np.delete(matrix, index, axis=1)
     try:
@@ -376,12 +444,12 @@ def read_label_csv(path) -> np.ndarray:
     Accepts an optional header. Sample ids must be the integers
     0..n-1 in any order, each exactly once.
     """
-    _, table, lines, text = _read_table(path)
+    _, table, lines, blob = _read_table(path)
     if table.shape[1] != 2:
         raise FormatError(
             f"{path}: line {lines[0]}: expected 2 columns (sample_id, label), got {table.shape[1]}"
         )
-    _reject_cells(_not_integer(table), lines, text, path, "non-integral value {!r}")
+    _reject_cells(_not_integer(table), lines, blob, path, "non-integral value {!r}")
     ids, labels = table.astype(np.int64).T
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(len(ids))):

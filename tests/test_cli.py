@@ -14,7 +14,7 @@ import pytest
 import dualclust
 from dualclust.cli import main
 from dualclust.config import ExperimentConfig, build_dataset
-from dualclust.data import load_csv, read_label_csv, write_label_csv
+from dualclust.data import CsvFile, load_csv, read_label_csv, write_label_csv
 from dualclust.metrics import ari, clustering_accuracy, nmi
 from dualclust.trainer import REPORT_COLUMNS
 
@@ -239,11 +239,11 @@ class TestRun:
         assert capsys.readouterr().err == want
 
     def test_bad_dataset_parameter_fails_before_any_artifact(self, tmp_path, config_path, capsys):
-        # A dataset parameter's range is checked by its generator when the
-        # dataset is built, not when the config is read.
+        # A dataset parameter's range is checked when the config is read,
+        # and the error names its config path.
         out = tmp_path / "run"
         assert main(["run", "--config", config_path(out_dir=out, dataset={"k": 1})]) == 1
-        want = "error [ConfigError]: gaussian_blobs: k must be >= 2, got 1\n"
+        want = "error [ConfigError]: config: dataset.k: must be >= 2\n"
         assert capsys.readouterr().err == want
         assert not out.exists() or not any(out.iterdir())
 
@@ -544,7 +544,7 @@ class TestGenerate:
     def test_vector_dataset_round_trips(self, tmp_path, config_path):
         out = tmp_path / "gen"
         assert main(["generate", "--config", config_path(), "--out", str(out)]) == 0
-        dataset = load_csv(out / "data.csv", label_column=6)
+        dataset = load_csv(CsvFile(str(out / "data.csv"), label_column=6))
         assert dataset.n == 48
         assert dataset.dim == 6
         assert len(np.unique(dataset.labels)) == 3

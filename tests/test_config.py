@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 import dualclust
 from dualclust.augment import (
-    TRANSFORMS,
     AugmentationPipeline,
     GaussianJitter,
     Identity,
     ScaleJitter,
+    Transform,
     _blur_matrix,
     default_transforms,
     epoch_draws,
@@ -33,7 +33,6 @@ from dualclust.config import (
     ABLATION_MODES,
     ABLATIONS,
     AugmentationSection,
-    DatasetConfig,
     ExperimentConfig,
     LossSection,
     ModelSection,
@@ -41,7 +40,13 @@ from dualclust.config import (
     build_dataset,
     load_config,
 )
-from dualclust.data import ImageGeometry, VectorGeometry
+from dualclust.data import (
+    DatasetSpec,
+    GaussianBlobs,
+    ImageGeometry,
+    TwoMoons,
+    VectorGeometry,
+)
 from dualclust.errors import ConfigError
 
 BLOBS = {
@@ -52,6 +57,18 @@ BLOBS = {
     "separation": 8.0,
     "sigma": 1.0,
     "seed": 0,
+}
+
+
+MOONS = {"n": 40, "noise": 0.1, "seed": 0}
+DATASET_KINDS = {cls.kind: cls for cls in DatasetSpec.__subclasses__()}
+TRANSFORMS = {cls.kind: cls for cls in Transform.__subclasses__()}
+# A valid section of every dataset kind.
+DATASETS = {
+    "gaussian_blobs": BLOBS,
+    "two_moons": {"kind": "two_moons", **MOONS},
+    "csv": {"kind": "csv", "path": "data.csv", "label_column": "label"},
+    "idx": {"kind": "idx", "images_path": "images.idx", "labels_path": "labels.idx"},
 }
 
 
@@ -104,18 +121,24 @@ TRANSFORM_FIELDS = {
 EVERY_TRANSFORM = [{"kind": kind, **values} for kind, values in TRANSFORM_FIELDS.items()]
 
 
+# The blob section is "dataset" in the case ids; another dataset kind is
+# named by its kind.
+DATASET_SECTIONS = {"dataset": "gaussian_blobs", "two_moons": "two_moons"}
+
+
 def _section(section, **values):
-    if section == "dataset":
-        params = {key: value for key, value in BLOBS.items() if key != "kind"}
-        return DatasetConfig(BLOBS["kind"], {**params, **values})
+    if section in DATASET_SECTIONS:
+        kind = DATASET_SECTIONS[section]
+        params = {key: value for key, value in DATASETS[kind].items() if key != "kind"}
+        return DATASET_KINDS[kind](**{**params, **values})
     if section in TRANSFORMS:
         return TRANSFORMS[section](**{**TRANSFORM_FIELDS[section], **values})
     return SECTIONS[section](**values)
 
 
 def _raw_section(section, key, value):
-    if section == "dataset":
-        return {"dataset": {**BLOBS, key: value}}
+    if section in DATASET_SECTIONS:
+        return {"dataset": {**DATASETS[DATASET_SECTIONS[section]], key: value}}
     if section in TRANSFORMS:
         entry = {"kind": section, **TRANSFORM_FIELDS[section], key: value}
         return {"augmentation": {"transforms": [entry]}}
@@ -129,15 +152,8 @@ BUILDERS = {
         minimal(**_raw_section(section, key, value))
     ),
     "direct": lambda section, key, value: _section(section, **{key: value}),
-    "replace": lambda section, key, value: _replaced(_section(section), key, value),
+    "replace": lambda section, key, value: replace(_section(section), **{key: value}),
 }
-
-
-def _replaced(built, key, value):
-    """``built`` copied with ``replace``; a dataset parameter sits in ``params``."""
-    if isinstance(built, DatasetConfig):
-        return replace(built, params={**built.params, key: value})
-    return replace(built, **{key: value})
 
 
 OUT_OF_RANGE = [
@@ -170,6 +186,14 @@ OUT_OF_RANGE = [
     ("dataset", "seed", -1),
     ("dataset", "n_per", 2.5),
     ("dataset", "separation", "far"),
+    ("dataset", "k", 1),
+    ("dataset", "n_per", 0),
+    ("dataset", "dim", 0),
+    ("dataset", "separation", -5.0),
+    ("dataset", "sigma", 0),
+    ("two_moons", "n", 5),
+    ("two_moons", "noise", -0.1),
+    ("two_moons", "seed", -1),
 ]
 
 
@@ -187,8 +211,9 @@ class TestValidation:
     )
     def test_out_of_range_values_rejected(self, build, section, field, value):
         # A transform built in Python does not know its place in the list,
-        # so its error names it by its kind.
-        path = section
+        # so its error names it by its kind; every dataset kind is the
+        # dataset section.
+        path = "dataset" if section in DATASET_SECTIONS else section
         if section in TRANSFORMS and build == "from_dict":
             path = "augmentation.transforms[0]"
         with pytest.raises(ConfigError, match=rf"^config: {re.escape(path)}\.{field}: "):
@@ -199,10 +224,8 @@ class TestValidation:
             ExperimentConfig.from_dict(minimal(model={"encoder_widths": []}))
 
 
-# Incomplete, extended and unknown dataset sections: rejected alike when
-# parsed, built in Python or copied with replace. TestValidation covers
+# Incomplete, extended and unknown dataset sections. TestValidation covers
 # the parameter values.
-MOONS = {"n": 40, "noise": 0.1, "seed": 0}
 DATASET_CASES = [
     ("two_moons", {"n": 40}, r"missing required key 'dataset\.noise'"),
     ("two_moons", {**MOONS, "k": 2}, r"unknown key 'dataset\.k': not a parameter of 'two_moons'"),
@@ -213,19 +236,22 @@ DATASET_CASES = [
 class TestDatasetConfig:
     @pytest.mark.parametrize("kind, params, message", DATASET_CASES)
     def test_checked_on_every_construction_path(self, kind, params, message):
-        built = DatasetConfig("two_moons", MOONS)
-        paths = (
-            lambda: ExperimentConfig.from_dict(minimal(dataset={"kind": kind, **params})),
-            lambda: DatasetConfig(kind=kind, params=params),
-            lambda: replace(built, kind=kind, params=params),
-        )
-        for build in paths:
-            with pytest.raises(ConfigError, match=f"^config: {message}"):
-                build()
+        # In Python a kind is a class: its signature rejects a missing or
+        # unknown field, and an unknown kind has no class.
+        with pytest.raises(ConfigError, match=f"^config: {message}"):
+            ExperimentConfig.from_dict(minimal(dataset={"kind": kind, **params}))
+        if kind in DATASET_KINDS:
+            with pytest.raises(TypeError):
+                DATASET_KINDS[kind](**params)
 
     def test_standardize_checked_when_built_in_python(self):
         with pytest.raises(ConfigError, match=r"^config: dataset\.standardize: must be true"):
-            DatasetConfig("two_moons", MOONS, standardize="no")
+            TwoMoons(**MOONS, standardize="no")
+
+    def test_dataset_built_in_python_must_be_a_kind(self):
+        message = r"^config: dataset: must be a dataset kind, got \{'kind'"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(dataset={"kind": "two_moons", **MOONS})
 
 
 JITTER = {"kind": "gaussian_jitter", "probability": 1.0, "sigma": 0.1}
@@ -318,7 +344,7 @@ class TestTypes:
 
     def test_top_level_field_built_in_python_type_checked(self):
         with pytest.raises(ConfigError, match=r"^config: seed: must be an integer, got 1\.5$"):
-            ExperimentConfig(DatasetConfig("two_moons", MOONS), seed=1.5)
+            ExperimentConfig(TwoMoons(**MOONS), seed=1.5)
 
     def test_list_built_in_python_kept_as_the_parsed_tuple(self):
         built = ModelSection(encoder_widths=[8, 4])
@@ -348,14 +374,19 @@ class TestTypes:
         assert config.model.cluster_count is None and config.out_dir is None
 
 
-# Every field of every section, every blob parameter, and every key of
-# every transform kind.
+# Every field of every section, every key of every dataset kind (each
+# in a config of that kind), and every key of every transform kind: as
+# (dataset kind, path).
 FIELD_PATHS = (
-    [(f.name,) for f in fields(ExperimentConfig)]
-    + [(name, f.name) for name, cls in SECTIONS.items() for f in fields(cls)]
-    + [("dataset", key) for key in (*BLOBS, "standardize")]
+    [("gaussian_blobs", (f.name,)) for f in fields(ExperimentConfig)]
+    + [("gaussian_blobs", (name, f.name)) for name, cls in SECTIONS.items() for f in fields(cls)]
     + [
-        ("augmentation", "transforms", i, key)
+        (kind, ("dataset", key))
+        for kind, cls in DATASET_KINDS.items()
+        for key in ("kind", *(f.name for f in fields(cls)))
+    ]
+    + [
+        ("gaussian_blobs", ("augmentation", "transforms", i, key))
         for i, entry in enumerate(EVERY_TRANSFORM)
         for key in entry
     ]
@@ -368,9 +399,14 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
-def test_any_json_value_parses_or_raises_config_error(path, value):
-    raw = minimal(augmentation={"transforms": copy.deepcopy(EVERY_TRANSFORM)}, out_dir="runs/x")
+@given(case=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_any_json_value_parses_or_raises_config_error(case, value):
+    kind, path = case
+    raw = minimal(
+        dataset=dict(DATASETS[kind]),
+        augmentation={"transforms": copy.deepcopy(EVERY_TRANSFORM)},
+        out_dir="runs/x",
+    )
     node = raw
     for key in path[:-1]:
         node = node[key] if isinstance(key, int) else node.setdefault(key, {})
@@ -513,10 +549,15 @@ def test_readme_complete_example_parses_and_resolves():
     assert ExperimentConfig.from_dict(resolved.to_dict()) == resolved
 
 
+def _augmentation(raw):
+    """The augmentation section parsed from ``raw``."""
+    return ExperimentConfig.from_dict(minimal(augmentation=raw)).augmentation
+
+
 class TestAugmentationSection:
     def test_preset_is_an_unknown_key(self):
         with pytest.raises(ConfigError, match=r"^config: unknown key 'augmentation\.preset'$"):
-            AugmentationSection.from_dict({"preset": "default"})
+            _augmentation({"preset": "default"})
 
     @pytest.mark.parametrize("entry", [{"kind": "identity", "probability": 1.0}, "identity"])
     def test_entry_that_is_not_a_transform_rejected(self, entry):
@@ -528,19 +569,19 @@ class TestAugmentationSection:
 
     def test_unknown_transform_kind_rejected(self):
         with pytest.raises(ConfigError, match="wobble"):
-            AugmentationSection.from_dict(
+            _augmentation(
                 {"transforms": [{"kind": "wobble", "probability": 1.0}]}
             )
 
     def test_missing_transform_parameter_rejected(self):
         with pytest.raises(ConfigError, match="sigma"):
-            AugmentationSection.from_dict(
+            _augmentation(
                 {"transforms": [{"kind": "gaussian_jitter", "probability": 1.0}]}
             )
 
     def test_extra_transform_parameter_rejected(self):
         with pytest.raises(ConfigError, match="slope"):
-            AugmentationSection.from_dict(
+            _augmentation(
                 {
                     "transforms": [
                         {
@@ -554,14 +595,14 @@ class TestAugmentationSection:
             )
 
     def test_empty_transform_list_allowed(self):
-        section = AugmentationSection.from_dict({"transforms": []})
+        section = _augmentation({"transforms": []})
         pipeline = AugmentationPipeline(section.transforms, VectorGeometry(3))
         assert pipeline.transforms == ()
 
 
 class TestBuildPipeline:
     def test_explicit_transforms_materialize(self):
-        section = AugmentationSection.from_dict(
+        section = _augmentation(
             {
                 "transforms": [
                     {"kind": "gaussian_jitter", "probability": 0.5, "sigma": 0.3},
@@ -577,7 +618,7 @@ class TestBuildPipeline:
         assert pipeline.transforms == section.transforms
 
     def test_image_transform_on_vector_geometry_rejected(self):
-        section = AugmentationSection.from_dict(
+        section = _augmentation(
             {"transforms": [{"kind": "horizontal_flip", "probability": 1.0}]}
         )
         with pytest.raises(ConfigError, match=r"^config: augmentation\.transforms\[0\]: .*geometry"):
@@ -639,15 +680,12 @@ class TestBuildDataset:
         np.testing.assert_allclose(dataset.samples.std(axis=0), 1.0, atol=1e-12)
 
     def test_standardize_false_keeps_raw_scale(self):
-        raw = dict(BLOBS)
-        raw["standardize"] = False
-        dataset = build_dataset(DatasetConfig.from_dict(raw))
+        params = {key: value for key, value in BLOBS.items() if key != "kind"}
+        dataset = build_dataset(GaussianBlobs(**params, standardize=False))
         assert dataset.samples.std() > 1.5
 
     def test_two_moons_dispatch(self):
-        dataset = build_dataset(
-            DatasetConfig.from_dict({"kind": "two_moons", "n": 40, "noise": 0.0, "seed": 1})
-        )
+        dataset = build_dataset(TwoMoons(n=40, noise=0.0, seed=1))
         assert dataset.n == 40
         assert sorted(np.unique(dataset.labels)) == [0, 1]
 
@@ -659,11 +697,8 @@ class TestBuildDataset:
         samples = rng.normal(size=(10, 3))
         labels = np.array([0, 1] * 5, dtype=np.float64)
         save_csv(path, np.column_stack([samples, labels]))
-        dataset = build_dataset(
-            DatasetConfig.from_dict(
-                {"kind": "csv", "path": str(path), "label_column": 3, "standardize": False}
-            )
-        )
+        raw = {"kind": "csv", "path": str(path), "label_column": 3, "standardize": False}
+        dataset = build_dataset(ExperimentConfig.from_dict(minimal(dataset=raw)).dataset)
         assert dataset.n == 10 and dataset.dim == 3
         np.testing.assert_array_equal(dataset.labels, labels.astype(np.int64))
 
@@ -724,18 +759,23 @@ class TestOneHomeForSettings:
         # per-head copy would drop the head from the name, as in
         # ``temperature``. A transform's fields have no default anywhere:
         # an explicit transform spells out every one, and the defaults
-        # sit in augment.default_transforms.
+        # sit in augment.default_transforms. A dataset field's default
+        # sits in its kind's class only; the generators and readers take
+        # the class. A dataset's ``seed`` shares its name with the
+        # experiment seed, which is not a section's setting.
         sections = (ModelSection, LossSection, TrainingSection)
         settings = {f.name for section in sections for f in fields(section)}
         settings |= {name.split("_", 1)[1] for name in settings if name.endswith("_temperature")}
         settings |= {f.name for cls in TRANSFORMS.values() for f in fields(cls)}
+        settings |= {f.name for cls in DATASET_KINDS.values() for f in fields(cls)} - {"seed"}
+        homes = {DatasetSpec, *DATASET_KINDS.values()}
         copies = []
         for info in pkgutil.iter_modules(dualclust.__path__):
             if info.name == "config":
                 continue
             module = importlib.import_module(f"dualclust.{info.name}")
             for obj in vars(module).values():
-                if getattr(obj, "__module__", None) == module.__name__:
+                if getattr(obj, "__module__", None) == module.__name__ and obj not in homes:
                     owned = _defaulted_names(obj)
                     copies += [f"{module.__name__}.{o}.{n}" for o, n in owned if n in settings]
         assert copies == [], copies
@@ -784,9 +824,6 @@ class TestOneHomeForAblationModes:
 UNPASSED_DEFAULTS_ALLOWED = {
     # The console script calls main() without arguments; tests pass argv.
     ("cli", "main", "argv"),
-    # build_dataset calls the loaders through **params from the config.
-    ("data", "load_csv", "label_column"),
-    ("data", "load_idx", "labels_path"),
 }
 
 

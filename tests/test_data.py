@@ -3,6 +3,7 @@
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualclust.data import (
+    CsvFile,
     Dataset,
+    GaussianBlobs,
+    IdxFiles,
     ImageGeometry,
+    TwoMoons,
     VectorGeometry,
     gaussian_blobs,
     load_csv,
@@ -24,7 +29,7 @@ from dualclust.data import (
     two_moons,
     write_label_csv,
 )
-from dualclust.config import DatasetConfig, build_dataset
+from dualclust.config import ExperimentConfig, build_dataset
 from dualclust.errors import (
     ConfigError,
     ContractError,
@@ -35,6 +40,16 @@ from dualclust.errors import (
 )
 from dualclust.kmeans import kmeans
 from dualclust.metrics import clustering_accuracy
+
+
+def csv_file(path, label_column=None) -> CsvFile:
+    """The csv dataset section of the file at ``path``."""
+    return CsvFile(str(path), label_column=label_column)
+
+
+def idx_files(images_path, labels_path=None) -> IdxFiles:
+    """The idx dataset section of the files at the given paths."""
+    return IdxFiles(str(images_path), None if labels_path is None else str(labels_path))
 
 
 class TestDatasetInvariants:
@@ -68,13 +83,13 @@ class TestDatasetInvariants:
 
 class TestGaussianBlobs:
     def test_same_seed_is_byte_identical(self):
-        a = gaussian_blobs(k=3, n_per=20, dim=5, separation=4.0, sigma=1.0, seed=7)
-        b = gaussian_blobs(k=3, n_per=20, dim=5, separation=4.0, sigma=1.0, seed=7)
+        a = gaussian_blobs(GaussianBlobs(k=3, n_per=20, dim=5, separation=4.0, sigma=1.0, seed=7))
+        b = gaussian_blobs(GaussianBlobs(k=3, n_per=20, dim=5, separation=4.0, sigma=1.0, seed=7))
         assert a.samples.tobytes() == b.samples.tobytes()
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_tiny_sigma_collapses_clusters(self):
-        ds = gaussian_blobs(k=2, n_per=10, dim=3, separation=5.0, sigma=1e-12, seed=0)
+        ds = gaussian_blobs(GaussianBlobs(k=2, n_per=10, dim=3, separation=5.0, sigma=1e-12, seed=0))
         for label in (0, 1):
             points = ds.samples[ds.labels == label]
             spread = np.linalg.norm(points - points[0], axis=1)
@@ -82,7 +97,7 @@ class TestGaussianBlobs:
 
     def test_cluster_means_respect_separation(self):
         sep = 6.0
-        ds = gaussian_blobs(k=4, n_per=100, dim=8, separation=sep, sigma=0.5, seed=3)
+        ds = gaussian_blobs(GaussianBlobs(k=4, n_per=100, dim=8, separation=sep, sigma=0.5, seed=3))
         means = np.array([ds.samples[ds.labels == k].mean(axis=0) for k in range(4)])
         for i in range(4):
             for j in range(i + 1, 4):
@@ -91,14 +106,14 @@ class TestGaussianBlobs:
     def test_kmeans_finds_well_separated_blobs(self):
         # Sanity oracle: with 10-sigma separation the task is easy for a
         # linear method, so downstream failures are not the data's fault.
-        ds = gaussian_blobs(k=4, n_per=50, dim=16, separation=10.0, sigma=1.0, seed=0)
+        ds = gaussian_blobs(GaussianBlobs(k=4, n_per=50, dim=16, separation=10.0, sigma=1.0, seed=0))
         labels, _, _ = kmeans(ds.samples, 4, seed=0)
         assert clustering_accuracy(labels, ds.labels) >= 0.99
 
     def test_infeasible_packing_raises_generation_error(self):
         # 40 points pairwise >= 1 apart cannot fit in the sampling box.
         with pytest.raises(GenerationError, match="could not place"):
-            gaussian_blobs(k=40, n_per=1, dim=1, separation=1.0, sigma=0.1, seed=0)
+            gaussian_blobs(GaussianBlobs(k=40, n_per=1, dim=1, separation=1.0, sigma=0.1, seed=0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -113,13 +128,13 @@ class TestGaussianBlobs:
     def test_invalid_arguments_rejected(self, kwargs):
         base = dict(k=2, n_per=5, dim=2, separation=1.0, sigma=0.5, seed=0)
         base.update(kwargs)
-        with pytest.raises(ConfigError):
-            gaussian_blobs(**base)
+        with pytest.raises(ConfigError, match=rf"^config: dataset\.{next(iter(kwargs))}: "):
+            GaussianBlobs(**base)
 
 
 class TestTwoMoons:
     def test_noiseless_points_lie_on_circles(self):
-        ds = two_moons(n=100, noise=0.0, seed=0)
+        ds = two_moons(TwoMoons(n=100, noise=0.0, seed=0))
         upper = ds.samples[ds.labels == 0]
         lower = ds.samples[ds.labels == 1]
         np.testing.assert_allclose(np.linalg.norm(upper, axis=1), 1.0, atol=1e-12)
@@ -128,14 +143,14 @@ class TestTwoMoons:
         )
 
     def test_determinism(self):
-        a = two_moons(n=64, noise=0.1, seed=5)
-        b = two_moons(n=64, noise=0.1, seed=5)
+        a = two_moons(TwoMoons(n=64, noise=0.1, seed=5))
+        b = two_moons(TwoMoons(n=64, noise=0.1, seed=5))
         assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_kmeans_struggles_on_moons(self):
         # Interleaved arcs are not linearly separable: k-means lands well
         # above chance but clearly below clean recovery.
-        ds = two_moons(n=500, noise=0.05, seed=1)
+        ds = two_moons(TwoMoons(n=500, noise=0.05, seed=1))
         labels, _, _ = kmeans(ds.samples, 2, seed=0)
         acc = clustering_accuracy(labels, ds.labels)
         assert 0.6 <= acc < 0.95
@@ -144,8 +159,8 @@ class TestTwoMoons:
     def test_invalid_arguments_rejected(self, kwargs):
         base = dict(n=10, noise=0.0, seed=0)
         base.update(kwargs)
-        with pytest.raises(ConfigError):
-            two_moons(**base)
+        with pytest.raises(ConfigError, match=rf"^config: dataset\.{next(iter(kwargs))}: "):
+            TwoMoons(**base)
 
 
 def write_idx_images(path, array_u8):
@@ -166,7 +181,7 @@ class TestIdx:
         lab_path = tmp_path / "labels.idx"
         write_idx_images(img_path, images)
         write_idx_labels(lab_path, [0, 1, 0, 1])
-        ds = load_idx(img_path, lab_path)
+        ds = load_idx(idx_files(img_path, lab_path))
         assert ds.samples.shape == (4, 4)
         assert ds.geometry == ImageGeometry(2, 2)
         assert np.all((ds.samples >= 0.0) & (ds.samples <= 1.0))
@@ -177,26 +192,26 @@ class TestIdx:
         path = tmp_path / "bad.idx"
         path.write_bytes(b"\x00\x00\x07\x03" + b"\x00" * 20)
         with pytest.raises(FormatError, match="offset 0"):
-            load_idx(path)
+            load_idx(idx_files(path))
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">3I", 4, 2, 2) + b"\x00" * 7)
         with pytest.raises(FormatError, match="offset 16"):
-            load_idx(path)
+            load_idx(idx_files(path))
 
     def test_dimensions_overflowing_int64_report_payload_size(self, tmp_path):
         path = tmp_path / "huge.idx"
         path.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">3I", 2**31, 2**31, 4))
         with pytest.raises(FormatError, match=f"expects {2**64} bytes at offset 16"):
-            load_idx(path)
+            load_idx(idx_files(path))
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 2, 0)], ids=["no_images", "zero_width"])
     def test_empty_images_named(self, tmp_path, shape):
         path = tmp_path / "empty.idx"
         write_idx_images(path, np.zeros(shape, dtype=np.uint8))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: IDX file holds"):
-            load_idx(path)
+            load_idx(idx_files(path))
 
     def test_label_count_mismatch_rejected(self, tmp_path):
         img_path = tmp_path / "images.idx"
@@ -204,7 +219,7 @@ class TestIdx:
         write_idx_images(img_path, np.zeros((4, 2, 2), dtype=np.uint8))
         write_idx_labels(lab_path, [0, 1])
         with pytest.raises(FormatError, match="labels"):
-            load_idx(img_path, lab_path)
+            load_idx(idx_files(img_path, lab_path))
 
     def test_single_label_value_reported_with_labels_path(self, tmp_path):
         img_path = tmp_path / "images.idx"
@@ -213,7 +228,7 @@ class TestIdx:
         write_idx_labels(lab_path, [0, 0])
         message = f"{re.escape(str(lab_path))}: .*at least 2 distinct values"
         with pytest.raises(FormatError, match=message):
-            load_idx(img_path, lab_path)
+            load_idx(idx_files(img_path, lab_path))
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -226,7 +241,7 @@ class TestIdx:
         img_path = tmp_path / "images.idx"
         lab_path = tmp_path / "labels.idx"
         save_idx(img_path, original, lab_path)
-        loaded = load_idx(img_path, lab_path)
+        loaded = load_idx(idx_files(img_path, lab_path))
         np.testing.assert_array_equal(loaded.samples, original.samples)
         np.testing.assert_array_equal(loaded.labels, original.labels)
 
@@ -241,39 +256,39 @@ class TestCsv:
     def test_plain_numeric_fixture(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4\n5,6\n")
-        ds = load_csv(path)
+        ds = load_csv(csv_file(path))
         np.testing.assert_array_equal(ds.samples, [[1, 2], [3, 4], [5, 6]])
         assert ds.geometry == VectorGeometry(2)
 
     def test_header_auto_detected_and_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y\n1,2\n3,4\n")
-        ds = load_csv(path)
+        ds = load_csv(csv_file(path))
         assert ds.samples.shape == (2, 2)
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,4,5\n")
         with pytest.raises(FormatError, match="line 2"):
-            load_csv(path)
+            load_csv(csv_file(path))
 
     def test_non_numeric_cell_reports_position(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,oops\n")
         with pytest.raises(FormatError, match="line 2, column 2"):
-            load_csv(path)
+            load_csv(csv_file(path))
 
     def test_label_column_by_index(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.5,2.5,0\n3.5,4.5,1\n5.5,6.5,0\n")
-        ds = load_csv(path, label_column=2)
+        ds = load_csv(csv_file(path, 2))
         assert ds.samples.shape == (3, 2)
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
 
     def test_label_column_by_name(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b,target\n1,2,1\n3,4,0\n")
-        ds = load_csv(path, label_column="target")
+        ds = load_csv(csv_file(path, "target"))
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
     @pytest.mark.parametrize("text, column", [("label\n1\n0\n", "label"), ("1\n0\n", 0)])
@@ -282,7 +297,7 @@ class TestCsv:
         path.write_text(text)
         message = f"data.csv: label column {column!r} is the only column"
         with pytest.raises(FormatError, match=message):
-            load_csv(path, label_column=column)
+            load_csv(csv_file(path, column))
 
     @pytest.mark.parametrize(
         "text, header_width, width",
@@ -294,57 +309,76 @@ class TestCsv:
         path.write_text(text)
         message = rf"data.csv: line 1: header has {header_width} columns, data rows have {width}"
         with pytest.raises(FormatError, match=message):
-            load_csv(path, label_column="label")
+            load_csv(csv_file(path, "label"))
 
     def test_non_integral_label_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,0.5\n2,1.0\n")
         with pytest.raises(FormatError, match="integral"):
-            load_csv(path, label_column=1)
+            load_csv(csv_file(path, 1))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_cell_reports_position(self, tmp_path, cell):
         path = tmp_path / "data.csv"
         path.write_text(f"x,y\n1,2\n3,{cell}\n")
         with pytest.raises(FormatError, match=rf"data.csv: line 3, column 2: non-finite value '{cell}'"):
-            load_csv(path)
+            load_csv(csv_file(path))
 
     def test_reported_line_counts_blank_lines(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n\n3,4\n5,nan\n")
         with pytest.raises(FormatError, match="line 4, column 2"):
-            load_csv(path)
+            load_csv(csv_file(path))
 
     def test_non_integral_label_reports_position(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,0\n2,1\n3,1.7\n")
         with pytest.raises(FormatError, match=r"line 3, column 2: non-integral label '1.7'"):
-            load_csv(path, label_column=1)
+            load_csv(csv_file(path, 1))
 
     def test_first_fault_in_the_file_reported(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1,2\n3,x\n5\n")
         with pytest.raises(FormatError, match=r"line 2, column 2: could not parse 'x'"):
-            load_csv(path)
+            load_csv(csv_file(path))
 
     def test_cell_read_back_past_a_quoted_multiline_cell(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text('1,"2\n\n"\n3,4\n5,inf\n')
         with pytest.raises(FormatError, match=r"line 5, column 2: non-finite value 'inf'"):
-            load_csv(path)
+            load_csv(csv_file(path))
 
     def test_single_label_value_reported_with_path(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,label\n1,3\n2,3\n")
         with pytest.raises(FormatError, match="data.csv: .*at least 2 distinct values"):
-            load_csv(path, label_column="label")
+            load_csv(csv_file(path, "label"))
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(6, 4)) * np.logspace(-3, 3, 4)
         path = tmp_path / "data.csv"
         save_csv(path, matrix)
-        np.testing.assert_array_equal(load_csv(path).samples, matrix)
+        np.testing.assert_array_equal(load_csv(csv_file(path)).samples, matrix)
+
+    def test_peak_memory_bounded_by_the_file_size(self, tmp_path):
+        # The reader holds the file's bytes and decodes them as the csv
+        # module reads, so its peak is those bytes plus the float64 cells
+        # (8 bytes for each 20-odd characters that save_csv writes), held
+        # once read and once as the matrix: about twice the file. A
+        # decoded copy of the whole file in a text buffer, at up to 4
+        # bytes per character, takes it past 3 times.
+        path = tmp_path / "data.csv"
+        save_csv(path, np.random.default_rng(0).normal(size=(2000, 16)))
+        load_csv(csv_file(path))  # warm the caches the first call fills
+        tracemalloc.start()
+        try:
+            load_csv(csv_file(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 3 * size, f"peak {peak} bytes for a file of {size}"
 
 
 class TestLabelCsv:
@@ -381,10 +415,14 @@ class TestLabelCsv:
             read_label_csv(path)
 
 
+# Both CSV readers, each given a file's path.
+READERS = [pytest.param(lambda path: load_csv(csv_file(path)), id="load_csv"), read_label_csv]
+
+
 class TestCsvRecords:
     """Faults below the cell level, shared by both CSV readers."""
 
-    @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
+    @pytest.mark.parametrize("reader", READERS)
     def test_non_utf8_byte_reports_line(self, tmp_path, reader):
         path = tmp_path / "data.csv"
         path.write_bytes(b"0,1\r\n1,0\r\n2,\xff\r\n")
@@ -394,18 +432,18 @@ class TestCsvRecords:
     def test_byte_order_mark_is_not_a_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
-        np.testing.assert_array_equal(load_csv(path).samples, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(load_csv(csv_file(path)).samples, [[1, 2], [3, 4]])
         path.write_bytes(b"\xef\xbb\xbf1,0\n0,1\n")
         np.testing.assert_array_equal(read_label_csv(path), [1, 0])
 
-    @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
+    @pytest.mark.parametrize("reader", READERS)
     def test_oversized_cell_reports_line(self, tmp_path, reader):
         path = tmp_path / "data.csv"
         path.write_text("0,1\n1," + "1" * 200_000 + "\n")
         with pytest.raises(FormatError, match="data.csv: line 2: field larger than field limit"):
             reader(path)
 
-    @pytest.mark.parametrize("reader", [load_csv, read_label_csv])
+    @pytest.mark.parametrize("reader", READERS)
     def test_quoted_cell_spanning_lines_keeps_later_lines(self, tmp_path, reader):
         path = tmp_path / "data.csv"
         path.write_text('0,1\n"1\n\n",0\n2,x\n')
@@ -490,7 +528,7 @@ class TestReaderFuzz:
     @settings(max_examples=200, deadline=None)
     def test_damaged_data_csv_loads_checked_or_fails_located(self, blob, label_column):
         """A loaded dataset is finite and, written back, reads the same."""
-        dataset = _load_or_located_error(blob, lambda p: load_csv(p, label_column))
+        dataset = _load_or_located_error(blob, lambda p: load_csv(csv_file(p, label_column)))
         if dataset is None:
             return
         assert np.isfinite(dataset.samples).all()
@@ -500,10 +538,10 @@ class TestReaderFuzz:
             path = Path(tmp) / "again.csv"
             if dataset.labels is None:
                 save_csv(path, dataset.samples)
-                np.testing.assert_array_equal(load_csv(path).samples, dataset.samples)
+                np.testing.assert_array_equal(load_csv(csv_file(path)).samples, dataset.samples)
                 return
             save_csv(path, np.column_stack([dataset.samples, dataset.labels]))
-            again = load_csv(path, label_column=dataset.dim)
+            again = load_csv(csv_file(path, dataset.dim))
         np.testing.assert_array_equal(again.samples, dataset.samples)
         np.testing.assert_array_equal(again.labels, dataset.labels)
 
@@ -582,7 +620,7 @@ class TestIdxFuzz:
             img_path.write_bytes(images)
             lab_path.write_bytes(labels)
             try:
-                dataset = load_idx(img_path, lab_path if with_labels else None)
+                dataset = load_idx(idx_files(img_path, lab_path if with_labels else None))
             except DualclustError as exc:
                 message = str(exc)
                 named = [p for p in (img_path, lab_path) if message.startswith(f"{p}: ")]
@@ -598,7 +636,7 @@ class TestIdxFuzz:
             assert (dataset.labels is None) == (not with_labels)
             again = (Path(tmp) / "again_images.idx", Path(tmp) / "again_labels.idx")
             save_idx(again[0], dataset, again[1] if with_labels else None)
-            loaded = load_idx(again[0], again[1] if with_labels else None)
+            loaded = load_idx(idx_files(again[0], again[1] if with_labels else None))
         assert loaded.geometry == dataset.geometry
         np.testing.assert_array_equal(loaded.samples, dataset.samples)
         np.testing.assert_array_equal(loaded.labels, dataset.labels)
@@ -638,6 +676,6 @@ class TestStandardize:
         path = tmp_path / "data.csv"
         rows = [f"{i},{value!r},{i % 2}" for i, value in enumerate(column)]
         path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
-        config = DatasetConfig.from_dict({"kind": "csv", "path": str(path), "label_column": "label"})
+        raw = {"dataset": {"kind": "csv", "path": str(path), "label_column": "label"}}
         with pytest.raises(DegenerateInputError, match="column 1 overflows"):
-            build_dataset(config)
+            build_dataset(ExperimentConfig.from_dict(raw).dataset)

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualclust import autodiff as ad
-from dualclust.config import DatasetConfig, ExperimentConfig, ModelSection, build_dataset
+from dualclust.config import ExperimentConfig, ModelSection, build_dataset
+from dualclust.data import TwoMoons
 from dualclust.errors import ConfigError, FormatError, ShapeError
 from dualclust.model import (
     ModelParams,
@@ -56,7 +57,7 @@ class TestConfig:
         assert arrays["cluster_head.0.weight"].shape == (7, 9)
 
     def test_head_hidden_defaults_to_feature_dim(self):
-        moons = DatasetConfig("two_moons", {"n": 8, "noise": 0.1, "seed": 0})
+        moons = TwoMoons(n=8, noise=0.1, seed=0)
         dataset = build_dataset(moons)
         for hidden, want in ((None, 8), (17, 17)):
             section = ModelSection(encoder_widths=(10, 8), head_hidden_dim=hidden)

@@ -1,5 +1,6 @@
 """Optimizer, joint objective, training loop, and evaluation tests."""
 
+import inspect
 import re
 import tracemalloc
 import warnings
@@ -17,14 +18,13 @@ from dualclust.augment import Identity
 from dualclust.config import (
     ABLATION_MODES,
     AugmentationSection,
-    DatasetConfig,
     ExperimentConfig,
     LossSection,
     ModelSection,
     TrainingSection,
     build_dataset,
 )
-from dualclust.data import Dataset, ImageGeometry, VectorGeometry
+from dualclust.data import CsvFile, Dataset, ImageGeometry, VectorGeometry
 from dualclust.errors import ConfigError, ContractError, DegenerateInputError, DualclustError
 from dualclust.losses import cluster_loss, instance_loss
 from dualclust.metrics import clustering_accuracy
@@ -409,7 +409,7 @@ class TestTrain:
         samples = np.zeros((8, 4))
         dataset = Dataset(samples, VectorGeometry(4))
         config = ExperimentConfig(
-            dataset=DatasetConfig(kind="csv", params={"path": "unused.csv"}),
+            dataset=CsvFile("unused.csv"),
             model=ModelSection(encoder_widths=(8,), instance_dim=4, cluster_count=2),
             training=TrainingSection(batch_size=4, epochs=1),
             augmentation=AugmentationSection((Identity(probability=1.0),)),
@@ -545,7 +545,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         dataset = Dataset(rng.normal(size=(16, 4)), VectorGeometry(4))
         config = ExperimentConfig(
-            dataset=DatasetConfig(kind="csv", params={"path": "unused.csv"}),
+            dataset=CsvFile("unused.csv"),
             model=ModelSection(encoder_widths=(8,), instance_dim=4, cluster_count=3),
             training=TrainingSection(batch_size=8, epochs=2),
         )
@@ -557,6 +557,32 @@ class TestTrain:
 
     def test_report_header_matches_columns(self):
         assert TrainReport().csv_text() == ",".join(REPORT_COLUMNS) + "\n"
+
+    def test_each_epoch_trains_every_sample_once_in_its_own_seeded_order(self, monkeypatch):
+        # The batches a run trains on, read off each step's sample indices:
+        # 16 samples in batches of 4, for 3 epochs.
+        def batches(**overrides):
+            seen = []
+
+            def spied(*args):
+                seen.append(inspect.signature(step).bind(*args).arguments["indices"].copy())
+                return step(*args)
+
+            monkeypatch.setattr(dualclust.trainer, "_step", spied)
+            raw = {"dataset": {"n_per": 4}, "training": {"batch_size": 4, "epochs": 3}}
+            config = small_config(**{**raw, **overrides})
+            train(config, build_dataset(config.dataset))
+            return np.array(seen).reshape(3, 16)
+
+        step = dualclust.trainer._step
+        orders = batches()
+        for order in orders:
+            np.testing.assert_array_equal(np.sort(order), np.arange(16))
+        assert len({order.tobytes() for order in orders}) == 3, "two epochs share an order"
+        np.testing.assert_array_equal(batches(), orders)
+        identity = [{"kind": "identity", "probability": 1.0}]
+        np.testing.assert_array_equal(batches(augmentation={"transforms": identity}), orders)
+        assert not np.array_equal(batches(seed=1), orders)
 
     @pytest.mark.parametrize("ablation", ["full", "ich_only"])
     def test_step_graph_released_before_the_next_step_builds_its_own(
@@ -594,7 +620,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         dataset = Dataset(rng.uniform(size=(2 * batch, side * side)), ImageGeometry(side, side))
         config = ExperimentConfig(
-            dataset=DatasetConfig(kind="csv", params={"path": "unused.csv"}),
+            dataset=CsvFile("unused.csv"),
             model=ModelSection(cluster_count=4),
             training=TrainingSection(batch_size=batch, epochs=2, learning_rate=1e-3),
         )
