@@ -19,8 +19,8 @@ from one Philox stream keyed by (seed, epoch). `epoch_draws` draws it
 in whole arrays, transform by transform in pipeline order, with rows in
 sample-index order; `pair_rng` takes one sample's share of it and
 `make_pair` applies that share with no further draw to the first
-``augmented`` views of the pair (2 by default; an ablation mode may
-leave one or both as copies of the input). Identical
+``augmented`` views of the pair (2, or fewer in an ablation mode that
+leaves one or both as copies of the input). Identical
 (pipeline, input, share) produce byte-identical views, and a sample's
 views do not depend on batch order.
 """
@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import ImageGeometry
 from .errors import ConfigError, ContractError, ShapeError
-from .schema import check_fields
+from .schema import check_fields, require
 
 __all__ = [
     "Transform",
@@ -51,6 +51,8 @@ __all__ = [
 # Images at or above this side length keep the blur stage by default;
 # smaller ones drop it.
 BLUR_MIN_SIDE = 64
+# A blur's radius may be at most this many times the longer image side.
+BLUR_MAX_RADIUS_SIDES = 4
 
 AUGMENT_STREAM_TAG = 0x41475631
 
@@ -70,11 +72,7 @@ class Transform:
 
     def __post_init__(self):
         check_fields(self, self.kind)
-        self._require(0 <= self.probability <= 1, "probability", "must be in [0, 1]")
-
-    def _require(self, condition: bool, field: str, message: str):
-        if not condition:
-            raise ConfigError(f"config: {self.kind}.{field}: {message}")
+        require(0 <= self.probability <= 1, f"{self.kind}.probability", "must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class GaussianJitter(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require(self.sigma > 0, "sigma", "must be positive")
+        require(self.sigma > 0, f"{self.kind}.sigma", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class CoordinateMask(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require(0 <= self.fraction < 1, "fraction", "must be in [0, 1)")
+        require(0 <= self.fraction < 1, f"{self.kind}.fraction", "must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ class ScaleJitter(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require(self.low > 0, "low", "must be positive")
-        self._require(self.low <= self.high, "high", "must be at least low")
+        require(self.low > 0, f"{self.kind}.low", "must be positive")
+        require(self.low <= self.high, f"{self.kind}.high", "must be at least low")
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,8 @@ class ResizedCrop(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require(0 < self.min_area_fraction <= 1, "min_area_fraction", "must be in (0, 1]")
+        area = self.min_area_fraction
+        require(0 < area <= 1, f"{self.kind}.min_area_fraction", "must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,8 @@ class BrightnessJitter(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require(self.low >= 0, "low", "must be nonnegative")
-        self._require(self.low <= self.high, "high", "must be at least low")
+        require(self.low >= 0, f"{self.kind}.low", "must be nonnegative")
+        require(self.low <= self.high, f"{self.kind}.high", "must be at least low")
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ class GaussianBlur(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require(self.sigma > 0, "sigma", "must be positive")
+        require(self.sigma > 0, f"{self.kind}.sigma", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,16 @@ class AugmentationPipeline:
     def __post_init__(self):
         is_image = isinstance(self.geometry, ImageGeometry)
         for i, spec in enumerate(self.transforms):
-            if spec.needs_image and not is_image:
-                raise ConfigError(
-                    f"config: augmentation.transforms[{i}]: transform {spec.kind} needs "
-                    "image geometry; dataset is vector-shaped"
-                )
+            path = f"augmentation.transforms[{i}]"
+            message = f"transform {spec.kind} needs image geometry; dataset is vector-shaped"
+            require(is_image or not spec.needs_image, path, message)
+            if isinstance(spec, GaussianBlur):
+                # Building the blur's matrix takes memory in proportion to its radius.
+                side = max(self.geometry.height, self.geometry.width)
+                radius = _blur_radius(spec.sigma)
+                bound = f"{BLUR_MAX_RADIUS_SIDES} x the longer image side ({side})"
+                message = f"blur radius {radius} exceeds {bound}"
+                require(radius <= BLUR_MAX_RADIUS_SIDES * side, f"{path}.sigma", message)
 
 
 def default_transforms(geometry) -> tuple:
@@ -211,13 +215,18 @@ def _resize_matrix(in_size, out_size):
     return _frozen((1 - t) * (cols == lower[:, None]) + t * (cols == upper[:, None]))
 
 
+def _blur_radius(sigma) -> int:
+    """The half-width of the blur kernel for ``sigma``, in pixels."""
+    return max(1, int(np.ceil(3.0 * sigma)))
+
+
 @functools.lru_cache(maxsize=16)
 def _blur_matrix(side, sigma):
     """A Gaussian blur with symmetric edges along one axis of length
     ``side``, folded into one (side, side) matrix: entry (i, j) sums the
     kernel taps of output i that read input j after symmetric padding.
     The padding map also covers a radius larger than the side."""
-    radius = max(1, int(np.ceil(3.0 * sigma)))
+    radius = _blur_radius(sigma)
     t = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel = kernel / kernel.sum()
@@ -329,7 +338,7 @@ def _non_finite_step(pipeline: AugmentationPipeline, x, share, view) -> str:
     return f"transform {spec.kind} produced non-finite values"
 
 
-def make_pair(pipeline: AugmentationPipeline, x, share, augmented: int = 2):
+def make_pair(pipeline: AugmentationPipeline, x, share, augmented: int):
     """Two correlated views of one instance vector, from its ``pair_rng``
     share of the epoch's draws.
 

@@ -30,7 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DualclustError
 from .model import load_checkpoint, save_checkpoint
-from .trainer import assign, evaluate, metric_bundle, train
+from .trainer import evaluate, metric_bundle, train
 
 # Importable from here for perfbench/spans.py, which wraps them by name.
 from .model import predict_assignments  # noqa: F401
@@ -101,16 +101,11 @@ def cmd_run(args) -> int:
         echo = _json_text(config.to_dict())
         _atomic_write(lambda p: p.write_text(echo), out / "config.resolved.json")
         params, report = train(config, dataset)
-        # The last epoch's evaluation assigned the final model; a run that
-        # evaluated nothing (no labels, or no epochs) assigns it here.
-        assignments = report.assignments
-        if assignments is None:
-            assignments = assign(params, dataset.samples, config.ablation, config.seed)
         _atomic_write(lambda p: p.write_text(report.csv_text()), out / "report.csv")
-        _atomic_write(lambda p: write_label_csv(p, assignments), out / "assignments.csv")
+        _atomic_write(lambda p: write_label_csv(p, report.assignments), out / "assignments.csv")
         _atomic_write(lambda p: save_checkpoint(p, params), out / "checkpoint.bin")
         # Metrics last: an aborted run leaves no metrics file at all.
-        bundle = _json_text(metric_bundle(dataset.labels, assignments))
+        bundle = _json_text(metric_bundle(dataset.labels, report.assignments))
         _atomic_write(lambda p: p.write_text(bundle), out / "metrics.json")
     print(f"run complete: artifacts in {out}")
     return 0

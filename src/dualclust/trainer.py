@@ -148,7 +148,7 @@ def _raise_non_finite(params: ModelParams, grad, square) -> None:
     raise DegenerateInputError(f"gradient of {name} {reason}")
 
 
-def loss_terms(z, y, config: LossSection, instance: bool = True, cluster: bool = True):
+def loss_terms(z, y, config: LossSection, instance: bool, cluster: bool):
     """(instance term, cluster term, joint objective) of the 2N stacked
     projections ``z`` and soft labels ``y``: a term that is off is None, and
     the objective is the sum of the terms that are on, the one term's own
@@ -186,12 +186,11 @@ STEP_COLUMNS = REPORT_COLUMNS[1:4] + REPORT_COLUMNS[7:]
 
 @dataclass
 class TrainReport:
-    """The per-epoch records, and the assignments of the last evaluation:
-    the final model's, which the run's artifacts reuse. ``assignments`` is
-    None when no epoch was evaluated (no labels, or no epochs)."""
+    """The per-epoch records, and the final model's assignments, which
+    the run's artifacts reuse."""
 
-    records: list = field(default_factory=list)
-    assignments: np.ndarray | None = None
+    records: list
+    assignments: np.ndarray
 
     def csv_text(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
@@ -269,7 +268,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     columns are filled per epoch when the dataset has labels, always on
     raw (un-augmented) inputs, from the mode's assignments (``assign``).
     A mode that never trains the cluster head assigns by k-means, so it
-    fills them on the last epoch only.
+    fills them on the last epoch only. A run that evaluated no epoch (no
+    labels, or no epochs) assigns its final model after the loop.
     """
     if dataset.n == 0:
         raise ContractError("train: dataset is empty")
@@ -277,8 +277,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     settings = config.training
     if settings.batch_size > dataset.n:
         raise ConfigError(
-            f"training: batch_size {settings.batch_size} exceeds "
-            f"dataset size {dataset.n}"
+            f"training: batch_size {settings.batch_size} exceeds dataset size {dataset.n}"
         )
 
     params = init_params(config.model, dataset.dim)
@@ -289,7 +288,7 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     # The graph leaves share storage with the buffer Adam updates in
     # place, so they stay valid across steps.
     param_nodes = params.nodes()
-    report = TrainReport()
+    records, assignments = [], None
     batch = settings.batch_size
     buffer = np.empty((2, batch, dataset.dim))
     for epoch in range(settings.epochs):
@@ -318,17 +317,17 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
         metrics = metric_bundle(None, None)
         if dataset.labels is not None and (mode.cluster or epoch == settings.epochs - 1):
             try:
-                metrics, report.assignments = evaluate(
-                    params, dataset, config.ablation, config.seed
-                )
+                metrics, assignments = evaluate(params, dataset, config.ablation, config.seed)
             except DegenerateInputError as exc:
                 raise DegenerateInputError(f"epoch {epoch}, evaluation: {exc}") from exc
-        report.records.append(EpochRecord(epoch=epoch, **means, **metrics))
-    return params, report
+        records.append(EpochRecord(epoch=epoch, **means, **metrics))
+    if assignments is None:
+        assignments = assign(params, dataset.samples, config.ablation, config.seed)
+    return params, TrainReport(records, assignments)
 
 
 def evaluate(
-    params: ModelParams, dataset: Dataset, ablation: str = "full", seed: int = 0
+    params: ModelParams, dataset: Dataset, ablation: str, seed: int
 ) -> tuple[dict, np.ndarray]:
     """The metric bundle of the mode's assignments (``assign``) against
     ground truth, and those assignments.
@@ -341,7 +340,7 @@ def evaluate(
     return metric_bundle(dataset.labels, assignments), assignments
 
 
-def assign(params: ModelParams, samples, ablation: str = "full", seed: int = 0) -> np.ndarray:
+def assign(params: ModelParams, samples, ablation: str, seed: int) -> np.ndarray:
     """Cluster index per sample under an ablation mode: the cluster head's
     argmax, except in a mode that never trains that head, which assigns
     by seeded k-means over the instance projections."""
@@ -362,7 +361,7 @@ def metric_bundle(labels, assignments) -> dict:
     }
 
 
-def instance_space_assignments(params: ModelParams, samples, seed: int = 0):
+def instance_space_assignments(params: ModelParams, samples, seed: int):
     """Seeded k-means over unit-normalized instance-head features into the
     model's ``cluster_count`` groups: the evaluation pathway for models
     trained with the instance term only."""

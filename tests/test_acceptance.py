@@ -66,7 +66,9 @@ def heldout_alignment(params, dataset, pipeline, seed, epoch):
     sample, made from the ``(seed, epoch)`` augmentation stream. Passing
     ``epoch`` = the run's epoch count gives views that training never drew."""
     draws = epoch_draws(pipeline, seed, epoch, dataset.n)
-    pairs = [make_pair(pipeline, dataset.samples[i], pair_rng(draws, i)) for i in range(dataset.n)]
+    pairs = [
+        make_pair(pipeline, dataset.samples[i], pair_rng(draws, i), 2) for i in range(dataset.n)
+    ]
     _, z, _ = forward(params, np.stack([a for a, _ in pairs] + [b for _, b in pairs]))
     return pair_similarity_stats(z)[0]
 
@@ -119,11 +121,11 @@ def test_criterion_1_gradient_fidelity():
 
         def loss_value():
             _, z, y = forward_graph(params.nodes(), ad.lift(batch))
-            return loss_terms(z, y, LossSection())[2]
+            return loss_terms(z, y, LossSection(), True, True)[2]
 
         root_nodes = params.nodes()
         _, z, y = forward_graph(root_nodes, ad.lift(batch))
-        root = loss_terms(z, y, LossSection())[2]
+        root = loss_terms(z, y, LossSection(), True, True)[2]
         for node in root_nodes.values():
             node.grad = np.zeros_like(node.value)
         ad.backward(root)

@@ -180,7 +180,7 @@ class TestSampleView:
         x = np.random.default_rng(5).uniform(size=16)
         draws = epoch_draws(pipeline, 1, 0, 20)
         for i in range(20):
-            for out in make_pair(pipeline, x, pair_rng(draws, i)):
+            for out in make_pair(pipeline, x, pair_rng(draws, i), augmented=2):
                 assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_blur_preserves_constant_image(self):
@@ -193,7 +193,7 @@ class TestSampleView:
         x = np.random.default_rng(7).uniform(size=64)
         draws = epoch_draws(pipeline, 2, 0, 10)
         for i in range(10):
-            for out in make_pair(pipeline, x, pair_rng(draws, i)):
+            for out in make_pair(pipeline, x, pair_rng(draws, i), augmented=2):
                 assert out.min() >= x.min() - 1e-12
                 assert out.max() <= x.max() + 1e-12
 
@@ -220,7 +220,7 @@ class TestSampleView:
                 ContractError,
                 match=r"^make_pair: view 0: transform scale_jitter produced non-finite values$",
             ):
-                make_pair(pipeline, x, share(pipeline))
+                make_pair(pipeline, x, share(pipeline), augmented=2)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeError):
@@ -245,8 +245,8 @@ class TestMakePair:
     def test_two_views_differ_and_reproduce(self):
         pipeline = jitter_pipeline(6)
         x = np.arange(6.0)
-        a1, b1 = make_pair(pipeline, x, share(pipeline, seed=7))
-        a2, b2 = make_pair(pipeline, x, share(pipeline, seed=7))
+        a1, b1 = make_pair(pipeline, x, share(pipeline, seed=7), augmented=2)
+        a2, b2 = make_pair(pipeline, x, share(pipeline, seed=7), augmented=2)
         assert a1.tobytes() == a2.tobytes()
         assert b1.tobytes() == b2.tobytes()
         assert not np.array_equal(a1, b1)
@@ -262,16 +262,19 @@ class TestMakePair:
         pipeline = jitter_pipeline(4)
         x = np.ones(4)
         draws = epoch_draws(pipeline, 3, 2, 32)
-        late = make_pair(pipeline, x, pair_rng(draws, 17))
-        early = make_pair(pipeline, x, pair_rng(draws, 17))
+        late = make_pair(pipeline, x, pair_rng(draws, 17), augmented=2)
+        early = make_pair(pipeline, x, pair_rng(draws, 17), augmented=2)
         np.testing.assert_array_equal(late[0], early[0])
-        distinct = make_pair(pipeline, x, pair_rng(draws, 18))
+        distinct = make_pair(pipeline, x, pair_rng(draws, 18), augmented=2)
         assert not np.array_equal(late[0], distinct[0])
 
 
 class TestEpochDraws:
     def views(self, pipeline, samples, draws, order):
-        return {int(i): make_pair(pipeline, samples[i], pair_rng(draws, int(i))) for i in order}
+        return {
+            int(i): make_pair(pipeline, samples[i], pair_rng(draws, int(i)), augmented=2)
+            for i in order
+        }
 
     @pytest.mark.parametrize(
         "geometry", [VectorGeometry(16), ImageGeometry(8, 8)], ids=["vector", "image_8x8"]
@@ -296,7 +299,7 @@ class TestEpochDraws:
         pipeline = default_pipeline(VectorGeometry(16))
         x = np.linspace(-1.0, 1.0, 16)
         pairs = [
-            make_pair(pipeline, x, pair_rng(epoch_draws(pipeline, seed, epoch, 8), index))
+            make_pair(pipeline, x, pair_rng(epoch_draws(pipeline, seed, epoch, 8), index), 2)
             for seed, epoch, index in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
         ]
         views = {view.tobytes() for pair in pairs for view in pair}
@@ -462,7 +465,7 @@ def test_views_and_generator_states_match_pinned_digest(case):
     digest = hashlib.sha256()
     for seed, epoch, index in PINNED_GRID:
         pair_share = pair_rng(epoch_draws(pipeline, seed, epoch, 64), index)
-        view_a, view_b = make_pair(pipeline, x, pair_share)
+        view_a, view_b = make_pair(pipeline, x, pair_share, augmented=2)
         digest.update(view_a.tobytes())
         digest.update(view_b.tobytes())
         for gates, params in pair_share:

@@ -32,6 +32,7 @@ from dualclust.augment import (
 from dualclust.config import (
     ABLATION_MODES,
     ABLATIONS,
+    Ablation,
     AugmentationSection,
     ExperimentConfig,
     LossSection,
@@ -517,6 +518,35 @@ class TestResolve:
         with pytest.raises(ConfigError, match=message):
             config.resolve(build_dataset(config.dataset))
 
+    @pytest.mark.parametrize("sigma, radius", [(1e6, 3000000), (85.4, 257)])
+    def test_blur_wider_than_four_image_sides_rejected(self, sigma, radius):
+        # The blur matrix's index arrays grow with the radius: at sigma
+        # 1e6 the first 64x64 view would ask for about 6 GB.
+        from dualclust.data import Dataset
+
+        transforms = [{"kind": "gaussian_blur", "probability": 0.5, "sigma": sigma}]
+        config = ExperimentConfig.from_dict(
+            minimal(model={"cluster_count": 2}, augmentation={"transforms": transforms})
+        )
+        images = Dataset(np.zeros((4, 64 * 64)), ImageGeometry(64, 64))
+        message = (
+            rf"^config: augmentation\.transforms\[0\]\.sigma: blur radius {radius} exceeds "
+            r"4 x the longer image side \(64\)$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            config.resolve(images)
+
+    def test_blur_of_four_image_sides_accepted(self):
+        # Radius ceil(3 * 85.3) = 256 = 4 x 64, on a 64x8 image.
+        from dualclust.data import Dataset
+
+        transforms = [{"kind": "gaussian_blur", "probability": 0.5, "sigma": 85.3}]
+        config = ExperimentConfig.from_dict(
+            minimal(model={"cluster_count": 2}, augmentation={"transforms": transforms})
+        )
+        resolved = config.resolve(Dataset(np.zeros((4, 64 * 8)), ImageGeometry(64, 8)))
+        assert resolved.augmentation.transforms[0].sigma == 85.3
+
     def test_kmeans_mode_needs_a_sample_per_cluster(self):
         # A mode without the cluster term assigns by k-means over the n
         # samples; the cluster head's argmax takes any count.
@@ -665,7 +695,8 @@ def test_integer_transform_numbers_act_like_floats(transforms, geometry):
         pipeline = AugmentationPipeline(config.augmentation.transforms, geometry)
         _blur_matrix.cache_clear()  # its cache does not tell 2 from 2.0
         draws = epoch_draws(pipeline, 4, 1, 8)
-        views = [v.tobytes() for i in range(8) for v in make_pair(pipeline, x, pair_rng(draws, i))]
+        pairs = [make_pair(pipeline, x, pair_rng(draws, i), 2) for i in range(8)]
+        views = [v.tobytes() for pair in pairs for v in pair]
         echo = json.dumps(config.to_dict()["augmentation"], sort_keys=True)
         assert echo == json.dumps({"transforms": entries}, sort_keys=True)
         results.append((config.augmentation, views))
@@ -761,13 +792,14 @@ class TestOneHomeForSettings:
         # an explicit transform spells out every one, and the defaults
         # sit in augment.default_transforms. A dataset field's default
         # sits in its kind's class only; the generators and readers take
-        # the class. A dataset's ``seed`` shares its name with the
-        # experiment seed, which is not a section's setting.
+        # the class. The run's seed and ablation mode, and the fields of
+        # a mode's row, are passed from the config by every caller.
         sections = (ModelSection, LossSection, TrainingSection)
         settings = {f.name for section in sections for f in fields(section)}
         settings |= {name.split("_", 1)[1] for name in settings if name.endswith("_temperature")}
         settings |= {f.name for cls in TRANSFORMS.values() for f in fields(cls)}
-        settings |= {f.name for cls in DATASET_KINDS.values() for f in fields(cls)} - {"seed"}
+        settings |= {f.name for cls in DATASET_KINDS.values() for f in fields(cls)}
+        settings |= {"seed", "ablation", *Ablation._fields}
         homes = {DatasetSpec, *DATASET_KINDS.values()}
         copies = []
         for info in pkgutil.iter_modules(dualclust.__path__):

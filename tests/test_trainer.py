@@ -211,20 +211,20 @@ class TestTotalLoss:
 
     def test_cluster_only_equals_cluster_loss_exactly(self):
         z, y = random_views(1)
-        total = loss_terms(z, y, LossSection(), instance=False)[2]
+        total = loss_terms(z, y, LossSection(), instance=False, cluster=True)[2]
         direct = cluster_loss(y)
         assert total.value[0, 0] == direct.value[0, 0]
 
     def test_instance_only_equals_instance_loss_exactly(self):
         z, y = random_views(2)
-        total = loss_terms(z, y, LossSection(), cluster=False)[2]
+        total = loss_terms(z, y, LossSection(), instance=True, cluster=False)[2]
         direct = instance_loss(z)
         assert total.value[0, 0] == direct.value[0, 0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_sum_of_independently_computed_terms(self, seed):
         z, y = random_views(seed)
-        total = float(loss_terms(z, y, LossSection())[2].value[0, 0])
+        total = float(loss_terms(z, y, LossSection(), True, True)[2].value[0, 0])
         parts = float(instance_loss(z).value[0, 0]) + float(cluster_loss(y).value[0, 0])
         assert abs(total - parts) < 1e-14
 
@@ -233,7 +233,7 @@ class TestTotalLoss:
         config = LossSection(
             instance_temperature=0.25, cluster_temperature=2.0, entropy_weight=0.5
         )
-        total = float(loss_terms(z, y, config)[2].value[0, 0])
+        total = float(loss_terms(z, y, config, True, True)[2].value[0, 0])
         parts = float(instance_loss(z, config).value[0, 0]) + float(
             cluster_loss(y, config).value[0, 0]
         )
@@ -269,13 +269,13 @@ class TestOnePassStep:
 
         one = params.nodes()
         _, z, y = forward_graph(one, np.vstack([views_a, views_b]))
-        root_one = loss_terms(z, y, config)[2]
+        root_one = loss_terms(z, y, config, True, True)[2]
         ad.backward(root_one)
 
         two = params.nodes()
         _, z_a, y_a = forward_graph(two, views_a)
         _, z_b, y_b = forward_graph(two, views_b)
-        root_two = loss_terms(stacked(z_a, z_b), stacked(y_a, y_b), config)[2]
+        root_two = loss_terms(stacked(z_a, z_b), stacked(y_a, y_b), config, True, True)[2]
         ad.backward(root_two)
 
         assert root_one.value[0, 0] == root_two.value[0, 0]
@@ -556,7 +556,8 @@ class TestTrain:
         assert ",,," in line
 
     def test_report_header_matches_columns(self):
-        assert TrainReport().csv_text() == ",".join(REPORT_COLUMNS) + "\n"
+        report = TrainReport([], np.zeros(0, dtype=np.int64))
+        assert report.csv_text() == ",".join(REPORT_COLUMNS) + "\n"
 
     def test_each_epoch_trains_every_sample_once_in_its_own_seeded_order(self, monkeypatch):
         # The batches a run trains on, read off each step's sample indices:
@@ -583,6 +584,21 @@ class TestTrain:
         identity = [{"kind": "identity", "probability": 1.0}]
         np.testing.assert_array_equal(batches(augmentation={"transforms": identity}), orders)
         assert not np.array_equal(batches(seed=1), orders)
+
+    def test_trailing_partial_batch_is_dropped(self, monkeypatch):
+        # 16 samples in batches of 5: three full batches per epoch, so
+        # every loss is computed at the configured batch size.
+        sizes = []
+        step = dualclust.trainer._step
+
+        def spied(*args):
+            sizes.append(len(inspect.signature(step).bind(*args).arguments["indices"]))
+            return step(*args)
+
+        monkeypatch.setattr(dualclust.trainer, "_step", spied)
+        config = small_config(dataset={"n_per": 4}, training={"batch_size": 5, "epochs": 2})
+        train(config, build_dataset(config.dataset))
+        assert sizes == [5] * 6
 
     @pytest.mark.parametrize("ablation", ["full", "ich_only"])
     def test_step_graph_released_before_the_next_step_builds_its_own(
@@ -662,7 +678,7 @@ class TestEvaluate:
         samples = np.eye(4)[labels]
         dataset = Dataset(samples, VectorGeometry(4), labels)
         params = identity_routing_params([2, 0, 3, 1])
-        bundle, _ = evaluate(params, dataset)
+        bundle, _ = evaluate(params, dataset, "full", 0)
         assert bundle["acc"] == 1.0
         assert bundle["nmi"] == 1.0
         assert bundle["ari"] == 1.0
@@ -674,7 +690,7 @@ class TestEvaluate:
         params = identity_routing_params([0, 1, 2, 3])
         for _, array in params.arrays.items():
             array[:] = 0.0  # uniform softmax rows; argmax tie -> cluster 0
-        bundle, _ = evaluate(params, dataset)
+        bundle, _ = evaluate(params, dataset, "full", 0)
         assert bundle["acc"] == 0.25
 
     def test_independent_assignments_have_near_zero_ari(self):
@@ -683,13 +699,13 @@ class TestEvaluate:
         truth = rng.integers(0, 4, size=1000)
         dataset = Dataset(np.eye(4)[routed], VectorGeometry(4), truth)
         params = identity_routing_params([0, 1, 2, 3])
-        bundle, _ = evaluate(params, dataset)
+        bundle, _ = evaluate(params, dataset, "full", 0)
         assert -0.05 <= bundle["ari"] <= 0.05
 
     def test_unlabeled_dataset_rejected(self):
         dataset = Dataset(np.eye(4), VectorGeometry(4))
         with pytest.raises(ContractError, match="labels"):
-            evaluate(identity_routing_params([0, 1, 2, 3]), dataset)
+            evaluate(identity_routing_params([0, 1, 2, 3]), dataset, "full", 0)
 
     def test_unknown_mode_rejected_as_in_the_config(self):
         # A misspelt mode must not fall through to the cluster head.
@@ -697,9 +713,9 @@ class TestEvaluate:
         params = identity_routing_params([0, 1, 2, 3])
         message = r"^config: ablation: unknown mode 'ich_onyl', expected one of \("
         with pytest.raises(ConfigError, match=message):
-            assign(params, dataset.samples, "ich_onyl")
+            assign(params, dataset.samples, "ich_onyl", 0)
         with pytest.raises(ConfigError, match=message):
-            evaluate(params, dataset, "ich_onyl")
+            evaluate(params, dataset, "ich_onyl", 0)
 
     @pytest.mark.parametrize("ablation", ["full", "ich_only"])
     def test_scores_the_modes_assignments(self, ablation):
@@ -729,14 +745,27 @@ class TestFinalAssignments:
         assert (report.records[0].acc is None) == (ablation == "ich_only")
 
     def test_unlabeled_run_evaluates_nothing(self):
+        # No epoch is scored, and train() still assigns the final model,
+        # by k-means in ich_only.
         config = small_config(
             training={"epochs": 1}, model={"cluster_count": 4}, ablation="ich_only"
         )
         dataset = build_dataset(config.dataset)
         unlabeled = Dataset(dataset.samples, dataset.geometry)
-        _, report = train(config, unlabeled)
-        assert report.assignments is None
+        params, report = train(config, unlabeled)
+        want = instance_space_assignments(params, unlabeled.samples, config.seed)
+        np.testing.assert_array_equal(report.assignments, want)
         assert report.records[-1].acc is None
+
+    def test_run_of_no_epochs_assigns_the_initial_model(self):
+        config = small_config(training={"epochs": 0})
+        dataset = build_dataset(config.dataset)
+        params, report = train(config, dataset)
+        initial = init_params(config.resolve(dataset).model, dataset.dim)
+        assert report.records == []
+        np.testing.assert_array_equal(params.flat, initial.flat)
+        want = predict_assignments(initial, dataset.samples)
+        np.testing.assert_array_equal(report.assignments, want)
 
 
 class TestInstanceSpaceAssignments:
@@ -772,3 +801,34 @@ class TestInstanceSpaceAssignments:
         a = instance_space_assignments(params, dataset.samples, seed=9)
         b = instance_space_assignments(params, dataset.samples, seed=9)
         np.testing.assert_array_equal(a, b)
+
+
+class TestEntropyTermPreventsCollapse:
+    # The acceptance gate's 4 well-separated blobs of 128, trained on the
+    # cluster term alone for 50 epochs. Without the entropy term seeds 2
+    # and 3 merge two blobs into one cluster and split another between the
+    # two clusters left; with it both recover all four blobs exactly.
+    GATE_BLOBS = {**BLOBS, "n_per": 128, "dim": 16, "separation": 10.0, "seed": 7}
+
+    def run(self, seed, entropy_weight):
+        config = ExperimentConfig.from_dict(
+            {
+                "dataset": self.GATE_BLOBS,
+                "ablation": "cch_only",
+                "training": {"epochs": 50},
+                "losses": {"entropy_weight": entropy_weight},
+                "seed": seed,
+            }
+        )
+        _, report = train(config, build_dataset(config.dataset))
+        return report.records[-1].acc, np.bincount(report.assignments, minlength=4).min()
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_without_the_entropy_term_the_clusters_collapse(self, seed):
+        acc, smallest = self.run(seed, 0.0)
+        assert acc < 0.8 and smallest < 64, (acc, smallest)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_with_the_entropy_term_every_blob_is_a_cluster(self, seed):
+        acc, smallest = self.run(seed, 1.0)
+        assert acc == 1.0 and smallest == 128, (acc, smallest)
