@@ -120,8 +120,9 @@ class ResizedCrop(Transform):
 
     def __post_init__(self):
         super().__post_init__()
-        area = self.min_area_fraction
-        require(0 < area <= 1, f"{self.kind}.min_area_fraction", "must be in (0, 1]")
+        require(
+            0 < self.min_area_fraction <= 1, f"{self.kind}.min_area_fraction", "must be in (0, 1]"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,14 @@ class AugmentationPipeline:
             message = f"transform {spec.kind} needs image geometry; dataset is vector-shaped"
             require(is_image or not spec.needs_image, path, message)
             if isinstance(spec, GaussianBlur):
-                # Building the blur's matrix takes memory in proportion to its radius.
+                # Building the blur's matrix takes memory in proportion to its
+                # radius, max(1, ceil(3 sigma)). Against an integer bound, 3 sigma
+                # is the same test, and it holds where the radius would overflow.
                 side = max(self.geometry.height, self.geometry.width)
-                radius = _blur_radius(spec.sigma)
                 bound = f"{BLUR_MAX_RADIUS_SIDES} x the longer image side ({side})"
-                message = f"blur radius {radius} exceeds {bound}"
-                require(radius <= BLUR_MAX_RADIUS_SIDES * side, f"{path}.sigma", message)
+                message = f"blur radius 3 x {spec.sigma:g} exceeds {bound}"
+                fits = 3.0 * spec.sigma <= BLUR_MAX_RADIUS_SIDES * side
+                require(fits, f"{path}.sigma", message)
 
 
 def default_transforms(geometry) -> tuple:
@@ -215,18 +218,13 @@ def _resize_matrix(in_size, out_size):
     return _frozen((1 - t) * (cols == lower[:, None]) + t * (cols == upper[:, None]))
 
 
-def _blur_radius(sigma) -> int:
-    """The half-width of the blur kernel for ``sigma``, in pixels."""
-    return max(1, int(np.ceil(3.0 * sigma)))
-
-
 @functools.lru_cache(maxsize=16)
 def _blur_matrix(side, sigma):
     """A Gaussian blur with symmetric edges along one axis of length
     ``side``, folded into one (side, side) matrix: entry (i, j) sums the
     kernel taps of output i that read input j after symmetric padding.
     The padding map also covers a radius larger than the side."""
-    radius = _blur_radius(sigma)
+    radius = max(1, int(np.ceil(3.0 * sigma)))
     t = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel = kernel / kernel.sum()

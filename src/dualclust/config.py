@@ -167,8 +167,12 @@ class ExperimentConfig:
         kmeans_fits = ablation_mode(self.ablation).cluster or cluster_count <= dataset.n
         message = f"{cluster_count} exceeds the {dataset.n} samples that k-means assigns"
         require(kmeans_fits, "model.cluster_count", f"{message} in {self.ablation!r}")
-        init_seed = self.seed if self.model.init_seed is None else self.model.init_seed
-        head_hidden = self.model.head_hidden_dim or self.model.encoder_widths[-1]
+        init_seed = self.model.init_seed
+        if init_seed is None:
+            init_seed = self.seed
+        head_hidden = self.model.head_hidden_dim
+        if head_hidden is None:
+            head_hidden = self.model.encoder_widths[-1]
         transforms = self.augmentation.transforms
         if transforms is None:
             transforms = default_transforms(dataset.geometry)

@@ -277,7 +277,8 @@ def train(config: ExperimentConfig, dataset: Dataset) -> tuple[ModelParams, Trai
     settings = config.training
     if settings.batch_size > dataset.n:
         raise ConfigError(
-            f"training: batch_size {settings.batch_size} exceeds dataset size {dataset.n}"
+            f"training: batch_size {settings.batch_size} exceeds "
+            f"dataset size {dataset.n}"
         )
 
     params = init_params(config.model, dataset.dim)

@@ -518,10 +518,11 @@ class TestResolve:
         with pytest.raises(ConfigError, match=message):
             config.resolve(build_dataset(config.dataset))
 
-    @pytest.mark.parametrize("sigma, radius", [(1e6, 3000000), (85.4, 257)])
-    def test_blur_wider_than_four_image_sides_rejected(self, sigma, radius):
+    @pytest.mark.parametrize("sigma", [1e6, 85.4, 1e308])
+    def test_blur_wider_than_four_image_sides_rejected(self, sigma):
         # The blur matrix's index arrays grow with the radius: at sigma
-        # 1e6 the first 64x64 view would ask for about 6 GB.
+        # 1e6 the first 64x64 view would ask for about 6 GB. At 1e308,
+        # 3 sigma overflows to inf.
         from dualclust.data import Dataset
 
         transforms = [{"kind": "gaussian_blur", "probability": 0.5, "sigma": sigma}]
@@ -530,7 +531,8 @@ class TestResolve:
         )
         images = Dataset(np.zeros((4, 64 * 64)), ImageGeometry(64, 64))
         message = (
-            rf"^config: augmentation\.transforms\[0\]\.sigma: blur radius {radius} exceeds "
+            r"^config: augmentation\.transforms\[0\]\.sigma: "
+            rf"blur radius 3 x {re.escape(f'{sigma:g}')} exceeds "
             r"4 x the longer image side \(64\)$"
         )
         with pytest.raises(ConfigError, match=message):

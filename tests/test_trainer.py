@@ -807,7 +807,8 @@ class TestEntropyTermPreventsCollapse:
     # The acceptance gate's 4 well-separated blobs of 128, trained on the
     # cluster term alone for 50 epochs. Without the entropy term seeds 2
     # and 3 merge two blobs into one cluster and split another between the
-    # two clusters left; with it both recover all four blobs exactly.
+    # two clusters left, so the smallest of the four holds at most
+    # (512 - 256) / 3 = 85; with it both recover all four blobs exactly.
     GATE_BLOBS = {**BLOBS, "n_per": 128, "dim": 16, "separation": 10.0, "seed": 7}
 
     def run(self, seed, entropy_weight):
@@ -826,7 +827,7 @@ class TestEntropyTermPreventsCollapse:
     @pytest.mark.parametrize("seed", [2, 3])
     def test_without_the_entropy_term_the_clusters_collapse(self, seed):
         acc, smallest = self.run(seed, 0.0)
-        assert acc < 0.8 and smallest < 64, (acc, smallest)
+        assert acc < 0.8 and smallest < 100, (acc, smallest)
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_with_the_entropy_term_every_blob_is_a_cluster(self, seed):

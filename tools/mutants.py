@@ -9,8 +9,7 @@ that states a behaviour does. It prints one line per mutant, ``caught``
 with the first failing test, or ``survived``. The unmutated copy runs
 first and must pass. The repository itself is never written.
 
-    python tools/mutants.py                      # every mutant
-    python tools/mutants.py --only adam-epsilon-inside-sqrt
+    python tools/mutants.py
 
 Each caught mutant costs seconds to a minute; each survivor, and the
 unmutated run, a whole tier-1 run. A run that outlasts ``TIMEOUT_S``
@@ -20,7 +19,6 @@ if a mutant survived or the unmutated copy failed.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -110,18 +108,10 @@ def run_tier1(tree: Path) -> tuple[bool, str]:
     return False, failed[0] if failed else f"pytest exit {done.returncode}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", help="run only this mutant (repeatable)")
-    args = parser.parse_args(argv)
-    unknown = set(args.only or ()) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
-
+def main() -> int:
     survivors = 0
     with tempfile.TemporaryDirectory(prefix="dualclust-mutants-") as work:
-        for name, module, original, mutated in [("unmutated", None, None, None), *chosen]:
+        for name, module, original, mutated in [("unmutated", None, None, None), *MUTANTS]:
             tree = Path(work) / name
             shutil.copytree(ROOT, tree, ignore=IGNORED)
             if module is not None:
