@@ -3,12 +3,13 @@
 A transform is one frozen dataclass per kind, a subclass of
 ``Transform``, holding the probability with which it fires and that kind's
 parameters; its type and range checks run when it is built, so the
-config parser reads it like any other section. A pipeline is an ordered
-tuple of transforms bound to the dataset's geometry; each transform
-fires independently with its probability. Vector data gets noise/mask/scale
-perturbations; image data gets crop-resize, flip, brightness, and
-optional blur. Every transform preserves dimensionality, so the model
-never sees a width change.
+config parser reads it like any other section. Each kind also checks
+the geometry, draws its parameters and makes its view. A pipeline is an
+ordered tuple of transforms bound to the dataset's geometry; each
+transform fires independently with its probability. Vector data gets
+noise/mask/scale perturbations; image data gets crop-resize, flip,
+brightness, and optional blur. Every transform preserves dimensionality,
+so the model never sees a width change.
 
 The resized crop is ``R_h @ crop @ R_w^T`` and the blur
 ``K_h @ img @ K_w^T``, with one cached matrix per axis size (see
@@ -39,7 +40,7 @@ from .schema import check_fields, require
 
 __all__ = [
     "Transform",
-    "Identity", "GaussianJitter", "CoordinateMask", "ScaleJitter",
+    "GaussianJitter", "CoordinateMask", "ScaleJitter",
     "ResizedCrop", "HorizontalFlip", "BrightnessJitter", "GaussianBlur",
     "AugmentationPipeline",
     "default_transforms",
@@ -63,7 +64,8 @@ class Transform:
     are its config keys, all required; each is type-checked against its
     annotation before any range check. An error names the field as
     ``<kind>.<field>``, which the config parser turns into the
-    transform's path."""
+    transform's path. Each kind draws its own parameters (``draw``) and
+    makes one view with them (``apply``)."""
 
     kind: ClassVar[str]
     noun: ClassVar[str] = "transform"
@@ -74,10 +76,15 @@ class Transform:
         check_fields(self, self.kind)
         require(0 <= self.probability <= 1, f"{self.kind}.probability", "must be in [0, 1]")
 
+    def check(self, geometry, path):
+        """A ``ConfigError`` at ``path`` unless this runs on ``geometry``."""
+        message = f"transform {self.kind} needs image geometry; dataset is vector-shaped"
+        require(isinstance(geometry, ImageGeometry) or not self.needs_image, path, message)
 
-@dataclass(frozen=True)
-class Identity(Transform):
-    kind = "identity"
+    def draw(self, geometry, rng, n):
+        """Parameters for n samples x 2 views, indexed [sample][view]: a
+        kind that draws none has None."""
+        return [(None, None)] * n
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,14 @@ class GaussianJitter(Transform):
         super().__post_init__()
         require(self.sigma > 0, f"{self.kind}.sigma", "must be positive")
 
+    def draw(self, geometry, rng, n):
+        noise = rng.standard_normal((n, 2, geometry.size))
+        noise *= self.sigma
+        return noise
+
+    def apply(self, x, geometry, params):
+        return x + params
+
 
 @dataclass(frozen=True)
 class CoordinateMask(Transform):
@@ -99,17 +114,27 @@ class CoordinateMask(Transform):
         super().__post_init__()
         require(0 <= self.fraction < 1, f"{self.kind}.fraction", "must be in [0, 1)")
 
+    def draw(self, geometry, rng, n):
+        return rng.random((n, 2, geometry.size)) >= self.fraction
+
+    def apply(self, x, geometry, params):
+        return x * params
+
 
 @dataclass(frozen=True)
 class ScaleJitter(Transform):
     kind = "scale_jitter"
     low: float
     high: float
+    apply = CoordinateMask.apply
 
     def __post_init__(self):
         super().__post_init__()
         require(self.low > 0, f"{self.kind}.low", "must be positive")
         require(self.low <= self.high, f"{self.kind}.high", "must be at least low")
+
+    def draw(self, geometry, rng, n):
+        return rng.uniform(self.low, self.high, (n, 2)).tolist()
 
 
 @dataclass(frozen=True)
@@ -124,11 +149,31 @@ class ResizedCrop(Transform):
             0 < self.min_area_fraction <= 1, f"{self.kind}.min_area_fraction", "must be in (0, 1]"
         )
 
+    def draw(self, geometry, rng, n):
+        side = np.sqrt(rng.uniform(self.min_area_fraction, 1.0, (n, 2)))
+        crop_h = np.maximum(1, np.rint(geometry.height * side).astype(np.int64))
+        crop_w = np.maximum(1, np.rint(geometry.width * side).astype(np.int64))
+        top = rng.integers(0, geometry.height - crop_h + 1)
+        left = rng.integers(0, geometry.width - crop_w + 1)
+        return np.stack([top, left, crop_h, crop_w], axis=-1).tolist()
+
+    def apply(self, x, geometry, params):
+        top, left, crop_h, crop_w = params
+        if (crop_h, crop_w) == (geometry.height, geometry.width):
+            return x.copy()
+        crop = x.reshape(geometry.height, geometry.width)[top : top + crop_h, left : left + crop_w]
+        rows = _resize_matrix(crop_h, geometry.height)
+        cols = _resize_matrix(crop_w, geometry.width)
+        return (rows @ crop @ cols.T).ravel()
+
 
 @dataclass(frozen=True)
 class HorizontalFlip(Transform):
     kind = "horizontal_flip"
     needs_image = True
+
+    def apply(self, x, geometry, params):
+        return x.reshape(geometry.height, geometry.width)[:, ::-1].ravel()
 
 
 @dataclass(frozen=True)
@@ -137,11 +182,17 @@ class BrightnessJitter(Transform):
     needs_image = True
     low: float
     high: float
+    draw = ScaleJitter.draw
 
     def __post_init__(self):
         super().__post_init__()
         require(self.low >= 0, f"{self.kind}.low", "must be nonnegative")
         require(self.low <= self.high, f"{self.kind}.high", "must be at least low")
+
+    def apply(self, x, geometry, params):
+        out = x * params
+        np.maximum(out, 0.0, out=out)
+        return np.minimum(out, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -154,6 +205,21 @@ class GaussianBlur(Transform):
         super().__post_init__()
         require(self.sigma > 0, f"{self.kind}.sigma", "must be positive")
 
+    def check(self, geometry, path):
+        super().check(geometry, path)
+        # Building the blur's matrix takes memory in proportion to its
+        # radius, max(1, ceil(3 sigma)). Against an integer bound, 3 sigma
+        # is the same test, and it holds where the radius would overflow.
+        side = max(geometry.height, geometry.width)
+        bound = f"{BLUR_MAX_RADIUS_SIDES} x the longer image side ({side})"
+        message = f"blur radius 3 x {self.sigma:g} exceeds {bound}"
+        require(3.0 * self.sigma <= BLUR_MAX_RADIUS_SIDES * side, f"{path}.sigma", message)
+
+    def apply(self, x, geometry, params):
+        rows = _blur_matrix(geometry.height, self.sigma)
+        cols = _blur_matrix(geometry.width, self.sigma)
+        return (rows @ x.reshape(geometry.height, geometry.width) @ cols.T).ravel()
+
 
 @dataclass(frozen=True)
 class AugmentationPipeline:
@@ -164,20 +230,8 @@ class AugmentationPipeline:
     geometry: object
 
     def __post_init__(self):
-        is_image = isinstance(self.geometry, ImageGeometry)
         for i, spec in enumerate(self.transforms):
-            path = f"augmentation.transforms[{i}]"
-            message = f"transform {spec.kind} needs image geometry; dataset is vector-shaped"
-            require(is_image or not spec.needs_image, path, message)
-            if isinstance(spec, GaussianBlur):
-                # Building the blur's matrix takes memory in proportion to its
-                # radius, max(1, ceil(3 sigma)). Against an integer bound, 3 sigma
-                # is the same test, and it holds where the radius would overflow.
-                side = max(self.geometry.height, self.geometry.width)
-                bound = f"{BLUR_MAX_RADIUS_SIDES} x the longer image side ({side})"
-                message = f"blur radius 3 x {spec.sigma:g} exceeds {bound}"
-                fits = 3.0 * spec.sigma <= BLUR_MAX_RADIUS_SIDES * side
-                require(fits, f"{path}.sigma", message)
+            spec.check(self.geometry, f"augmentation.transforms[{i}]")
 
 
 def default_transforms(geometry) -> tuple:
@@ -235,56 +289,6 @@ def _blur_matrix(side, sigma):
     return _frozen(matrix)
 
 
-def _apply(spec: Transform, x, geometry, params):
-    """``spec`` on one view ``x`` with that view's drawn ``params``."""
-    if spec.kind == "identity":
-        return x
-    if spec.kind == "gaussian_jitter":
-        return x + params
-    if spec.kind in ("coordinate_mask", "scale_jitter"):
-        return x * params
-    if spec.kind == "brightness_jitter":
-        out = x * params
-        np.maximum(out, 0.0, out=out)
-        return np.minimum(out, 1.0, out=out)
-    img = x.reshape(geometry.height, geometry.width)
-    if spec.kind == "horizontal_flip":
-        return img[:, ::-1].ravel()
-    if spec.kind == "resized_crop":
-        top, left, crop_h, crop_w = params
-        if (crop_h, crop_w) == img.shape:
-            return x.copy()
-        crop = img[top : top + crop_h, left : left + crop_w]
-        rows = _resize_matrix(crop_h, geometry.height)
-        cols = _resize_matrix(crop_w, geometry.width)
-        return (rows @ crop @ cols.T).ravel()
-    rows = _blur_matrix(geometry.height, spec.sigma)  # gaussian_blur
-    cols = _blur_matrix(geometry.width, spec.sigma)
-    return (rows @ img @ cols.T).ravel()
-
-
-def _draw_parameters(spec: Transform, geometry, rng, n):
-    """``spec``'s parameters for n samples x 2 views, indexed [sample][view]:
-    jitter is the noise itself, a mask the boolean keep-mask, a crop its
-    (top, left, height, width), and a kind that draws none has None."""
-    if spec.kind == "gaussian_jitter":
-        noise = rng.standard_normal((n, 2, geometry.size))
-        noise *= spec.sigma
-        return noise
-    if spec.kind == "coordinate_mask":
-        return rng.random((n, 2, geometry.size)) >= spec.fraction
-    if spec.kind in ("scale_jitter", "brightness_jitter"):
-        return rng.uniform(spec.low, spec.high, (n, 2)).tolist()
-    if spec.kind == "resized_crop":
-        side = np.sqrt(rng.uniform(spec.min_area_fraction, 1.0, (n, 2)))
-        crop_h = np.maximum(1, np.rint(geometry.height * side).astype(np.int64))
-        crop_w = np.maximum(1, np.rint(geometry.width * side).astype(np.int64))
-        top = rng.integers(0, geometry.height - crop_h + 1)
-        left = rng.integers(0, geometry.width - crop_w + 1)
-        return np.stack([top, left, crop_h, crop_w], axis=-1).tolist()
-    return [(None, None)] * n
-
-
 def epoch_draws(pipeline: AugmentationPipeline, seed, epoch, n) -> list:
     """Every random value of one epoch's views of ``n`` samples, drawn in
     whole arrays from one Philox stream keyed by (seed, epoch).
@@ -300,7 +304,7 @@ def epoch_draws(pipeline: AugmentationPipeline, seed, epoch, n) -> list:
     draws = []
     for spec in pipeline.transforms:
         gates = (rng.random((n, 2)) < spec.probability).tolist()
-        draws.append((gates, _draw_parameters(spec, pipeline.geometry, rng, n)))
+        draws.append((gates, spec.draw(pipeline.geometry, rng, n)))
     return draws
 
 
@@ -316,7 +320,7 @@ def _view(pipeline: AugmentationPipeline, x, share, view):
     out = x.copy()
     for spec, (gates, params) in zip(pipeline.transforms, share):
         if gates[view]:
-            out = _apply(spec, out, pipeline.geometry, params[view])
+            out = spec.apply(out, pipeline.geometry, params[view])
     if not np.isfinite(out).all():
         raise ContractError(f"make_pair: view {view}: {_non_finite_step(pipeline, x, share, view)}")
     return out
@@ -330,7 +334,7 @@ def _non_finite_step(pipeline: AugmentationPipeline, x, share, view) -> str:
         return "input has non-finite values"
     for spec, (gates, params) in zip(pipeline.transforms, share):
         if gates[view]:
-            x = _apply(spec, x, pipeline.geometry, params[view])
+            x = spec.apply(x, pipeline.geometry, params[view])
             if not np.isfinite(x).all():
                 break
     return f"transform {spec.kind} produced non-finite values"

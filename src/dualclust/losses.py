@@ -57,7 +57,7 @@ ENTROPY_LOG_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
 
 
-def instance_loss(z, config: LossSection = LossSection()) -> ad.Node:
+def instance_loss(z, config: LossSection) -> ad.Node:
     """Contrastive loss over the 2N stacked projections [Z_a; Z_b]; the
     two views of one instance are a positive pair, everything else in the
     batch is negative. Returns a differentiable 1x1 node.
@@ -102,7 +102,7 @@ def assignment_entropy(y) -> ad.Node:
     return ad.mass_entropy(y, ENTROPY_LOG_FLOOR)
 
 
-def cluster_loss(y, config: LossSection = LossSection()) -> ad.Node:
+def cluster_loss(y, config: LossSection) -> ad.Node:
     """Contrastive loss over the 2M cluster columns plus the entropy term.
 
     The input stacks the two views' row-stochastic N x M soft-label

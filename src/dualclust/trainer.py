@@ -74,9 +74,7 @@ class OptimizerState:
     scratch: np.ndarray = field(repr=False)
 
     @classmethod
-    def for_params(
-        cls, params: ModelParams, settings: TrainingSection = TrainingSection()
-    ) -> "OptimizerState":
+    def for_params(cls, params: ModelParams, settings: TrainingSection) -> "OptimizerState":
         flat = params.flat
         return cls(
             settings=settings,

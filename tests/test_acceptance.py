@@ -214,10 +214,10 @@ def test_criterion_3_loss_invariances():
         y_b = random_row_stochastic(rng, n, m)
 
         def ins(a, b):
-            return instance_loss(np.vstack([a, b])).value[0, 0]
+            return instance_loss(np.vstack([a, b]), LossSection()).value[0, 0]
 
         def clu(a, b):
-            return cluster_loss(np.vstack([a, b])).value[0, 0]
+            return cluster_loss(np.vstack([a, b]), LossSection()).value[0, 0]
 
         base_i = ins(z_a, z_b)
         base_c = clu(y_a, y_b)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from dualclust.augment import (
     GaussianBlur,
     GaussianJitter,
     HorizontalFlip,
-    Identity,
     ResizedCrop,
     ScaleJitter,
-    _apply,
+    Transform,
     _resize_matrix,
     default_transforms,
     epoch_draws,
@@ -52,6 +52,20 @@ def _only(spec, geometry):
 
 CROP_0_2 = ResizedCrop(probability=1.0, min_area_fraction=0.2)
 
+KINDS = Transform.__subclasses__()
+
+
+def always(cls):
+    """A transform of kind ``cls`` that always fires; each other field
+    is 0.5, which is in range for every field of every kind."""
+    return cls(**{**dict.fromkeys((f.name for f in fields(cls)), 0.5), "probability": 1.0})
+
+
+def draw_then_apply(spec, geometry, x, n=3):
+    """Every view of ``n`` samples: ``spec``'s draws, each applied to ``x``."""
+    params = spec.draw(geometry, np.random.default_rng(2), n)
+    return [spec.apply(x, geometry, params[i][view]) for i in range(n) for view in (0, 1)]
+
 
 class TestTransformSpecValidation:
     """Each transform class checks its ranges when it is built, and
@@ -77,13 +91,14 @@ class TestTransformSpecValidation:
             factory()
 
     def test_probability_out_of_range_rejected(self):
-        with pytest.raises(ConfigError, match=r"^config: identity\.probability: "):
-            Identity(probability=1.5)
+        with pytest.raises(ConfigError, match=r"^config: horizontal_flip\.probability: "):
+            HorizontalFlip(probability=1.5)
 
     def test_image_transform_on_vector_geometry_rejected(self):
         with pytest.raises(ConfigError, match=r"transforms\[1\]: .* needs image geometry"):
             AugmentationPipeline(
-                (Identity(probability=1.0), HorizontalFlip(probability=0.5)), VectorGeometry(4)
+                (ScaleJitter(probability=1.0, low=0.5, high=2.0), HorizontalFlip(probability=0.5)),
+                VectorGeometry(4),
             )
 
 
@@ -138,35 +153,40 @@ class TestSampleView:
         margin = 4.0 * np.sqrt(n * p * (1 - p))
         assert abs(applied - n * p) <= margin
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            GaussianJitter(probability=1.0, sigma=0.5),
-            CoordinateMask(probability=1.0, fraction=0.3),
-            ScaleJitter(probability=1.0, low=0.5, high=1.5),
-            Identity(probability=1.0),
-        ],
-    )
+    # Every kind, with no hand-written list: each kind that takes vector
+    # data on a vector, and every kind on an image.
+    @pytest.mark.parametrize("spec", [always(cls) for cls in KINDS if not cls.needs_image])
     def test_vector_transforms_preserve_dimension(self, spec):
-        pipeline = _only(spec, VectorGeometry(7))
-        out = one_view(pipeline, np.ones(7), seed=0)
-        assert out.shape == (7,)
+        geometry = VectorGeometry(7)
+        x = np.random.default_rng(1).uniform(size=7)
+        views = [one_view(_only(spec, geometry), x), *draw_then_apply(spec, geometry, x)]
+        for out in views:
+            assert out.shape == (7,)
+            assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("spec", [always(cls) for cls in KINDS])
+    def test_image_transforms_preserve_dimension(self, spec):
+        geometry = ImageGeometry(6, 5)
+        x = np.random.default_rng(1).uniform(size=30)
+        views = [one_view(_only(spec, geometry), x, seed=2), *draw_then_apply(spec, geometry, x)]
+        for out in views:
+            assert out.shape == (30,)
+            assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("cls", KINDS, ids=lambda cls: cls.kind)
+    def test_each_kind_makes_its_own_view(self, cls):
+        # The base class has no view to fall back on: a kind without its
+        # own apply would fail here, not blur or pass its input through.
+        assert "apply" in vars(cls)
+        assert not hasattr(Transform, "apply")
 
     @pytest.mark.parametrize(
-        "spec",
-        [
-            ResizedCrop(probability=1.0, min_area_fraction=0.4),
-            HorizontalFlip(probability=1.0),
-            BrightnessJitter(probability=1.0, low=0.5, high=1.5),
-            GaussianBlur(probability=1.0, sigma=1.2),
-        ],
+        "cls", [cls for cls in KINDS if cls.needs_image], ids=lambda cls: cls.kind
     )
-    def test_image_transforms_preserve_dimension(self, spec):
-        pipeline = _only(spec, ImageGeometry(6, 5))
-        x = np.random.default_rng(1).uniform(size=30)
-        out = one_view(pipeline, x, seed=2)
-        assert out.shape == (30,)
-        assert np.all(np.isfinite(out))
+    def test_image_kinds_reject_vector_geometry(self, cls):
+        path = r"^config: augmentation\.transforms\[0\]: transform [a-z_]+ needs image geometry"
+        with pytest.raises(ConfigError, match=path):
+            always(cls).check(VectorGeometry(7), "augmentation.transforms[0]")
 
     def test_coordinate_mask_zeroes_some_coordinates(self):
         pipeline = _only(CoordinateMask(probability=1.0, fraction=0.5), VectorGeometry(1000))
@@ -374,7 +394,7 @@ class TestMatrixKernels:
     def test_crop_matches_direct_bilinear_reference(self, crop):
         geometry = ImageGeometry(17, 24)
         img = np.random.default_rng(3).uniform(size=(17, 24))
-        out = _apply(CROP_0_2, img.ravel(), geometry, crop)
+        out = CROP_0_2.apply(img.ravel(), geometry, crop)
         assert out.shape == (17 * 24,)
         np.testing.assert_allclose(
             out.reshape(17, 24), reference_bilinear_crop(img, *crop), rtol=0, atol=1e-12
@@ -383,7 +403,7 @@ class TestMatrixKernels:
     def test_full_size_crop_is_a_copy(self):
         geometry = ImageGeometry(17, 24)
         x = np.random.default_rng(4).uniform(size=17 * 24)
-        out = _apply(CROP_0_2, x, geometry, (0, 0, 17, 24))
+        out = CROP_0_2.apply(x, geometry, (0, 0, 17, 24))
         assert out.tobytes() == x.tobytes() and not np.shares_memory(out, x)
 
     @pytest.mark.parametrize(
@@ -393,7 +413,7 @@ class TestMatrixKernels:
     def test_blur_matches_direct_symmetric_convolution(self, height, width, sigma):
         img = np.random.default_rng(5).uniform(size=(height, width))
         blur = GaussianBlur(probability=1.0, sigma=sigma)
-        out = _apply(blur, img.ravel(), ImageGeometry(height, width), None)
+        out = blur.apply(img.ravel(), ImageGeometry(height, width), None)
         np.testing.assert_allclose(
             out.reshape(height, width), reference_blur(img, sigma), rtol=0, atol=1e-12
         )

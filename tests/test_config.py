@@ -20,7 +20,7 @@ import dualclust
 from dualclust.augment import (
     AugmentationPipeline,
     GaussianJitter,
-    Identity,
+    HorizontalFlip,
     ScaleJitter,
     Transform,
     _blur_matrix,
@@ -172,7 +172,7 @@ OUT_OF_RANGE = [
     ("model", "instance_dim", 0),
     ("model", "head_hidden_dim", 0),
     ("model", "cluster_count", 1),
-    ("identity", "probability", 1.5),
+    ("scale_jitter", "probability", 1.5),
     ("horizontal_flip", "probability", -0.1),
     ("gaussian_jitter", "sigma", 0.0),
     ("coordinate_mask", "fraction", 1.0),
@@ -591,13 +591,16 @@ class TestAugmentationSection:
         with pytest.raises(ConfigError, match=r"^config: unknown key 'augmentation\.preset'$"):
             _augmentation({"preset": "default"})
 
-    @pytest.mark.parametrize("entry", [{"kind": "identity", "probability": 1.0}, "identity"])
+    @pytest.mark.parametrize(
+        "entry",
+        [{"kind": "scale_jitter", "probability": 1.0, "low": 0.5, "high": 2.0}, "scale_jitter"],
+    )
     def test_entry_that_is_not_a_transform_rejected(self, entry):
         # A section built in Python is checked like a parsed one, before
         # resolve or the pipeline reads the entry.
         message = r"^config: augmentation\.transforms\[1\]: must be a transform, got "
         with pytest.raises(ConfigError, match=message):
-            AugmentationSection((Identity(probability=1.0), entry))
+            AugmentationSection((HorizontalFlip(probability=1.0), entry))
 
     def test_unknown_transform_kind_rejected(self):
         with pytest.raises(ConfigError, match="wobble"):
@@ -770,17 +773,20 @@ class TestLoadConfig:
 
 
 def _defaulted_names(obj):
-    """(owner, name) of every parameter or dataclass field with a default
-    that ``obj`` (a function or class) and its methods declare."""
+    """(owner, name, default) of every parameter or dataclass field with a
+    default that ``obj`` (a function or class) and its methods declare; a
+    default factory is called for its default."""
     if inspect.isfunction(obj):
         for name, param in inspect.signature(obj).parameters.items():
             if param.default is not inspect.Parameter.empty:
-                yield obj.__qualname__, name
+                yield obj.__qualname__, name, param.default
     elif inspect.isclass(obj):
         if is_dataclass(obj):
             for f in fields(obj):
-                if f.default is not MISSING or f.default_factory is not MISSING:
-                    yield obj.__qualname__, f.name
+                if f.default is not MISSING:
+                    yield obj.__qualname__, f.name, f.default
+                elif f.default_factory is not MISSING:
+                    yield obj.__qualname__, f.name, f.default_factory()
         for member in vars(obj).values():
             yield from _defaulted_names(getattr(member, "__func__", member))
 
@@ -795,8 +801,11 @@ class TestOneHomeForSettings:
         # sit in augment.default_transforms. A dataset field's default
         # sits in its kind's class only; the generators and readers take
         # the class. The run's seed and ablation mode, and the fields of
-        # a mode's row, are passed from the config by every caller.
+        # a mode's row, are passed from the config by every caller. A
+        # whole section is passed too: a default section, under whatever
+        # name, would train with default settings when a caller left it out.
         sections = (ModelSection, LossSection, TrainingSection)
+        section_types = (*SECTIONS.values(), AugmentationSection, ExperimentConfig, DatasetSpec)
         settings = {f.name for section in sections for f in fields(section)}
         settings |= {name.split("_", 1)[1] for name in settings if name.endswith("_temperature")}
         settings |= {f.name for cls in TRANSFORMS.values() for f in fields(cls)}
@@ -810,26 +819,29 @@ class TestOneHomeForSettings:
             module = importlib.import_module(f"dualclust.{info.name}")
             for obj in vars(module).values():
                 if getattr(obj, "__module__", None) == module.__name__ and obj not in homes:
-                    owned = _defaulted_names(obj)
-                    copies += [f"{module.__name__}.{o}.{n}" for o, n in owned if n in settings]
+                    copies += [
+                        f"{module.__name__}.{owner}.{name}"
+                        for owner, name, default in _defaulted_names(obj)
+                        if name in settings or isinstance(default, section_types)
+                    ]
         assert copies == [], copies
 
 
-def _mode_name_tests(tree):
-    """Line numbers where code compares a value with a mode name, or
+def _name_tests(tree, names):
+    """Line numbers where code compares a value with one of ``names``, or
     branches on one: a comparison, a match case or a dispatch table whose
-    operand or key is a mode name. A docstring is no comparison."""
-    def names(node):
+    operand or key is one of them. A docstring is no comparison."""
+    def named(node):
         items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
-        return any(isinstance(i, ast.Constant) and i.value in ABLATION_MODES for i in items)
+        return any(isinstance(i, ast.Constant) and i.value in names for i in items)
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
-            hit = any(names(operand) for operand in (node.left, *node.comparators))
+            hit = any(named(operand) for operand in (node.left, *node.comparators))
         elif isinstance(node, ast.MatchValue):
-            hit = names(node.value)
+            hit = named(node.value)
         elif isinstance(node, ast.Dict):
-            hit = any(key is not None and names(key) for key in node.keys)
+            hit = any(key is not None and named(key) for key in node.keys)
         else:
             continue
         if hit:
@@ -849,7 +861,21 @@ class TestOneHomeForAblationModes:
         for path in sorted(package.glob("*.py")):
             if path.name != "config.py":
                 tree = ast.parse(path.read_text())
-                found += [f"{path.name}:{line}" for line in _mode_name_tests(tree)]
+                found += [f"{path.name}:{line}" for line in _name_tests(tree, ABLATION_MODES)]
+        assert found == [], found
+
+
+class TestOneHomePerTransformKind:
+    def test_no_module_tests_a_transform_kind_name(self):
+        # A kind's checks, draws and view are methods of its class, picked
+        # by the class itself; code that tests a kind's name dispatches
+        # by hand, and falls through silently on a kind it did not list.
+        kinds = set(TRANSFORMS)
+        package = Path(dualclust.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            found += [f"{path.name}:{line}" for line in _name_tests(tree, kinds)]
         assert found == [], found
 
 

@@ -72,7 +72,13 @@ class TestAssignmentEntropy:
         with pytest.raises(ContractError, match=r"\(second view\): row 0"):
             assignment_entropy(np.vstack([good, bad]))
 
-    @pytest.mark.parametrize("loss", [assignment_entropy, cluster_loss])
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            assignment_entropy,
+            pytest.param(lambda y: cluster_loss(y, LossSection()), id="cluster_loss"),
+        ],
+    )
     def test_nan_row_named_in_either_view(self, loss):
         # NaN > tol is false, so the check must flag what is not within tol.
         good = np.full((4, 3), 1.0 / 3.0)
@@ -164,18 +170,18 @@ class TestClusterLossValues:
         y[:, 0] = 1.0
         y_other = np.full((4, 3), 1.0 / 3.0)
         with pytest.raises(DegenerateInputError, match="cluster 1 has zero mass in view a"):
-            cluster_loss(np.vstack([y, y_other]))
+            cluster_loss(np.vstack([y, y_other]), LossSection())
         with pytest.raises(DegenerateInputError, match="cluster 1 has zero mass in view b"):
-            cluster_loss(np.vstack([y_other, y]))
+            cluster_loss(np.vstack([y_other, y]), LossSection())
 
     def test_single_cluster_rejected(self):
         with pytest.raises(DegenerateInputError):
-            cluster_loss(np.ones((8, 1)))
+            cluster_loss(np.ones((8, 1)), LossSection())
 
     def test_row_sum_violation_rejected(self):
         y = np.full((4, 2), 0.3)
         with pytest.raises(ContractError):
-            cluster_loss(np.vstack([y, np.full((4, 2), 0.5)]))
+            cluster_loss(np.vstack([y, np.full((4, 2), 0.5)]), LossSection())
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
@@ -184,7 +190,7 @@ class TestClusterLossValues:
     def test_tape_above_the_inputs(self):
         rng = np.random.default_rng(21)
         y = ad.lift(random_row_stochastic(rng, 16, 3))
-        seen, stack, ops = {id(y)}, [cluster_loss(y)], Counter()
+        seen, stack, ops = {id(y)}, [cluster_loss(y, LossSection())], Counter()
         while stack:
             node = stack.pop()
             if id(node) in seen:
@@ -201,8 +207,8 @@ class TestClusterLossProperties:
         rng = np.random.default_rng(seed)
         y_a = random_row_stochastic(rng, 9, 4)
         y_b = random_row_stochastic(rng, 9, 4)
-        lhs = cluster_loss(np.vstack([y_a, y_b])).value[0, 0]
-        assert lhs == cluster_loss(np.vstack([y_b, y_a])).value[0, 0]
+        lhs = cluster_loss(np.vstack([y_a, y_b]), LossSection()).value[0, 0]
+        assert lhs == cluster_loss(np.vstack([y_b, y_a]), LossSection()).value[0, 0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_joint_column_permutation_invariance(self, seed):
@@ -210,8 +216,8 @@ class TestClusterLossProperties:
         y_a = random_row_stochastic(rng, 8, 5)
         y_b = random_row_stochastic(rng, 8, 5)
         perm = rng.permutation(5)
-        base = cluster_loss(np.vstack([y_a, y_b])).value[0, 0]
-        permuted = cluster_loss(np.vstack([y_a, y_b])[:, perm]).value[0, 0]
+        base = cluster_loss(np.vstack([y_a, y_b]), LossSection()).value[0, 0]
+        permuted = cluster_loss(np.vstack([y_a, y_b])[:, perm], LossSection()).value[0, 0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -220,8 +226,8 @@ class TestClusterLossProperties:
         y_a = random_row_stochastic(rng, 10, 3)
         y_b = random_row_stochastic(rng, 10, 3)
         perm = rng.permutation(10)
-        base = cluster_loss(np.vstack([y_a, y_b])).value[0, 0]
-        permuted = cluster_loss(np.vstack([y_a[perm], y_b[perm]])).value[0, 0]
+        base = cluster_loss(np.vstack([y_a, y_b]), LossSection()).value[0, 0]
+        permuted = cluster_loss(np.vstack([y_a[perm], y_b[perm]]), LossSection()).value[0, 0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -229,4 +235,7 @@ class TestClusterLossProperties:
         # Direct perturbation would break row-stochasticity, so the check
         # runs through the softmax parametrization the head actually uses.
         rng = np.random.default_rng(700 + seed)
-        check_gradients(lambda raw: cluster_loss(ad.softmax_rows(raw)), [rng.normal(size=(12, 3))])
+        check_gradients(
+            lambda raw: cluster_loss(ad.softmax_rows(raw), LossSection()),
+            [rng.normal(size=(12, 3))],
+        )

@@ -108,7 +108,7 @@ class TestInstanceLossValues:
 
     def test_single_pair_rejected_under_self_exclusion(self):
         with pytest.raises(DegenerateInputError):
-            instance_loss(np.ones((2, 4)))
+            instance_loss(np.ones((2, 4)), LossSection())
 
     def test_single_pair_allowed_with_literal_denominator(self):
         z_a = np.array([[1.0, 0.0]])
@@ -133,7 +133,7 @@ class TestInstanceLossValues:
     @pytest.mark.parametrize("seed", range(8))
     def test_nonnegative_under_self_exclusion(self, seed):
         rng = np.random.default_rng(100 + seed)
-        loss = instance_loss(rng.normal(size=(12, 4)))
+        loss = instance_loss(rng.normal(size=(12, 4)), LossSection())
         assert loss.value[0, 0] >= 0.0
 
     def test_temperature_affects_value(self):
@@ -150,8 +150,8 @@ class TestInstanceLossProperties:
         rng = np.random.default_rng(seed)
         z_a = rng.normal(size=(5, 6))
         z_b = rng.normal(size=(5, 6))
-        lhs = instance_loss(np.vstack([z_a, z_b])).value[0, 0]
-        rhs = instance_loss(np.vstack([z_b, z_a])).value[0, 0]
+        lhs = instance_loss(np.vstack([z_a, z_b]), LossSection()).value[0, 0]
+        rhs = instance_loss(np.vstack([z_b, z_a]), LossSection()).value[0, 0]
         assert lhs == rhs
 
     @pytest.mark.parametrize("seed", range(10))
@@ -160,8 +160,8 @@ class TestInstanceLossProperties:
         z_a = rng.normal(size=(7, 4))
         z_b = rng.normal(size=(7, 4))
         perm = rng.permutation(7)
-        base = instance_loss(np.vstack([z_a, z_b])).value[0, 0]
-        permuted = instance_loss(np.vstack([z_a[perm], z_b[perm]])).value[0, 0]
+        base = instance_loss(np.vstack([z_a, z_b]), LossSection()).value[0, 0]
+        permuted = instance_loss(np.vstack([z_a[perm], z_b[perm]]), LossSection()).value[0, 0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -169,23 +169,24 @@ class TestInstanceLossProperties:
         rng = np.random.default_rng(300 + seed)
         z_a = rng.normal(size=(5, 6))
         z_b = rng.normal(size=(5, 6))
-        base = instance_loss(np.vstack([z_a, z_b])).value[0, 0]
+        base = instance_loss(np.vstack([z_a, z_b]), LossSection()).value[0, 0]
         scaled_a = z_a * rng.uniform(0.1, 10.0, size=(5, 1))
         scaled_b = z_b * rng.uniform(0.1, 10.0, size=(5, 1))
-        rescaled = instance_loss(np.vstack([scaled_a, scaled_b])).value[0, 0]
+        rescaled = instance_loss(np.vstack([scaled_a, scaled_b]), LossSection()).value[0, 0]
         np.testing.assert_allclose(rescaled, base, rtol=1e-10, atol=1e-10)
 
     def test_aligned_views_score_below_random(self):
         rng = np.random.default_rng(5)
         z = 4.0 * np.eye(4, 8) + 0.05 * rng.normal(size=(4, 8))
-        aligned = instance_loss(np.vstack([z, z])).value[0, 0]
-        shuffled = instance_loss(np.vstack([z, rng.normal(size=(4, 8))])).value[0, 0]
+        section = LossSection()
+        aligned = instance_loss(np.vstack([z, z]), section).value[0, 0]
+        shuffled = instance_loss(np.vstack([z, rng.normal(size=(4, 8))]), section).value[0, 0]
         assert aligned < shuffled
 
     def test_shape_mismatch_rejected(self):
         # Views of unequal length stack to an odd row count.
         with pytest.raises(ShapeError, match="instance_loss: 7 rows"):
-            instance_loss(np.ones((7, 2)))
+            instance_loss(np.ones((7, 2)), LossSection())
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
@@ -198,11 +199,11 @@ class TestInstanceLossGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(400 + seed)
-        check_gradients(instance_loss, [rng.normal(size=(8, 5))])
+        check_gradients(lambda z: instance_loss(z, LossSection()), [rng.normal(size=(8, 5))])
 
     def test_gradient_flows_to_both_views(self):
         rng = np.random.default_rng(9)
         z = ad.lift(rng.normal(size=(6, 4)))
-        ad.backward(instance_loss(z))
+        ad.backward(instance_loss(z, LossSection()))
         assert np.any(z.grad[:3] != 0.0)
         assert np.any(z.grad[3:] != 0.0)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import dualclust.autodiff as ad
 import dualclust.trainer
-from dualclust.augment import Identity
 from dualclust.config import (
     ABLATION_MODES,
     AugmentationSection,
@@ -85,7 +84,7 @@ def assert_params_equal(params, snapshot):
 
 class TestOptimizerState:
     def test_defaults(self):
-        state = OptimizerState.for_params(init_params(TINY_MODEL, 4))
+        state = OptimizerState.for_params(init_params(TINY_MODEL, 4), TrainingSection())
         assert state.settings == TrainingSection()
         assert state.settings.learning_rate == 0.0003
         assert state.settings.beta1 == 0.9
@@ -95,7 +94,7 @@ class TestOptimizerState:
 
     def test_accumulators_match_parameter_shapes(self):
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         for moment in (state.m, state.v):
             assert moment.shape == params.flat.shape
             assert not np.shares_memory(moment, params.flat)
@@ -105,7 +104,7 @@ class TestOptimizerState:
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         before = param_snapshot(params)
         grads = [np.zeros_like(array) for _, array in params.arrays.items()]
         for _ in range(3):
@@ -117,7 +116,7 @@ class TestAdamStep:
         # Bias-corrected moments at step 1 reduce to m=g, v=g*g, so the
         # update is -lr * g / (|g| + eps) elementwise for any gradient.
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         rng = np.random.default_rng(11)
         grads = [rng.normal(size=array.shape) for _, array in params.arrays.items()]
         before = param_snapshot(params)
@@ -130,7 +129,7 @@ class TestAdamStep:
         results = []
         for _ in range(2):
             params = init_params(TINY_MODEL, 4)
-            state = OptimizerState.for_params(params)
+            state = OptimizerState.for_params(params, TrainingSection())
             rng = np.random.default_rng(5)
             for _ in range(100):
                 grads = [rng.normal(size=a.shape) for _, a in params.arrays.items()]
@@ -170,7 +169,7 @@ class TestAdamStep:
 
     def test_overflowing_square_stops_step_before_any_write(self):
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         grads = [np.zeros_like(a) for a in params.arrays.values()]
         grads[3][0, 1] = 1e160  # finite, but (1 - beta2) g^2 is not
         before, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
@@ -182,13 +181,13 @@ class TestAdamStep:
 
     def test_gradient_count_mismatch_rejected(self):
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         with pytest.raises(ContractError, match="gradients"):
             adam_step(params, [np.zeros((4, 8))], state)
 
     def test_gradient_shape_mismatch_rejected(self):
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         grads = [np.zeros_like(a) for _, a in params.arrays.items()]
         grads[0] = np.zeros((2, 2))
         with pytest.raises(ContractError, match="shape"):
@@ -212,20 +211,22 @@ class TestTotalLoss:
     def test_cluster_only_equals_cluster_loss_exactly(self):
         z, y = random_views(1)
         total = loss_terms(z, y, LossSection(), instance=False, cluster=True)[2]
-        direct = cluster_loss(y)
+        direct = cluster_loss(y, LossSection())
         assert total.value[0, 0] == direct.value[0, 0]
 
     def test_instance_only_equals_instance_loss_exactly(self):
         z, y = random_views(2)
         total = loss_terms(z, y, LossSection(), instance=True, cluster=False)[2]
-        direct = instance_loss(z)
+        direct = instance_loss(z, LossSection())
         assert total.value[0, 0] == direct.value[0, 0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_sum_of_independently_computed_terms(self, seed):
         z, y = random_views(seed)
         total = float(loss_terms(z, y, LossSection(), True, True)[2].value[0, 0])
-        parts = float(instance_loss(z).value[0, 0]) + float(cluster_loss(y).value[0, 0])
+        parts = float(instance_loss(z, LossSection()).value[0, 0]) + float(
+            cluster_loss(y, LossSection()).value[0, 0]
+        )
         assert abs(total - parts) < 1e-14
 
     def test_custom_configs_are_honored(self):
@@ -412,7 +413,7 @@ class TestTrain:
             dataset=CsvFile("unused.csv"),
             model=ModelSection(encoder_widths=(8,), instance_dim=4, cluster_count=2),
             training=TrainingSection(batch_size=4, epochs=1),
-            augmentation=AugmentationSection((Identity(probability=1.0),)),
+            augmentation=AugmentationSection(()),
         )
         with pytest.raises(DegenerateInputError, match=r"epoch 0, batch 0"):
             train(config, dataset)
@@ -468,7 +469,7 @@ class TestTrain:
 
     def test_non_finite_gradient_named(self):
         params = init_params(TINY_MODEL, 4)
-        state = OptimizerState.for_params(params)
+        state = OptimizerState.for_params(params, TrainingSection())
         grads = [np.zeros_like(a) for a in params.arrays.values()]
         grads[1][0, 2] = np.nan
         with pytest.raises(DegenerateInputError, match="gradient of encoder.0.bias is not finite"):
@@ -581,8 +582,8 @@ class TestTrain:
             np.testing.assert_array_equal(np.sort(order), np.arange(16))
         assert len({order.tobytes() for order in orders}) == 3, "two epochs share an order"
         np.testing.assert_array_equal(batches(), orders)
-        identity = [{"kind": "identity", "probability": 1.0}]
-        np.testing.assert_array_equal(batches(augmentation={"transforms": identity}), orders)
+        scale = [{"kind": "scale_jitter", "probability": 1.0, "low": 0.9, "high": 1.1}]
+        np.testing.assert_array_equal(batches(augmentation={"transforms": scale}), orders)
         assert not np.array_equal(batches(seed=1), orders)
 
     def test_trailing_partial_batch_is_dropped(self, monkeypatch):

@@ -68,6 +68,13 @@ MUTANTS = (
     ("evaluate-assigns-with-seed-0", "trainer.py",
      "assignments = assign(params, dataset.samples, ablation, seed)",
      "assignments = assign(params, dataset.samples, ablation, 0)"),
+    ("brightness-not-clipped-above", "augment.py",
+     "return np.minimum(out, 1.0, out=out)", "return out"),
+    ("crop-rows-resized-by-width", "augment.py",
+     "rows = _resize_matrix(crop_h, geometry.height)",
+     "rows = _resize_matrix(crop_w, geometry.height)"),
+    ("jitter-noise-not-scaled-by-sigma", "augment.py",
+     "noise *= self.sigma", "pass"),
 )
 
 IGNORED = shutil.ignore_patterns(
